@@ -47,6 +47,7 @@ from .qfi import (
     qfi_fidelity_check,
     time_averaged_qfi,
     time_averaged_qfi_limit,
+    time_averaged_qfi_limit_pure,
 )
 from .optimize import (
     AdvantageRatio,

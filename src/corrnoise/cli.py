@@ -357,23 +357,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file {args.config}: unknown fields {sorted(unknown)}")
         values.update(loaded)
     values["scenario"] = args.scenario
-    flag_map = {
-        "out": "out",
-        "threads": "threads",
-        "gamma": "gamma",
-        "seed": "seed",
-        "n": "n",
-        "xi": "xi",
-        "t_lo": "t_lo",
-        "t_hi": "t_hi",
-        "t_points": "t_points",
-        "regime": "regime",
-        "shots": "shots",
-        "seeds": "seeds",
-        "family": "family",
-    }
-    for attr, field in flag_map.items():
-        val = getattr(args, attr, None)
+    flag_fields = (
+        "out",
+        "threads",
+        "gamma",
+        "seed",
+        "n",
+        "xi",
+        "t_lo",
+        "t_hi",
+        "t_points",
+        "regime",
+        "shots",
+        "seeds",
+        "family",
+    )
+    for field in flag_fields:
+        val = getattr(args, field, None)
         if val is not None:
             values[field] = val
     if getattr(args, "t_linear", False):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import CoherencePair, decay_rate, decay_rate_derivative
+from .evolution import CoherencePair, _quadratic_rate, decay_rate, decay_rate_derivative
 from .model import DephasingFamily
 from .optimize import dynamical_range_threshold
 from .qfi import coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
@@ -208,17 +208,12 @@ def simulate_parity_counts(
     return ExperimentRecord(pair, float(xi_true), t, int(shots), plus, int(seed))
 
 
-def _rate_intercept(family: DephasingFamily, pair: CoherencePair) -> float:
-    # G(0): the rate extrapolated to xi = 0, which may sit outside the
-    # admissible domain; needed only as the intercept of the linear inversion.
-    d = np.array(pair.alpha, dtype=float) - np.array(pair.beta, dtype=float)
-    return float(np.real(d @ family.c0 @ d)) * family.gamma / 4.0
-
-
 def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateReport:
     """Closed-form maximum-likelihood inversion of the parity counts."""
     pair = record.pair
-    g0 = _rate_intercept(family, pair)
+    # G(0): the rate extrapolated to xi = 0, which may sit outside the
+    # admissible domain; needed only as the intercept of the linear inversion.
+    g0 = _quadratic_rate(family, family.c0, pair)
     gp = decay_rate_derivative(family, record.xi_true, pair)
     if gp == 0.0:
         raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "ghz_pair",
     "ghz_density",
     "plus_product",
+    "random_pure_state",
     "random_pure_density",
     "validate_density_matrix",
 ]
@@ -320,12 +321,14 @@ class ProductState:
         return len(self.thetas)
 
     def statevector(self) -> np.ndarray:
-        real = all(p == 0.0 for p in self.phis)
-        vec = np.array([1.0], dtype=np.float64 if real else np.complex128)
-        for theta, phi in zip(self.thetas, self.phis):
-            amp1 = np.sin(theta / 2.0) * (1.0 if real else np.exp(1j * phi))
-            vec = np.kron(vec, np.array([np.cos(theta / 2.0), amp1]))
-        return vec
+        half = np.array(self.thetas) / 2.0
+        amp1 = np.sin(half)
+        if any(p != 0.0 for p in self.phis):
+            amp1 = amp1 * np.exp(1j * np.array(self.phis))
+        factors = np.where(_spin_table(self.n_qubits) > 0.0, np.cos(half), amp1)
+        # Elementwise products over qubits, left to right as in a kron chain;
+        # np.prod's complex reduction rounds differently.
+        return reduce(np.multiply, factors.T)
 
     def density(self) -> np.ndarray:
         vec = self.statevector()
@@ -355,11 +358,16 @@ def ghz_density(n_qubits: int) -> np.ndarray:
     return pair_density(ghz_pair(n_qubits))
 
 
-def random_pure_density(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state, for property checks."""
+def random_pure_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit state vector, for property checks."""
     dim = 2**n_qubits
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    vec /= np.linalg.norm(vec)
+    return vec / np.linalg.norm(vec)
+
+
+def random_pure_density(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Density matrix of ``random_pure_state``."""
+    vec = random_pure_state(n_qubits, rng)
     return np.outer(vec, vec.conj())
 
 

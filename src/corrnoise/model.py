@@ -3,7 +3,9 @@
 A family bundles the qubit count N, an overall decay-rate scale gamma,
 a pair of N x N Hermitian matrices (C0, dC) and the admissible interval
 for the correlation parameter xi.  C(xi) must stay positive semidefinite
-on that interval; construction checks the endpoints and the midpoint.
+on that interval; construction checks the two endpoints, which suffices:
+lambda_min(C0 + xi*dC) is a minimum of functions affine in xi, hence
+concave, so it is no smaller inside the interval than at its ends.
 
 Built-in families:
 
@@ -90,7 +92,7 @@ class DephasingFamily:
         object.__setattr__(self, "delta_c", _as_hermitian(self.delta_c, n, "delta_c"))
         lo, hi = _as_interval(self.xi_domain)
         object.__setattr__(self, "xi_domain", (lo, hi))
-        for xi in (lo, 0.5 * (lo + hi), hi):
+        for xi in (lo, hi):
             lam = self.min_eigenvalue(xi)
             if lam < PSD_EIG_FLOOR:
                 raise FamilyValidationError(

@@ -3,7 +3,9 @@
 Two resource regimes are supported:
 
 * ``"time"``  - total protocol time is constrained; the figure of merit is
-  the time-averaged QFI, whose supremum over t sits at t -> 0+.
+  the time-averaged QFI, whose supremum over t sits at t -> 0+.  Product
+  probes are scored by its exact closed form for pure probes
+  (``time_averaged_qfi_limit_pure``), one N x N eigendecomposition each.
 * ``"shot"``  - the number of experimental runs is constrained; the figure
   of merit is the per-shot QFI maximized over the interrogation time.
 
@@ -33,12 +35,11 @@ from .qfi import (
     PER_SHOT,
     TIME_AVERAGED,
     DivergentQfiError,
-    ExtrapolationError,
     QfiResult,
     qfi_exact_value,
     shot_optimum_value,
     shot_optimum_x,
-    time_averaged_qfi_limit,
+    time_averaged_qfi_limit_pure,
 )
 
 REGIMES = ("time", "shot")
@@ -246,8 +247,10 @@ def optimal_product_state(
 
     Runs 8 + 2N Nelder-Mead multistarts over the polar angles (the all-pi/2
     probe plus uniform-random starts) with a 9-point-per-axis coordinate
-    sweep as a grid fallback.  In the shot regime the search is joint over
-    (theta, log t) and each candidate is finished with ``maximize_over_time``.
+    sweep as a grid fallback.  In the time regime each candidate is scored by
+    the exact t -> 0+ limit ``time_averaged_qfi_limit_pure``.  In the shot
+    regime the search is joint over (theta, log t) and each candidate is
+    finished with ``maximize_over_time``.
     Fixed seed implies a bit-identical report; multistarts are independent
     and merged by a deterministic reduction, so any thread count agrees.
     """
@@ -265,20 +268,14 @@ def optimal_product_state(
     start_logts = [np.log(t_heuristic)]
     start_logts.extend(rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1))
 
-    def density(theta: np.ndarray) -> np.ndarray:
-        return ProductState.polar(_fold_theta(theta)).density()
+    def probe_at(theta: np.ndarray) -> ProductState:
+        return ProductState.polar(_fold_theta(theta))
 
     def time_objective(theta: np.ndarray) -> float:
-        # Asymmetric probes can leave a slowly decaying (t log t)-like tail
-        # that misses the strict extrapolation tolerance; the last extrapolant
-        # is still accurate to ~1e-5 relative, ample for locating the optimum.
-        try:
-            return time_averaged_qfi_limit(density(theta), family, xi).value
-        except ExtrapolationError as exc:
-            return max(exc.extrapolants[-1], 0.0)
+        return time_averaged_qfi_limit_pure(probe_at(theta), family, xi).value
 
     def shot_value_at(theta: np.ndarray, t: float) -> float:
-        return qfi_exact_value(density(theta), family, xi, t)
+        return qfi_exact_value(probe_at(theta).density(), family, xi, t)
 
     def finish_shot(theta: np.ndarray) -> tuple[float, float]:
         return maximize_over_time(lambda t: shot_value_at(theta, t), bracket)
@@ -326,10 +323,7 @@ def optimal_product_state(
     converged_fraction = sum(1 for r in results if r[4]) / n_starts
     probe = ProductState.polar(best[2])
     if regime == "time":
-        try:
-            result = time_averaged_qfi_limit(probe.density(), family, xi, probe=probe)
-        except ExtrapolationError as exc:
-            result = QfiResult(max(exc.extrapolants[-1], 0.0), TIME_AVERAGED, 0.0, probe)
+        result = time_averaged_qfi_limit_pure(probe, family, xi)
     else:
         result = QfiResult(best[0], PER_SHOT, best[3], probe)
     return OptimizationReport(result, n_starts, converged_fraction, grid_fallback_used)

@@ -17,8 +17,20 @@ Two independent routes are provided and cross-checked:
   which is the small-dxi expansion of the squared Bures distance.
 
 ``time_averaged_qfi`` divides the per-shot value by the interrogation time;
-its supremum over t sits at t -> 0+ for purely dissipative dynamics and is
-computed by Richardson extrapolation in ``time_averaged_qfi_limit``.
+its supremum over t sits at t -> 0+ for purely dissipative dynamics.
+
+* ``time_averaged_qfi_limit_pure`` gives that limit exactly for a pure probe
+  psi.  To first order in t the evolved state leaks out of psi along
+  V_j = (1 - |psi><psi|) Z_j |psi>, with weight matrix t V A V^dag and
+  xi-derivative t V B V^dag, where A = (gamma/2) Re C(xi) and
+  B = (gamma/2) Re dC.  Writing V = Q K^dag with orthonormal columns Q, the
+  limit is the SLD QFI of the N x N pair (K^dag A K, K^dag B K).  For a
+  product probe V^dag V = diag(sin^2 theta_j), so K = diag(|sin theta_j|)
+  and no 2^N object is built.
+
+* ``time_averaged_qfi_limit`` reaches the same limit by Richardson
+  extrapolation of F_Q(t)/t on the propagated state.  It handles mixed
+  states and is the oracle for the closed form.
 
 For an equal superposition of one coherence pair with decay rate G and rate
 derivative G', everything is closed form:
@@ -38,10 +50,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolution import CoherencePair, ProductState, decay_rate, decay_rate_derivative, drho_dxi, evolve, rate_matrix
+from .evolution import (
+    CoherencePair,
+    ProductState,
+    _spin_table,
+    decay_rate,
+    decay_rate_derivative,
+    drho_dxi,
+    evolve,
+    rate_matrix,
+)
 from .model import DephasingFamily
 
 SLD_KERNEL_CUTOFF = 1e-12
+# Closed-form t -> 0+ limit: eigenvalues of the O(t) weight matrix at or
+# below PURE_KERNEL_RTOL * its largest form its kernel, and so do leakage
+# directions whose squared norm (at most 1 for a unit probe) is below it.
+# The derivative may carry at most a PURE_DARK_RTOL share of its squared
+# weight inside that kernel; more is a dark coherence and the limit diverges.
+PURE_KERNEL_RTOL = 1e-13
+PURE_DARK_RTOL = 1e-12
 
 PER_SHOT = "per_shot"
 TIME_AVERAGED = "time_averaged"
@@ -59,6 +87,7 @@ __all__ = [
     "qfi_fidelity_check",
     "time_averaged_qfi",
     "time_averaged_qfi_limit",
+    "time_averaged_qfi_limit_pure",
     "coherence_pair_qfi_timeavg",
     "coherence_pair_qfi_shot",
     "coherence_pair_qfi_shot_peak",
@@ -206,18 +235,19 @@ def time_averaged_qfi_limit(
     xi: float,
     rel_tol: float = 1e-6,
     levels: int = 7,
-    probe: "ProductState | CoherencePair | str | None" = None,
 ) -> QfiResult:
     """t -> 0+ supremum of the time-averaged QFI by Richardson extrapolation.
 
     Evaluates F_Q(t_k)/t_k on t_k = t0 * 2^-k with t0 = 0.01 / max rate and
     extrapolates assuming an error series in integer powers of t.  Converged
     once successive diagonal extrapolants agree to ``rel_tol`` relative;
-    raises ExtrapolationError (with the sequence) otherwise.
+    raises ExtrapolationError (with the sequence) otherwise.  For pure probes
+    ``time_averaged_qfi_limit_pure`` is exact; this route covers mixed
+    states and is its oracle.
     """
     if not family.is_interior(xi):
         raise ValueError(f"xi={xi} must lie strictly inside the family domain {family.xi_domain}")
-    descriptor = probe if probe is not None else state_hash(rho0)
+    descriptor = state_hash(rho0)
     max_rate = float(rate_matrix(family, xi).max())
     if max_rate <= 0.0:
         return QfiResult(0.0, TIME_AVERAGED, 0.0, descriptor)
@@ -237,6 +267,65 @@ def time_averaged_qfi_limit(
     raise ExtrapolationError(
         f"time-averaged QFI extrapolation did not converge to {rel_tol:g} in {levels} levels", diagonal
     )
+
+
+def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> float:
+    """SLD QFI 2 sum_jk |a_jk|^2 / (lambda_j + lambda_k) of the O(t) pair (m, m_prime).
+
+    lambda_j are the eigenvalues of m and a is m_prime in its eigenbasis.
+    Terms inside the kernel of m diverge, so weight there raises
+    DivergentQfiError instead of being dropped.
+    """
+    lam, u = np.linalg.eigh(m)
+    weight = np.abs(u.conj().T @ m_prime @ u) ** 2
+    lam = np.where(lam > PURE_KERNEL_RTOL * lam[-1], lam, 0.0)
+    denom = lam[:, None] + lam[None, :]
+    dark = denom == 0.0
+    if weight[dark].sum() > PURE_DARK_RTOL * weight.sum():
+        raise DivergentQfiError(
+            f"probe senses a dark coherence: {weight[dark].sum() / weight.sum():.3e} of the derivative weight"
+            " sits on coherences that do not decay"
+        )
+    return 2.0 * float((weight[~dark] / denom[~dark]).sum())
+
+
+def time_averaged_qfi_limit_pure(
+    probe: "ProductState | np.ndarray", family: DephasingFamily, xi: float
+) -> QfiResult:
+    """Exact t -> 0+ limit of F_Q(t)/t for a pure probe (see module docstring).
+
+    ``probe`` is a ProductState, whose N x N route builds no 2^N object, or
+    a unit state vector of length 2^N, which goes through one N x N
+    eigendecomposition of the Gram matrix V^dag V.  Leakage directions of
+    squared norm at most PURE_KERNEL_RTOL are dropped.  Raises
+    DivergentQfiError when the probe senses a coherence that does not decay
+    at xi.
+    """
+    if not family.contains(xi):
+        raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
+    n = family.n_qubits
+    half = 0.5 * family.gamma
+    a = half * np.real(family.coefficient_matrix(xi))
+    b = half * np.real(family.delta_c)
+    if isinstance(probe, ProductState):
+        if probe.n_qubits != n:
+            raise ValueError(f"probe is for {probe.n_qubits} qubits, family has {n}")
+        s = np.sin(np.array(probe.thetas))
+        s = np.where(s * s > PURE_KERNEL_RTOL, s, 0.0)
+        scale = np.outer(s, s)
+        return QfiResult(_sld_rate(a * scale, b * scale), TIME_AVERAGED, 0.0, probe)
+    psi = np.asarray(probe)
+    if psi.shape != (2**n,):
+        raise ValueError(f"state vector has shape {psi.shape}, expected ({2**n},)")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state vector must have unit norm, got {norm}")
+    spins = _spin_table(n)
+    v = (spins - (np.abs(psi) ** 2) @ spins) * psi[:, None]
+    g, w = np.linalg.eigh(v.conj().T @ v)
+    k = w * np.sqrt(np.where(g > PURE_KERNEL_RTOL, g, 0.0))
+    value = _sld_rate(k.conj().T @ a @ k, k.conj().T @ b @ k)
+    return QfiResult(value, TIME_AVERAGED, 0.0, state_hash(psi))
 
 
 def _pair_rates(family: DephasingFamily, xi: float, pair: CoherencePair) -> tuple[float, float]:

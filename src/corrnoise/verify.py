@@ -19,6 +19,7 @@ from .evolution import (
     pair_density,
     plus_product,
     random_pure_density,
+    random_pure_state,
     rate_matrix,
     superoperator_spectrum,
 )
@@ -28,6 +29,7 @@ from .qfi import (
     qfi_exact_value,
     qfi_fidelity_check,
     time_averaged_qfi_limit,
+    time_averaged_qfi_limit_pure,
 )
 
 __all__ = ["PropertyResult", "run_verify", "default_families"]
@@ -203,6 +205,21 @@ def check_closed_forms(rtol: float = 1e-4) -> PropertyResult:
     return _result("closed_forms", worst <= rtol, f"max relative error {worst:.3e}")
 
 
+def check_closed_form_limit(families, seed: int, rtol: float = 1e-6) -> PropertyResult:
+    # The exact t -> 0+ limit for pure probes against its Richardson oracle.
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for fam in families.values():
+        if not fam.is_interior(0.05):
+            continue
+        for xi in (0.05, 0.2):
+            psi = random_pure_state(fam.n_qubits, rng)
+            exact = time_averaged_qfi_limit_pure(psi, fam, xi).value
+            oracle = time_averaged_qfi_limit(np.outer(psi, psi.conj()), fam, xi).value
+            worst = max(worst, abs(exact / oracle - 1.0))
+    return _result("closed_form_limit", worst <= rtol, f"max relative deviation from Richardson {worst:.3e}")
+
+
 def check_monotone_supremum(families, seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -280,6 +297,7 @@ def run_verify(seed: int = 0, extra_family: DephasingFamily | None = None) -> li
         check_bures_convexity(small, seed ^ 0x04),
         check_qfi_crosscheck(small, seed ^ 0x05),
         check_closed_forms(),
+        check_closed_form_limit(small, seed ^ 0x09),
         check_monotone_supremum(small, seed ^ 0x06),
         check_z_covariance(families, seed ^ 0x07),
         check_qfi_convexity(small, seed ^ 0x08),

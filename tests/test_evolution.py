@@ -301,6 +301,25 @@ class TestStates:
         vec = state.statevector()
         assert vec == pytest.approx(np.array([1, 0, 1, 0]) / np.sqrt(2))
 
+    def test_statevector_matches_kron_chain_bitwise(self):
+        def kron_reference(state):
+            real = all(p == 0.0 for p in state.phis)
+            vec = np.array([1.0], dtype=np.float64 if real else np.complex128)
+            for theta, phi in zip(state.thetas, state.phis):
+                amp1 = np.sin(theta / 2.0) * (1.0 if real else np.exp(1j * phi))
+                vec = np.kron(vec, np.array([np.cos(theta / 2.0), amp1]))
+            return vec
+
+        rng = np.random.default_rng(31)
+        for n in range(1, 9):
+            for _ in range(10):
+                thetas = tuple(rng.uniform(0.0, np.pi, size=n))
+                for phis in ((0.0,) * n, tuple(rng.uniform(0.0, 2.0 * np.pi, size=n))):
+                    state = ProductState(thetas, phis)
+                    got, expected = state.statevector(), kron_reference(state)
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected)
+
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             ProductState.polar((4.0,))

@@ -5,15 +5,18 @@ import pytest
 
 from corrnoise.evolution import (
     CoherencePair,
+    ProductState,
     evolve,
     ghz_density,
     ghz_pair,
     pair_density,
+    pair_state,
     plus_product,
     random_pure_density,
+    random_pure_state,
     rate_matrix,
 )
-from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
+from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.qfi import (
     DivergentQfiError,
     ExtrapolationError,
@@ -30,6 +33,7 @@ from corrnoise.qfi import (
     shot_optimum_x,
     time_averaged_qfi,
     time_averaged_qfi_limit,
+    time_averaged_qfi_limit_pure,
 )
 
 DOMAIN = (1e-6, 1.0)
@@ -250,6 +254,109 @@ class TestTimeAveraged:
         with pytest.raises(ExtrapolationError) as err:
             time_averaged_qfi_limit(rho, single(), 0.1, levels=2)
         assert len(err.value.extrapolants) == 2
+
+
+def family_n(n):
+    return two() if n == 2 else build_n_qubit(n, DOMAIN)
+
+
+def richardson_oracle(rho, family, xi):
+    """Richardson limit and the tolerance it supports.
+
+    At small xi Richardson sometimes stops short of its 1e-6 target on
+    asymmetric product probes; its last extrapolant is then good to ~1e-5.
+    """
+    try:
+        return time_averaged_qfi_limit(rho, family, xi).value, 1e-6
+    except ExtrapolationError as exc:
+        return exc.extrapolants[-1], 1e-5
+
+
+class TestPureProbeLimit:
+    def test_random_pure_states_match_richardson(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 7):
+            fam = family_n(n)
+            for xi in (1e-2, 1e-1):
+                psi = random_pure_state(n, rng)
+                exact = time_averaged_qfi_limit_pure(psi, fam, xi)
+                oracle, rtol = richardson_oracle(np.outer(psi, psi.conj()), fam, xi)
+                assert exact.value == pytest.approx(oracle, rel=rtol)
+                assert exact.regime == "time_averaged" and exact.time == 0.0
+
+    def test_product_probes_match_richardson_and_statevector_route(self):
+        rng = np.random.default_rng(22)
+        for n in range(2, 7):
+            fam = family_n(n)
+            for xi in (1e-2, 1e-1):
+                for phis in ((0.0,) * n, tuple(rng.uniform(0.0, 2.0 * np.pi, size=n))):
+                    probe = ProductState(tuple(rng.uniform(0.0, np.pi, size=n)), phis)
+                    exact = time_averaged_qfi_limit_pure(probe, fam, xi)
+                    assert exact.probe == probe
+                    via_vector = time_averaged_qfi_limit_pure(probe.statevector(), fam, xi).value
+                    assert exact.value == pytest.approx(via_vector, rel=1e-10)
+                    oracle, rtol = richardson_oracle(probe.density(), fam, xi)
+                    assert exact.value == pytest.approx(oracle, rel=rtol)
+
+    def test_complex_hermitian_family_matches_richardson(self):
+        rng = np.random.default_rng(23)
+        base = build_n_qubit(3, DOMAIN)
+        delta = base.delta_c + 0.05j * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+        fam = with_perturbation(base, delta, DOMAIN)
+        for xi in (1e-2, 1e-1):
+            psi = random_pure_state(3, rng)
+            exact = time_averaged_qfi_limit_pure(psi, fam, xi).value
+            oracle, rtol = richardson_oracle(np.outer(psi, psi.conj()), fam, xi)
+            assert exact == pytest.approx(oracle, rel=rtol)
+
+    def test_pair_states_match_pair_closed_form(self):
+        for fam, xi in ((two(), 0.07), (build_n_qubit(3, DOMAIN), 0.03), (build_n_qubit(4, DOMAIN), 0.2)):
+            n = fam.n_qubits
+            for ia in range(2**n):
+                for ib in range(ia + 1, 2**n):
+                    pair = CoherencePair.from_indices(ia, ib, n)
+                    expected = coherence_pair_qfi_timeavg(fam, xi, pair).value
+                    got = time_averaged_qfi_limit_pure(pair_state(pair), fam, xi).value
+                    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_z_eigenstates_give_zero(self):
+        fam = build_n_qubit(4, DOMAIN)
+        probe = ProductState.polar((0.0, np.pi, np.pi, 0.0))
+        assert time_averaged_qfi_limit_pure(probe, fam, 0.03).value == 0.0
+        assert time_averaged_qfi_limit_pure(probe.statevector(), fam, 0.03).value == 0.0
+
+    def test_zero_perturbation_gives_zero(self):
+        fam = with_perturbation(two(), np.zeros((2, 2)), (0.1, 0.9))
+        assert time_averaged_qfi_limit_pure(plus_product(2), fam, 0.5).value == 0.0
+
+    def test_dark_coherence_reported_divergent(self):
+        # C(xi) = xi * I on [0, 1]: nothing decays at xi = 0, yet dC = I
+        fam = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        with pytest.raises(DivergentQfiError):
+            time_averaged_qfi_limit_pure(ProductState.polar((1.0, 2.0)), fam, 0.0)
+        with pytest.raises(DivergentQfiError):
+            time_averaged_qfi_limit_pure(pair_state(CoherencePair((1, 1), (1, -1))), fam, 0.0)
+
+    def test_direct_ratio_approaches_closed_form_at_small_xi(self):
+        # Richardson stops short here; the direct F(t)/t keeps closing in on
+        # the exact limit as t falls.
+        fam, xi = two(), 1e-3
+        probe = ProductState.polar((1.0, 2.0))
+        exact = time_averaged_qfi_limit_pure(probe, fam, xi).value
+        gaps = [abs(qfi_exact_value(probe.density(), fam, xi, t) / t - exact) for t in (1e-4, 1e-5, 1e-6)]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-3 * exact
+
+    def test_input_validation(self):
+        fam = two()
+        with pytest.raises(ValueError):
+            time_averaged_qfi_limit_pure(plus_product(3), fam, 0.1)
+        with pytest.raises(ValueError):
+            time_averaged_qfi_limit_pure(np.ones(4), fam, 0.1)
+        with pytest.raises(ValueError):
+            time_averaged_qfi_limit_pure(np.ones(8) / np.sqrt(8), fam, 0.1)
+        with pytest.raises(ValueError):
+            time_averaged_qfi_limit_pure(plus_product(2), fam, 2.0)
 
 
 class TestCoherencePairQfi:
