@@ -40,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import CoherencePair, _quadratic_rate, decay_rate, decay_rate_derivative
+from .evolution import CoherencePair, _pair_diff, _rate_form, decay_rate, ghz_pair
 from .model import DephasingFamily
 from .optimize import dynamical_range_threshold
-from .qfi import coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
+from .qfi import DivergentQfiError, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -172,8 +172,6 @@ def promise_check(
         raise ValueError(f"xi_hat must be > 0, got {xi_hat}")
     gamma = family.gamma if gamma is None else float(gamma)
     n = family.n_qubits if n is None else int(n)
-    from .evolution import ghz_pair
-
     pair = ghz_pair(family.n_qubits)
     rate = decay_rate(family, xi_hat, pair)
     t_probe = 1.0 / (n * xi_hat * gamma)
@@ -208,26 +206,34 @@ def simulate_parity_counts(
     return ExperimentRecord(pair, float(xi_true), t, int(shots), plus, int(seed))
 
 
+def _crb_std(family: DephasingFamily, xi: float, pair: CoherencePair, t: float, shots: int) -> float:
+    """Cramer-Rao std [M F_Q(t)]^{-1/2} of M shots of one pair probed for time t; 0 on a dark coherence."""
+    try:
+        qfi = coherence_pair_qfi_shot(family, xi, pair, t).value
+    except DivergentQfiError:
+        return 0.0
+    return 1.0 / math.sqrt(shots * qfi) if qfi > 0.0 else math.inf
+
+
 def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateReport:
-    """Closed-form maximum-likelihood inversion of the parity counts."""
+    """Closed-form maximum-likelihood inversion of the parity counts, with the plug-in CRB at xi_hat."""
     pair = record.pair
     # G(0): the rate extrapolated to xi = 0, which may sit outside the
     # admissible domain; needed only as the intercept of the linear inversion.
-    g0 = _quadratic_rate(family, family.c0, pair)
-    gp = decay_rate_derivative(family, record.xi_true, pair)
+    diff = _pair_diff(family, pair)
+    g0 = float(_rate_form(family, family.c0, diff)[0])
+    gp = float(_rate_form(family, family.delta_c, diff)[0])
     if gp == 0.0:
         raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
-    crb = coherence_pair_qfi_shot(family, record.xi_true, pair, record.t)
-    std_crb = 1.0 / math.sqrt(record.shots * crb.value) if crb.value > 0.0 else math.inf
     p_hat = record.plus_count / record.shots
     if p_hat <= 0.5:
-        return EstimateReport(None, std_crb)
+        return EstimateReport(None, math.inf)
     rate_hat = -math.log(2.0 * p_hat - 1.0) / record.t
     xi_hat = (rate_hat - g0) / gp
     lo, hi = family.xi_domain
     clamped = not lo <= xi_hat <= hi
-    xi_hat = min(max(xi_hat, lo), hi)
-    return EstimateReport(float(xi_hat), std_crb, clamped=clamped)
+    xi_hat = float(min(max(xi_hat, lo), hi))
+    return EstimateReport(xi_hat, _crb_std(family, xi_hat, pair, record.t, record.shots), clamped=clamped)
 
 
 def replication_study(
@@ -239,16 +245,14 @@ def replication_study(
     n_seeds: int,
     base_seed: int = 0,
 ) -> ReplicationStudy:
-    """Run n_seeds independent experiments (seeds base XOR index) and estimate each."""
+    """Run n_seeds independent experiments (seeds base XOR index); crb_std is at the true xi."""
     if n_seeds < 2:
         raise ValueError(f"need at least 2 replicates, got {n_seeds}")
     estimates = []
     n_failed = 0
-    std_crb = math.inf
     for r in range(n_seeds):
         record = simulate_parity_counts(family, xi_true, pair, t, shots, base_seed ^ r)
         report = estimate_xi(record, family)
-        std_crb = report.std_error_crb
         if report.xi_hat is None:
             n_failed += 1
         else:
@@ -258,5 +262,6 @@ def replication_study(
         raise NoInformationError("fewer than two replicates produced an invertible signal")
     emp_std = float(np.std(arr, ddof=1))
     bias = float(np.mean(arr) - xi_true)
+    std_crb = _crb_std(family, xi_true, pair, t, shots)
     summary = EstimateReport(float(np.mean(arr)), std_crb, empirical_std=emp_std)
     return ReplicationStudy(arr, n_failed, emp_std, bias, std_crb, summary)

@@ -9,6 +9,9 @@ the operator |alpha><beta| is an eigenvector with decay rate
 so time evolution is an elementwise multiplication of the density matrix by
 exp(-rate * t).  Populations (diagonal entries) are conserved exactly.
 
+Per-pair rates use one row-wise form of it over a cached per-N table of
+difference classes d = alpha - beta, so the pairs of a class share one rate.
+
 A brute-force oracle (``superoperator_spectrum``) builds the full matrix of
 the generator acting on column-stacked operators and diagonalizes it; it is
 deliberately independent of the elementwise fast path and limited to N <= 3.
@@ -16,7 +19,6 @@ deliberately independent of the elementwise fast path and limited to N <= 3.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -145,50 +147,68 @@ def _spin_table(n_qubits: int) -> np.ndarray:
     return table
 
 
-def _quadratic_rate(family: DephasingFamily, matrix: np.ndarray, pair: CoherencePair) -> float:
+@lru_cache(maxsize=16)
+def _class_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diffs, first, ternary) for the (3^N - 1)/2 classes of d = alpha - beta.
+
+    Canonical order makes the first nonzero entry of d +2, so row k - 1 of
+    ``diffs`` can be twice the balanced-ternary digits of k.  With ternary[i]
+    the bits of i read in base 3, pair (ia, ib) is then in class
+    ternary[ib] - ternary[ia] - 1.  ``first`` holds each class's smallest
+    pair (ia, ib), whose shared bits are 0.
+    """
+    place = np.arange(n_qubits - 1, -1, -1)
+    # k + (3^N - 1)/2 = k + 11...1 (base 3) has k's balanced digits plus 1.
+    diffs = 2.0 * (np.arange((3**n_qubits + 1) // 2, 3**n_qubits)[:, None] // 3**place % 3 - 1)
+    first = np.stack([(diffs < 0.0) @ 2**place, (diffs > 0.0) @ 2**place], axis=1)
+    ternary = ((np.arange(2**n_qubits)[:, None] >> place) & 1) @ 3**place
+    for arr in (diffs, first, ternary):
+        arr.setflags(write=False)
+    return diffs, first, ternary
+
+
+def _rate_form(family: DephasingFamily, matrix: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """(gamma/4) d^T Re(matrix) d for every row d of ``diffs``: one real GEMM and a row-wise dot."""
+    return (family.gamma / 4.0) * np.einsum("ij,ij->i", diffs @ np.real(matrix), diffs)
+
+
+def _decay_rates(family: DephasingFamily, xi: float, diffs: np.ndarray) -> np.ndarray:
+    """Rate form at C(xi), clipped at 0 like ``rate_matrix``."""
+    if not family.contains(xi):
+        raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
+    return np.maximum(_rate_form(family, family.coefficient_matrix(xi), diffs), 0.0)
+
+
+def _pair_diff(family: DephasingFamily, pair: CoherencePair) -> np.ndarray:
     if pair.n_qubits != family.n_qubits:
         raise ValueError(f"pair is for {pair.n_qubits} qubits, family has {family.n_qubits}")
-    d = np.array(pair.alpha, dtype=np.float64) - np.array(pair.beta, dtype=np.float64)
-    return float(np.real(d @ matrix @ d)) * family.gamma / 4.0
+    return np.array([pair.alpha], dtype=np.float64) - np.array([pair.beta], dtype=np.float64)
 
 
 def decay_rate(family: DephasingFamily, xi: float, pair: CoherencePair) -> float:
     """Coherence decay rate (gamma/4)(alpha-beta)^dag C(xi) (alpha-beta)."""
-    if not family.contains(xi):
-        raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
-    return max(_quadratic_rate(family, family.coefficient_matrix(xi), pair), 0.0)
+    return float(_decay_rates(family, xi, _pair_diff(family, pair))[0])
 
 
 def decay_rate_derivative(family: DephasingFamily, xi: float, pair: CoherencePair) -> float:
     """d(rate)/d(xi) = (gamma/4)(alpha-beta)^dag dC (alpha-beta); xi-independent."""
-    return _quadratic_rate(family, family.delta_c, pair)
+    return float(_rate_form(family, family.delta_c, _pair_diff(family, pair))[0])
 
 
-# Rate matrices are the hot loop of spectrum enumeration and probe
-# optimization; memoize per (family content, xi).  Writes are idempotent,
-# so the lock only guards the eviction bookkeeping.
-_RATE_CACHE: dict[tuple, np.ndarray] = {}
-_RATE_CACHE_LOCK = threading.Lock()
-_RATE_CACHE_MAX = 512
-
-
-def _cached_rate_matrix(family: DephasingFamily, key: tuple, coeff: np.ndarray, clip: bool) -> np.ndarray:
-    hit = _RATE_CACHE.get(key)
-    if hit is not None:
-        return hit
+# Rate matrices are the hot loop of propagation and the QFI; memoize per
+# (family content, xi).  xi = None selects the xi-derivative.
+@lru_cache(maxsize=512)
+def _dense_rates(family: DephasingFamily, xi: float | None) -> np.ndarray:
+    coeff = family.delta_c if xi is None else family.coefficient_matrix(xi)
     S = _spin_table(family.n_qubits)
     q = S @ coeff @ S.T
     d = np.real(np.diagonal(q))
     rates = (family.gamma / 4.0) * (d[:, None] + d[None, :] - 2.0 * np.real(q))
-    if clip:
+    if xi is not None:
         # PSD quadratic form; negatives are roundoff within the family's
         # validated eigenvalue floor.
         np.maximum(rates, 0.0, out=rates)
     rates.setflags(write=False)
-    with _RATE_CACHE_LOCK:
-        if len(_RATE_CACHE) >= _RATE_CACHE_MAX:
-            _RATE_CACHE.clear()
-        _RATE_CACHE[key] = rates
     return rates
 
 
@@ -199,12 +219,12 @@ def rate_matrix(family: DephasingFamily, xi: float) -> np.ndarray:
     """
     if not family.contains(xi):
         raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
-    return _cached_rate_matrix(family, (family.fingerprint, "C", float(xi)), family.coefficient_matrix(xi), True)
+    return _dense_rates(family, float(xi))
 
 
 def rate_derivative_matrix(family: DephasingFamily) -> np.ndarray:
     """2^N x 2^N matrix of d(rate)/d(xi); independent of xi, sign-indefinite."""
-    return _cached_rate_matrix(family, (family.fingerprint, "dC"), family.delta_c, False)
+    return _dense_rates(family, None)
 
 
 def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> np.ndarray:
@@ -237,17 +257,17 @@ def drho_dxi(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> 
 def coherence_spectrum(family: DephasingFamily, xi: float) -> list[tuple[CoherencePair, float]]:
     """All canonical coherence pairs with decay rates, ascending by rate.
 
-    Ties are broken by lexicographic pair order.  Guarded at N <= 12 since the
-    enumeration holds 2^N(2^N - 1)/2 pairs.
+    Pairs of one difference class tie exactly, and ties break in lexicographic
+    pair order.  Guarded at N <= 12: the enumeration holds 2^N(2^N - 1)/2 pairs.
     """
     n = family.n_qubits
     if n > SPECTRUM_MAX_QUBITS:
         raise ResourceLimitError(
             f"coherence_spectrum enumerates ~4^N/2 pairs; n_qubits={n} exceeds the guard {SPECTRUM_MAX_QUBITS}"
         )
-    rates = rate_matrix(family, xi)
+    diffs, _, ternary = _class_table(n)
     ia, ib = np.triu_indices(2**n, k=1)
-    vals = rates[ia, ib]
+    vals = _decay_rates(family, xi, diffs)[ternary[ib] - ternary[ia] - 1]
     order = np.lexsort((ib, ia, vals))
     return [(CoherencePair.from_indices(int(ia[k]), int(ib[k]), n), float(vals[k])) for k in order]
 

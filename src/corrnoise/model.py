@@ -20,8 +20,7 @@ Zero-frequency noise spectral densities S_jl are ingested through
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +70,18 @@ def _as_hermitian(matrix, n: int, name: str, atol: float = HERMITICITY_ATOL) -> 
 
 @dataclass(frozen=True)
 class DephasingFamily:
-    """Linear family C(xi) = c0 + xi*delta_c of dephasing coefficient matrices."""
+    """Linear family C(xi) = c0 + xi*delta_c of dephasing coefficient matrices.
+
+    Families compare and hash by content through ``fingerprint``, so equal
+    families share memoized per-(family, xi) data.
+    """
 
     n_qubits: int
     gamma: float
-    c0: np.ndarray
-    delta_c: np.ndarray
+    c0: np.ndarray = field(compare=False)
+    delta_c: np.ndarray = field(compare=False)
     xi_domain: tuple[float, float]
+    fingerprint: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = int(self.n_qubits)
@@ -92,6 +96,7 @@ class DephasingFamily:
         object.__setattr__(self, "delta_c", _as_hermitian(self.delta_c, n, "delta_c"))
         lo, hi = _as_interval(self.xi_domain)
         object.__setattr__(self, "xi_domain", (lo, hi))
+        object.__setattr__(self, "fingerprint", (n, gamma, self.c0.tobytes(), self.delta_c.tobytes(), (lo, hi)))
         for xi in (lo, hi):
             lam = self.min_eigenvalue(xi)
             if lam < PSD_EIG_FLOOR:
@@ -113,17 +118,6 @@ class DephasingFamily:
     def is_interior(self, xi: float) -> bool:
         lo, hi = self.xi_domain
         return lo < xi < hi
-
-    @cached_property
-    def fingerprint(self) -> tuple:
-        """Hashable content key; used to memoize derived per-(family, xi) data."""
-        return (
-            self.n_qubits,
-            self.gamma,
-            self.c0.tobytes(),
-            self.delta_c.tobytes(),
-            self.xi_domain,
-        )
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Two resource regimes are supported:
   of merit is the per-shot QFI maximized over the interrogation time.
 
 The entangled search space is the set of equal-weight two-level
-superpositions (|alpha> + |beta>)/sqrt(2) over coherence pairs; the
-separable search space is product probes parametrized by polar angles
-(azimuths are fixed to zero, which is no loss because per-qubit Z rotations
-commute with the dynamics).
+superpositions (|alpha> + |beta>)/sqrt(2) over coherence pairs, scored once
+per difference class d = alpha - beta; the separable search space is product
+probes parametrized by polar angles (azimuths are fixed to zero, which is no
+loss because per-qubit Z rotations commute with the dynamics).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .evolution import (
     CoherencePair,
     ProductState,
     ResourceLimitError,
-    rate_derivative_matrix,
-    rate_matrix,
+    _class_table,
+    _decay_rates,
 )
 from .model import DephasingFamily, build_n_qubit, build_two_qubit
 from .qfi import (
@@ -36,8 +36,8 @@ from .qfi import (
     TIME_AVERAGED,
     DivergentQfiError,
     QfiResult,
+    _pair_optimum,
     qfi_exact_value,
-    shot_optimum_value,
     shot_optimum_x,
     time_averaged_qfi_limit_pure,
 )
@@ -131,7 +131,7 @@ def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, fl
 
 def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, float]:
     """[1e-3, 1e2] in units of the slowest nonzero decay rate at xi."""
-    rates = rate_matrix(family, xi)
+    rates = _decay_rates(family, xi, _class_table(family.n_qubits)[0])
     positive = rates[rates > 1e-12 * max(rates.max(), 1.0)]
     if positive.size == 0:
         raise ValueError("family has no nonzero decay rate; no finite time scale")
@@ -192,9 +192,9 @@ def nelder_mead_max(fn, x0: np.ndarray, step: float = 0.35) -> tuple[np.ndarray,
 
 
 def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> QfiResult:
-    """Best equal-weight coherence-pair probe by exhaustive pair enumeration.
+    """Best equal-weight coherence-pair probe, scored once per difference class.
 
-    Ties are broken lexicographically on the (alpha, beta) basis indices.
+    A class stands for its lexicographically first pair, and ties break on those pairs' basis indices.
     """
     _check_regime(regime)
     n = family.n_qubits
@@ -202,28 +202,13 @@ def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> Q
         raise ResourceLimitError(
             f"pair enumeration is guarded at N <= {PAIR_ENUM_MAX_QUBITS}, got {n}"
         )
-    rates = rate_matrix(family, xi)
-    derivs = rate_derivative_matrix(family)
-    ia, ib = np.triu_indices(2**n, k=1)
-    g = rates[ia, ib]
-    gp = derivs[ia, ib]
-    dark = (g == 0.0) & (gp != 0.0)
-    if np.any(dark):
-        k = int(np.argmax(dark))
-        pair = CoherencePair.from_indices(int(ia[k]), int(ib[k]), n)
-        raise DivergentQfiError(f"pair {pair.label} has zero decay rate but nonzero sensitivity")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if regime == "time":
-            vals = np.where(gp == 0.0, 0.0, gp * gp / (2.0 * g))
-        else:
-            ratio = np.where(gp == 0.0, 0.0, gp / np.where(g == 0.0, 1.0, g))
-            vals = ratio * ratio * shot_optimum_value()
-    k = int(np.argmax(vals))  # first maximum = lexicographically smallest pair
-    pair = CoherencePair.from_indices(int(ia[k]), int(ib[k]), n)
-    if regime == "time":
-        return QfiResult(float(vals[k]), TIME_AVERAGED, 0.0, pair)
-    t_star = shot_optimum_x() / float(g[k]) if vals[k] > 0.0 else 0.0
-    return QfiResult(float(vals[k]), PER_SHOT, t_star, pair)
+    diffs, first, _ = _class_table(n)
+    kind = TIME_AVERAGED if regime == "time" else PER_SHOT
+    values, times = _pair_optimum(family, xi, diffs, kind)
+    top = np.flatnonzero(values == values.max())
+    k = top[np.lexsort((first[top, 1], first[top, 0]))[0]]
+    pair = CoherencePair.from_indices(*map(int, first[k]), n)
+    return QfiResult(float(values[k]), kind, float(times[k]), pair)
 
 
 def _fold_theta(theta: np.ndarray) -> np.ndarray:

@@ -53,9 +53,11 @@ import numpy as np
 from .evolution import (
     CoherencePair,
     ProductState,
+    _decay_rates,
+    _pair_diff,
+    _rate_form,
     _spin_table,
     decay_rate,
-    decay_rate_derivative,
     drho_dxi,
     evolve,
     rate_matrix,
@@ -328,33 +330,40 @@ def time_averaged_qfi_limit_pure(
     return QfiResult(value, TIME_AVERAGED, 0.0, state_hash(psi))
 
 
-def _pair_rates(family: DephasingFamily, xi: float, pair: CoherencePair) -> tuple[float, float]:
-    return decay_rate(family, xi, pair), decay_rate_derivative(family, xi, pair)
+def _pair_optimum(family: DephasingFamily, xi: float, diffs: np.ndarray, regime: str) -> tuple:
+    """(values, times) of the coherence classes ``diffs`` optimised over t; a dark class raises.
+
+    TIME_AVERAGED: G'^2 / (2G) at t -> 0+; PER_SHOT: (G'/G)^2 x* e^{-2x*} at t = x*/G; G' = 0 scores 0.
+    """
+    g, gp = _decay_rates(family, xi, diffs), _rate_form(family, family.delta_c, diffs)
+    dark = (g == 0.0) & (gp != 0.0)
+    if np.any(dark):
+        k = int(np.argmax(dark))
+        raise DivergentQfiError(f"dark coherence class d = {diffs[k].astype(int)}: rate 0, sensitivity {gp[k]:g}")
+    blind = gp == 0.0
+    g = np.where(blind, 1.0, g)
+    if regime == TIME_AVERAGED:
+        return np.where(blind, 0.0, gp * gp / (2.0 * g)), np.zeros_like(g)
+    ratio = np.where(blind, 0.0, gp / g)
+    return ratio * ratio * shot_optimum_value(), np.where(blind, 0.0, shot_optimum_x() / g)
 
 
 def coherence_pair_qfi_timeavg(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Closed-form optimal time-averaged QFI G'^2 / (2 G) for one coherence pair."""
-    g, gp = _pair_rates(family, xi, pair)
-    if gp == 0.0:
-        return QfiResult(0.0, TIME_AVERAGED, 0.0, pair)
-    if g == 0.0:
-        raise DivergentQfiError(f"pair {pair.label} has zero decay rate but nonzero sensitivity {gp:g}")
-    return QfiResult(gp * gp / (2.0 * g), TIME_AVERAGED, 0.0, pair)
+    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), TIME_AVERAGED)
+    return QfiResult(float(value[0]), TIME_AVERAGED, float(time[0]), pair)
 
 
 def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherencePair, t: float) -> QfiResult:
-    """Per-shot QFI t^2 G'^2 e^{-2Gt} / (1 - e^{-2Gt}) of one coherence pair."""
+    """Per-shot pair QFI t^2 G'^2 e^{-2Gt} / (1 - e^{-2Gt}) = t (G'^2 / 2G) 2x e^{-2x} / (1 - e^{-2x}), x = Gt."""
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    g, gp = _pair_rates(family, xi, pair)
-    if gp == 0.0:
+    per_time = coherence_pair_qfi_timeavg(family, xi, pair).value
+    if per_time == 0.0:
         return QfiResult(0.0, PER_SHOT, t, pair)
-    if g == 0.0:
-        raise DivergentQfiError(f"pair {pair.label} has zero decay rate but nonzero sensitivity {gp:g}")
-    x = g * t
-    value = t * t * gp * gp * math.exp(-2.0 * x) / (-math.expm1(-2.0 * x))
-    return QfiResult(value, PER_SHOT, t, pair)
+    x2 = 2.0 * decay_rate(family, xi, pair) * t
+    return QfiResult(t * per_time * x2 * math.exp(-x2) / -math.expm1(-x2), PER_SHOT, t, pair)
 
 
 @lru_cache(maxsize=1)
@@ -374,10 +383,5 @@ def shot_optimum_value() -> float:
 
 def coherence_pair_qfi_shot_peak(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Per-shot pair QFI maximized over t: value (G'/G)^2 x* e^{-2x*} at t = x*/G."""
-    g, gp = _pair_rates(family, xi, pair)
-    if gp == 0.0:
-        return QfiResult(0.0, PER_SHOT, 0.0, pair)
-    if g == 0.0:
-        raise DivergentQfiError(f"pair {pair.label} has zero decay rate but nonzero sensitivity {gp:g}")
-    ratio = gp / g
-    return QfiResult(ratio * ratio * shot_optimum_value(), PER_SHOT, shot_optimum_x() / g, pair)
+    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), PER_SHOT)
+    return QfiResult(float(value[0]), PER_SHOT, float(time[0]), pair)

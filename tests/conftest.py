@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+
+from corrnoise.model import SpectralData, from_spectral_density, with_perturbation
 
 
 def bisect_shot_optimum(tol: float = 1e-12) -> float:
@@ -26,3 +29,20 @@ def x_star():
 def shot_peak_constant(x_star):
     """x* exp(-2 x*): per-shot peak in units of (G'/G)^2."""
     return x_star * math.exp(-2.0 * x_star)
+
+
+def _random_complex_family(n, seed):
+    """Complex-Hermitian PSD C0 with a sign-indefinite complex dC, PSD on [0, 1]."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    base = from_spectral_density(SpectralData(n, a @ a.conj().T / n + 0.2 * np.eye(n), 1.0))
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    lam_min = float(np.linalg.eigvalsh(base.c0)[0])
+    return with_perturbation(base, 0.5 * lam_min * h / np.linalg.norm(h, 2), (0.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def random_complex_family():
+    """Factory (n, seed) -> seeded random complex-Hermitian family."""
+    return _random_complex_family

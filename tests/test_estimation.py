@@ -16,7 +16,8 @@ from corrnoise.estimation import (
     uniform_stream,
 )
 from corrnoise.evolution import CoherencePair, decay_rate, ghz_pair
-from corrnoise.model import build_n_qubit, build_two_qubit, with_perturbation
+from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
+from corrnoise.qfi import coherence_pair_qfi_shot
 
 DOMAIN = (1e-6, 1.0)
 
@@ -173,6 +174,27 @@ class TestEstimateXi:
         record = ExperimentRecord(ghz_pair(4), 0.01, 1.0, 1000, 500, 0)
         report = estimate_xi(record, fam)
         assert report.xi_hat is None
+        assert report.std_error_crb == math.inf
+
+    def test_report_never_reads_xi_true(self):
+        fam = build_n_qubit(4, DOMAIN)
+        reports = [estimate_xi(ExperimentRecord(ghz_pair(4), xi, 5.0, 1000, 700, 3), fam) for xi in (0.01, 0.3)]
+        assert reports[0] == reports[1]
+
+    def test_crb_is_plug_in_at_estimate(self):
+        fam = build_n_qubit(4, DOMAIN)
+        pair, t, shots = ghz_pair(4), 5.0, 1000
+        report = estimate_xi(ExperimentRecord(pair, 0.01, t, shots, 700, 3), fam)
+        plug_in = coherence_pair_qfi_shot(fam, report.xi_hat, pair, t).value
+        assert report.std_error_crb == pytest.approx(1.0 / math.sqrt(shots * plug_in), rel=1e-14)
+
+    def test_crb_vanishes_at_a_dark_estimate(self):
+        # C(xi) = xi * I on [0, 1]: all-plus counts put xi_hat on the dark
+        # point xi = 0, where the information diverges.
+        fam = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        report = estimate_xi(ExperimentRecord(ghz_pair(2), 0.5, 1.0, 100, 100, 0), fam)
+        assert report.xi_hat == 0.0
+        assert report.std_error_crb == 0.0
 
     def test_clamping_flag(self):
         fam = build_n_qubit(4, (1e-4, 0.02))
@@ -199,6 +221,10 @@ class TestReplicationStudy:
         crb = shot_uncertainty(fam, xi, pair, 2500)
         assert study.empirical_std == pytest.approx(crb, rel=0.25)
         assert study.n_failed == 0
+        # crb_std is the true-xi reference at the study's own time.
+        true_crb = 1.0 / math.sqrt(2500 * coherence_pair_qfi_shot(fam, xi, pair, t).value)
+        assert study.crb_std == pytest.approx(true_crb, rel=1e-14)
+        assert study.report.std_error_crb == study.crb_std
 
     def test_seed_xor_convention(self):
         fam = build_n_qubit(4, DOMAIN)

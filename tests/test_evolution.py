@@ -16,6 +16,7 @@ from corrnoise.evolution import (
     pattern_from_index,
     plus_product,
     random_pure_density,
+    rate_derivative_matrix,
     rate_matrix,
     superoperator_spectrum,
     validate_density_matrix,
@@ -119,6 +120,11 @@ class TestDecayRate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             decay_rate(two(), 0.1, ghz_pair(3))
+
+    def test_equal_content_families_share_one_cached_matrix(self):
+        assert rate_matrix(nqb(3), 0.1) is rate_matrix(nqb(3), 0.1)
+        assert rate_derivative_matrix(nqb(3)) is rate_derivative_matrix(nqb(3))
+        assert rate_matrix(nqb(3), 0.1) is not rate_matrix(nqb(3), 0.2)
 
     def test_nonnegative_over_families_and_pairs(self):
         for fam in (single(), two(), nqb(3)):
@@ -258,6 +264,36 @@ class TestCoherenceSpectrum:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             coherence_spectrum(build_n_qubit(13, DOMAIN), 0.1)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_pairs_of_one_difference_class_tie_exactly_in_order(self, n):
+        # Rates depend on a pair only through d = alpha - beta: every pair of
+        # one class must carry the same float and be listed lexicographically.
+        for xi in (0.01, 0.2, 0.7):
+            classes = {}
+            for position, (pair, rate) in enumerate(coherence_spectrum(nqb(n), xi)):
+                d = tuple(a - b for a, b in zip(pair.alpha, pair.beta))
+                classes.setdefault(d, []).append((position, pair.indices, rate))
+            for members in classes.values():
+                assert len({rate for _, _, rate in members}) == 1
+                assert [idx for _, idx, _ in members] == sorted(idx for _, idx, _ in members)
+
+    def test_dense_rates_agree_with_class_rates(self, random_complex_family):
+        # rate_matrix keeps its own S C S^T expansion for propagation; it
+        # must agree with the per-pair rate form up to rounding.
+        fams = [single(), two()] + [nqb(n) for n in range(2, 9)] + [random_complex_family(n, n) for n in (3, 5)]
+        for fam in fams:
+            n = fam.n_qubits
+            for xi in (1e-3, 0.01, 0.3, 0.9):
+                spectrum = coherence_spectrum(fam, xi)
+                ia, ib = np.array([pair.indices for pair, _ in spectrum]).T
+                rates = np.array([rate for _, rate in spectrum])
+                dense = rate_matrix(fam, xi)[ia, ib]
+                assert np.max(np.abs(dense - rates)) <= 1e-15 * rates.max()
+            if n <= 5:
+                derivs = rate_derivative_matrix(fam)[ia, ib]
+                per_pair = np.array([decay_rate_derivative(fam, 0.3, pair) for pair, _ in spectrum])
+                assert np.max(np.abs(derivs - per_pair)) <= 1e-15 * max(np.max(np.abs(per_pair)), 1.0)
 
 
 class TestSuperoperator:

@@ -181,6 +181,23 @@ class TestFamilyInvariants:
             DephasingFamily(2, 1.0, skew, np.zeros((2, 2)), (0.1, 1.0))
 
 
+class TestFamilyIdentity:
+    def test_equal_content_compares_and_hashes_equal(self):
+        a, b = build_n_qubit(3, DOMAIN), build_n_qubit(3, DOMAIN)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_content_compares_unequal(self):
+        base = build_n_qubit(3, DOMAIN)
+        assert base != build_n_qubit(3, (0.2, 1.0))
+        assert base != build_n_qubit(3, DOMAIN, gamma=2.0)
+        assert base != with_perturbation(base, 2.0 * base.delta_c, DOMAIN)
+        assert base != build_n_qubit(4, DOMAIN)
+        assert base != "nqb3"
+
+
 class TestSpectralCsv:
     def _write(self, tmp_path, text):
         path = tmp_path / "s.csv"

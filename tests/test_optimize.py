@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrnoise.evolution import CoherencePair, ghz_pair
-from corrnoise.model import build_n_qubit, build_two_qubit, with_perturbation
+from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import (
     advantage_ratio,
     default_time_bracket,
@@ -14,7 +14,7 @@ from corrnoise.optimize import (
     optimal_coherence_pair,
     optimal_product_state,
 )
-from corrnoise.qfi import coherence_pair_qfi_shot, coherence_pair_qfi_timeavg
+from corrnoise.qfi import DivergentQfiError, coherence_pair_qfi_shot, coherence_pair_qfi_timeavg
 
 DOMAIN = (1e-6, 1.0)
 
@@ -57,7 +57,56 @@ class TestNelderMead:
         assert val == pytest.approx(0.0, abs=1e-9)
 
 
+def exhaustive_pair_optimum(family, xi, regime, shot_peak):
+    """Loop oracle: score all 4^N/2 canonical pairs, the first maximum wins."""
+    n = family.n_qubits
+    coeff, delta = family.coefficient_matrix(xi), family.delta_c
+    best = (-1.0, None, None)
+    for ia in range(2**n):
+        for ib in range(ia + 1, 2**n):
+            pair = CoherencePair.from_indices(ia, ib, n)
+            d = [a - b for a, b in zip(pair.alpha, pair.beta)]
+            g = family.gamma / 4.0 * sum(coeff[j, l] * d[j] * d[l] for j in range(n) for l in range(n)).real
+            gp = family.gamma / 4.0 * sum(delta[j, l] * d[j] * d[l] for j in range(n) for l in range(n)).real
+            if gp == 0.0:
+                value = 0.0
+            elif regime == "time":
+                value = gp * gp / (2.0 * g)
+            else:
+                value = (gp / g) ** 2 * shot_peak
+            if value > best[0]:
+                best = (value, pair, g)
+    return best
+
+
 class TestOptimalCoherencePair:
+    @pytest.mark.parametrize("regime", ["time", "shot"])
+    def test_matches_exhaustive_pair_loop(self, regime, shot_peak_constant, x_star, random_complex_family):
+        fams = [build_single_qubit(DOMAIN), build_two_qubit(DOMAIN)]
+        fams += [build_n_qubit(n, DOMAIN) for n in range(2, 7)]
+        fams += [random_complex_family(n, 40 + n) for n in range(2, 7)]
+        for fam in fams:
+            for xi in (0.01, 0.3):
+                value, pair, g = exhaustive_pair_optimum(fam, xi, regime, shot_peak_constant)
+                best = optimal_coherence_pair(fam, xi, regime)
+                assert best.probe == pair
+                assert best.value == pytest.approx(value, rel=1e-12)
+                expected_time = 0.0 if regime == "time" or value == 0.0 else x_star / g
+                assert best.time == pytest.approx(expected_time, rel=1e-9)
+
+    def test_zero_perturbation_picks_first_pair(self):
+        fam = with_perturbation(build_n_qubit(3, DOMAIN), np.zeros((3, 3)), (0.1, 0.9))
+        for regime in ("time", "shot"):
+            best = optimal_coherence_pair(fam, 0.5, regime)
+            assert best.probe == CoherencePair.from_indices(0, 1, 3)
+            assert best.value == 0.0 and best.time == 0.0
+
+    def test_dark_class_reported_divergent(self):
+        fam = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        for regime in ("time", "shot"):
+            with pytest.raises(DivergentQfiError):
+                optimal_coherence_pair(fam, 0.0, regime)
+
     def test_two_qubit_time_regime(self):
         fam = build_two_qubit(DOMAIN)
         xi = 0.1
