@@ -247,6 +247,7 @@ def run_estimate(config: RunConfig) -> tuple[list[str], int]:
         lines.append(f"# empirical_std: {_fmt(float(np.std(estimates, ddof=1)))}")
         lines.append(f"# mean_bias: {_fmt(float(np.mean(estimates) - config.xi))}")
     lines.append(f"# failed: {config.seeds - estimates.size}")
+    lines.append(f"# clamped: {sum(c == '1' for _, _, _, c in rows)}")
     lines.append("replicate,seed,xi_hat,clamped")
     lines.extend(f"{r},{s},{x},{c}" for r, s, x, c in rows)
     return lines, EXIT_OK
@@ -256,10 +257,11 @@ def run_spectrum(config: RunConfig) -> tuple[list[str], int]:
     family = _build_family(config)
     xi = config.xi if family.contains(config.xi) else family.xi_domain[0]
     spectrum = coherence_spectrum(family, xi)
+    # Basis index -> bitstring label, qubit 0 = MSB (as in CoherencePair.label).
+    bits = [format(i, f"0{family.n_qubits}b") for i in range(2**family.n_qubits)]
     lines = [config.config_line(), f"# xi: {_fmt(xi)}", "alpha,beta,rate"]
-    for pair, rate in spectrum:
-        a, b = pair.label.split("|")
-        lines.append(f"{a},{b},{_fmt(rate)}")
+    rows = zip(spectrum.alpha_index.tolist(), spectrum.beta_index.tolist(), spectrum.rate.tolist())
+    lines.extend(f"{bits[a]},{bits[b]},{_fmt(r)}" for a, b, r in rows)
     return lines, EXIT_OK
 
 

@@ -25,18 +25,24 @@ of stream ``seed`` is
     z  ^= z >> 27;  z *= 0x94D049BB133111EB  (mod 2^64)
     out = z ^ (z >> 31)
 
-and uniform deviates are out / 2^64.  The stream for seed 0 starts
-0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F; these vectors
-are pinned in the test suite so independent implementations can reproduce
-identical experiments.  The i-th draw is a pure function of (seed, i), so
-shots can be generated in any order or in parallel.  Replication studies
-use stream seeds ``base_seed XOR replicate_index``.
+and uniform deviates are out / 2^64, with out rounded to float64 first.  The
+stream for seed 0 starts 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+0x06C45D188009454F; these vectors are pinned in the test suite so
+independent implementations can reproduce identical experiments.  The i-th
+draw is a pure function of (seed, i), so shots can be generated in any
+order or in parallel.  Replication studies use stream seeds
+``base_seed XOR replicate_index``.
+
+Counts never form the float stream: u_i < p holds exactly when out_i < T,
+with T the smallest integer whose float64 rounding is >= p * 2^64, so
+``count_uniforms_below`` compares the integer outputs with T.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,6 +55,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
+_CHUNK = 1 << 14
 
 __all__ = [
     "NoInformationError",
@@ -58,6 +65,7 @@ __all__ = [
     "ReplicationStudy",
     "splitmix64",
     "uniform_stream",
+    "count_uniforms_below",
     "shot_uncertainty",
     "promise_check",
     "simulate_parity_counts",
@@ -85,6 +93,52 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Deterministic uniforms in [0, 1): splitmix64 outputs scaled by 2^-64."""
     return splitmix64(seed, count, offset) * 2.0**-64
+
+
+def _float_threshold(p: float) -> int:
+    """Smallest integer T whose float64 rounding is >= p * 2^64.
+
+    Rounding is monotone, so for integer out: fl(out) * 2^-64 < p iff out < T.
+    Integers below the midpoint of p * 2^64 and its float predecessor round
+    down; the midpoint itself rounds up only when ties-to-even says so.
+    """
+    target = p * 2.0**64
+    mid = (Fraction(math.nextafter(target, -math.inf)) + Fraction(target)) / 2
+    t = math.floor(mid)
+    return t if float(t) >= target else t + 1
+
+
+def count_uniforms_below(seed: int, count: int, p: float) -> int:
+    """``count_nonzero(uniform_stream(seed, count) < p)``, without the float stream.
+
+    Mixes the SplitMix64 outputs in place, in fixed-size chunks, and compares
+    them with the integer threshold of ``p``.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    p = float(p)
+    if not p > 0.0:
+        return 0
+    if p > 1.0:
+        return count
+    threshold = np.uint64(_float_threshold(p))
+    steps = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64) * _GOLDEN
+    z = np.empty_like(steps)
+    shifted = np.empty_like(steps)
+    below = np.empty(steps.shape, dtype=bool)
+    total = 0
+    for start in range(0, count, _CHUNK):
+        m = min(_CHUNK, count - start)
+        zz, tt, bb = z[:m], shifted[:m], below[:m]
+        np.add(steps[:m], np.uint64((seed + start * int(_GOLDEN)) & _MASK), out=zz)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(zz, np.uint64(shift), out=tt)
+            zz ^= tt
+            zz *= mix
+        np.right_shift(zz, np.uint64(31), out=tt)
+        zz ^= tt
+        total += int(np.count_nonzero(np.less(zz, threshold, out=bb)))
+    return total
 
 
 @dataclass(frozen=True)
@@ -138,6 +192,7 @@ class ReplicationStudy:
 
     estimates: np.ndarray
     n_failed: int
+    n_clamped: int
     empirical_std: float
     mean_bias: float
     crb_std: float
@@ -200,9 +255,7 @@ def simulate_parity_counts(
         raise ValueError(f"t must be > 0, got {t}")
     if shots <= 0:
         raise ValueError(f"shots must be > 0, got {shots}")
-    p_plus = _plus_probability(family, xi_true, pair, t)
-    draws = uniform_stream(seed, shots)
-    plus = int(np.count_nonzero(draws < p_plus))
+    plus = count_uniforms_below(seed, shots, _plus_probability(family, xi_true, pair, t))
     return ExperimentRecord(pair, float(xi_true), t, int(shots), plus, int(seed))
 
 
@@ -249,10 +302,11 @@ def replication_study(
     if n_seeds < 2:
         raise ValueError(f"need at least 2 replicates, got {n_seeds}")
     estimates = []
-    n_failed = 0
+    n_failed = n_clamped = 0
     for r in range(n_seeds):
         record = simulate_parity_counts(family, xi_true, pair, t, shots, base_seed ^ r)
         report = estimate_xi(record, family)
+        n_clamped += report.clamped
         if report.xi_hat is None:
             n_failed += 1
         else:
@@ -264,4 +318,4 @@ def replication_study(
     bias = float(np.mean(arr) - xi_true)
     std_crb = _crb_std(family, xi_true, pair, t, shots)
     summary = EstimateReport(float(np.mean(arr)), std_crb, empirical_std=emp_std)
-    return ReplicationStudy(arr, n_failed, emp_std, bias, std_crb, summary)
+    return ReplicationStudy(arr, n_failed, n_clamped, emp_std, bias, std_crb, summary)

@@ -19,6 +19,7 @@ deliberately independent of the elementwise fast path and limited to N <= 3.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -33,6 +34,7 @@ __all__ = [
     "ResourceLimitError",
     "SpinPattern",
     "CoherencePair",
+    "CoherenceSpectrum",
     "ProductState",
     "pattern_from_index",
     "index_from_pattern",
@@ -254,11 +256,36 @@ def drho_dxi(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> 
     return (-t) * rate_derivative_matrix(family) * rho0 * np.exp(-rates * t)
 
 
-def coherence_spectrum(family: DephasingFamily, xi: float) -> list[tuple[CoherencePair, float]]:
+@dataclass(frozen=True, eq=False)
+class CoherenceSpectrum(Sequence):
+    """Canonical coherence pairs of an N-qubit family, ascending by rate.
+
+    Three read-only arrays of equal length: the basis indices of each pair's
+    alpha and beta (alpha_index < beta_index) and its decay rate.  Indexing
+    builds the ``(CoherencePair, rate)`` entry on demand, so the spectrum
+    also reads as a sequence of pairs.
+    """
+
+    n_qubits: int
+    alpha_index: np.ndarray
+    beta_index: np.ndarray
+    rate: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rate)
+
+    def __getitem__(self, k: int) -> tuple[CoherencePair, float]:
+        pair = CoherencePair.from_indices(int(self.alpha_index[k]), int(self.beta_index[k]), self.n_qubits)
+        return pair, float(self.rate[k])
+
+
+def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
     """All canonical coherence pairs with decay rates, ascending by rate.
 
     Pairs of one difference class tie exactly, and ties break in lexicographic
-    pair order.  Guarded at N <= 12: the enumeration holds 2^N(2^N - 1)/2 pairs.
+    pair order.  The result holds index and rate arrays; pair objects are
+    built only when an entry is read.  Guarded at N <= 12: the enumeration
+    holds 2^N(2^N - 1)/2 pairs.
     """
     n = family.n_qubits
     if n > SPECTRUM_MAX_QUBITS:
@@ -268,8 +295,12 @@ def coherence_spectrum(family: DephasingFamily, xi: float) -> list[tuple[Coheren
     diffs, _, ternary = _class_table(n)
     ia, ib = np.triu_indices(2**n, k=1)
     vals = _decay_rates(family, xi, diffs)[ternary[ib] - ternary[ia] - 1]
-    order = np.lexsort((ib, ia, vals))
-    return [(CoherencePair.from_indices(int(ia[k]), int(ib[k]), n), float(vals[k])) for k in order]
+    # triu_indices lists pairs in lexicographic order, which a stable sort keeps for ties.
+    order = np.argsort(vals, kind="stable")
+    arrays = ia[order], ib[order], vals[order]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return CoherenceSpectrum(n, *arrays)
 
 
 def _z_operator(site: int, n_qubits: int) -> np.ndarray:

@@ -133,10 +133,8 @@ def check_superoperator_oracle(families, xi: float = 0.01, atol: float = 1e-10) 
         if fam.n_qubits > 3:
             continue
         xi_f = _xi_for(fam, xi)
-        expected = [0.0] * 2**fam.n_qubits
-        for _, rate in coherence_spectrum(fam, xi_f):
-            expected.extend([-rate, -rate])
-        expected = np.sort(np.array(expected))
+        rates = coherence_spectrum(fam, xi_f).rate
+        expected = np.sort(np.concatenate([np.zeros(2**fam.n_qubits), -rates, -rates]))
         observed = superoperator_spectrum(fam, xi_f)
         if np.max(np.abs(observed.imag)) > atol:
             return _result("superoperator_oracle", False, "complex eigenvalues found")
@@ -276,7 +274,9 @@ def check_rate_nonneg_and_pair_consistency(families, xi: float = 0.01) -> Proper
     for fam in families.values():
         xi_f = _xi_for(fam, xi)
         spectrum = coherence_spectrum(fam, xi_f)
-        for pair, rate in spectrum[: min(64, len(spectrum))]:
+        head = (spectrum.alpha_index[:64].tolist(), spectrum.beta_index[:64].tolist(), spectrum.rate[:64].tolist())
+        for ia, ib, rate in zip(*head):
+            pair = CoherencePair.from_indices(ia, ib, fam.n_qubits)
             worst = max(worst, abs(decay_rate(fam, xi_f, pair) - rate))
     return _result("pair_rate_consistency", worst <= 1e-12, f"max |single - bulk| = {worst:.3e}")
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from corrnoise.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, main
+from corrnoise.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, RunConfig, main
+from corrnoise.evolution import CoherencePair, decay_rate
+from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, from_spectral_density, load_spectral_csv
 
 
 def run_cli(args, capsys):
@@ -64,6 +66,19 @@ class TestFig1a:
         assert [float(r[0]) for r in rows] == pytest.approx([1, 2, 3, 4, 5])
 
 
+def spectrum_oracle_csv(family, xi, config_line):
+    """The expected ``spectrum`` CSV, built one pair at a time with the scalar decay_rate."""
+    n = family.n_qubits
+    rows = []
+    for ia in range(2**n):
+        for ib in range(ia + 1, 2**n):
+            pair = CoherencePair.from_indices(ia, ib, n)
+            rows.append((decay_rate(family, xi, pair), ia, ib, pair.label.replace("|", ",")))
+    lines = [config_line, f"# xi: {xi:.17g}", "alpha,beta,rate"]
+    lines.extend(f"{label},{rate:.17g}" for rate, _, _, label in sorted(rows))
+    return "\n".join(lines) + "\n"
+
+
 class TestSpectrum:
     def test_builtin_family(self, capsys):
         code, out = run_cli(["spectrum", "--family", "two", "--xi", "0.2"], capsys)
@@ -84,6 +99,27 @@ class TestSpectrum:
         rates = {(r[0], r[1]): float(r[2]) for r in rows}
         assert rates[("01", "10")] == pytest.approx(0.0, abs=1e-12)
         assert rates[("00", "11")] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "family,n,xi",
+        [("single", 6, 0.23), ("two", 6, 0.2)] + [("nqb", n, xi) for n in (3, 4, 5, 6) for xi in (0.01, 0.047)],
+    )
+    def test_matches_pair_by_pair_oracle(self, family, n, xi, capsys):
+        domain = (min(1e-6, xi / 2.0), 1.0)
+        constructors = {"single": build_single_qubit, "two": build_two_qubit, "nqb": lambda d: build_n_qubit(n, d)}
+        fam = constructors[family](domain)
+        _, out = run_cli(["spectrum", "--family", family, "--n", str(n), "--xi", repr(xi)], capsys)
+        config = RunConfig(scenario="spectrum", family=family, n=n, xi=xi)
+        assert out == spectrum_oracle_csv(fam, xi, config.config_line())
+
+    def test_file_family_matches_pair_by_pair_oracle(self, tmp_path, capsys):
+        # Complex off-diagonals; a fixed channel, so the spectrum is taken at xi = 0.
+        path = tmp_path / "c.csv"
+        path.write_text("j,l,re,im\n0,0,1.0,0\n0,1,0.3,0.2\n0,2,0.1,-0.25\n1,1,0.9,0\n1,2,0.05,0.4\n2,2,1.2,0\n")
+        _, out = run_cli(["spectrum", "--family", f"file:{path}", "--gamma", "0.7"], capsys)
+        fam = from_spectral_density(load_spectral_csv(path, gamma_ref=0.7))
+        config = RunConfig(scenario="spectrum", family=f"file:{path}", gamma=0.7)
+        assert out == spectrum_oracle_csv(fam, 0.0, config.config_line())
 
     def test_malformed_file_exits_config(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -114,6 +150,18 @@ class TestEstimateScenario:
         assert any(c.startswith("# empirical_std:") for c in comments)
         assert header == ["replicate", "seed", "xi_hat", "clamped"]
         assert len(rows) == 8
+
+    def test_clamped_count_in_header(self, capsys):
+        # Few shots at xi = 0.9 push many estimates outside the domain.
+        code, out = run_cli(
+            ["estimate", "--n", "3", "--xi", "0.9", "--shots", "30", "--seeds", "60", "--seed", "1"], capsys
+        )
+        assert code == EXIT_OK
+        comments, _, rows = parse_csv(out)
+        clamped = sum(r[3] == "1" for r in rows)
+        assert clamped > 0
+        failed_at = next(i for i, c in enumerate(comments) if c.startswith("# failed:"))
+        assert comments[failed_at + 1] == f"# clamped: {clamped}"
 
 
 class TestAdvantageScenario:

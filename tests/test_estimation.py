@@ -7,6 +7,7 @@ from corrnoise.estimation import (
     EstimateReport,
     ExperimentRecord,
     NoInformationError,
+    count_uniforms_below,
     estimate_xi,
     promise_check,
     replication_study,
@@ -58,6 +59,58 @@ class TestPrng:
         u = uniform_stream(5, 1000)
         assert np.all((u >= 0.0) & (u < 1.0))
         assert abs(u.mean() - 0.5) < 0.05
+
+
+def seed_for_first_output(out):
+    """Seed whose first SplitMix64 output is ``out``: the finalizer inverted step by step."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):
+        z = y
+        for _ in range(64 // s + 1):
+            z = y ^ (z >> s)
+        return z
+
+    z = unshift(out, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) & mask
+
+
+class TestCountUniformsBelow:
+    """Integer counting against the float stream it replaces."""
+
+    @staticmethod
+    def reference(seed, count, p):
+        return int(np.count_nonzero(uniform_stream(seed, count) < p))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, math.nextafter(1.0, 0.0), 0.0, 0.75, 1e-300])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 - 2, 2**64 - 2**10])
+    def test_matches_float_stream(self, seed, p):
+        # 40_000 draws span several chunks of the in-place mix.
+        assert count_uniforms_below(seed, 40_000, p) == self.reference(seed, 40_000, p)
+
+    def test_random_points(self):
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            seed = int(rng.integers(0, 2**62)) * 4 + int(rng.integers(0, 4))
+            count = int(rng.integers(0, 70_000))
+            p = float(rng.uniform(0.0, 1.0))
+            assert count_uniforms_below(seed, count, p) == self.reference(seed, count, p)
+
+    def test_outputs_that_round_to_one_are_not_below_one(self):
+        # Outputs >= 2^64 - 2^10 round to 2^64, i.e. to the uniform 1.0, which
+        # a dark coherence's p_plus = 1.0 must not count.
+        for out, counted in ((2**64 - 1, 0), (2**64 - 2**10, 0), (2**64 - 2**10 - 1, 1)):
+            seed = seed_for_first_output(out)
+            assert splitmix64(seed, 1).tolist() == [out]
+            assert count_uniforms_below(seed, 1, 1.0) == self.reference(seed, 1, 1.0) == counted
+
+    def test_edges(self):
+        assert count_uniforms_below(3, 0, 0.5) == 0
+        assert count_uniforms_below(3, 100, 1.5) == 100
+        assert count_uniforms_below(3, 100, -0.5) == 0
+        with pytest.raises(ValueError):
+            count_uniforms_below(3, -1, 0.5)
 
 
 class TestShotUncertainty:
@@ -140,6 +193,16 @@ class TestSimulateParityCounts:
         m = 200_000
         record = simulate_parity_counts(fam, xi, ghz_pair(6), t, m, 11)
         assert record.plus_count / m == pytest.approx(p_plus, abs=4.0 * math.sqrt(p_plus * (1 - p_plus) / m))
+
+    def test_counts_match_float_stream(self):
+        fam = build_n_qubit(4, DOMAIN)
+        # The last point is dark (p_plus exactly 1.0): C = I on [0, 1] at xi = 0.
+        dark = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        for family, xi, t, seed in ((fam, 0.02, 5.0, 77), (fam, 0.3, 0.7, 2**64 - 3), (dark, 0.0, 1.0, 5)):
+            pair = ghz_pair(family.n_qubits)
+            record = simulate_parity_counts(family, xi, pair, t, 30_000, seed)
+            p_plus = 0.5 * (1.0 + math.exp(-decay_rate(family, xi, pair) * t))
+            assert record.plus_count == int(np.count_nonzero(uniform_stream(seed, 30_000) < p_plus))
 
     def test_same_seed_identical_record(self):
         fam = build_n_qubit(4, DOMAIN)
@@ -225,6 +288,17 @@ class TestReplicationStudy:
         true_crb = 1.0 / math.sqrt(2500 * coherence_pair_qfi_shot(fam, xi, pair, t).value)
         assert study.crb_std == pytest.approx(true_crb, rel=1e-14)
         assert study.report.std_error_crb == study.crb_std
+
+    def test_counts_clamped_replicates(self):
+        # xi_true near the top of a narrow domain: many estimates clamp to it.
+        fam = build_n_qubit(4, (1e-4, 0.02))
+        pair = ghz_pair(4)
+        study = replication_study(fam, 0.019, pair, 3.0, shots=200, n_seeds=40, base_seed=3)
+        clamped = [
+            estimate_xi(simulate_parity_counts(fam, 0.019, pair, 3.0, 200, 3 ^ r), fam).clamped for r in range(40)
+        ]
+        assert 0 < study.n_clamped == sum(clamped) < 40
+        assert study.n_failed == 0
 
     def test_seed_xor_convention(self):
         fam = build_n_qubit(4, DOMAIN)

@@ -265,6 +265,23 @@ class TestCoherenceSpectrum:
         with pytest.raises(ResourceLimitError):
             coherence_spectrum(build_n_qubit(13, DOMAIN), 0.1)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_read_only_arrays_and_pairs_on_demand(self, n):
+        fam = single() if n == 1 else nqb(n)
+        spec = coherence_spectrum(fam, 0.03)
+        assert len(spec) == 2**n * (2**n - 1) // 2
+        for arr in (spec.alpha_index, spec.beta_index, spec.rate):
+            assert len(arr) == len(spec)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert np.all(spec.alpha_index < spec.beta_index)
+        entries = list(spec)
+        assert spec[-1] == entries[-1]
+        for k, (pair, rate) in enumerate(entries):
+            assert pair.indices == (spec.alpha_index[k], spec.beta_index[k])
+            assert rate == spec.rate[k]
+
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_pairs_of_one_difference_class_tie_exactly_in_order(self, n):
         # Rates depend on a pair only through d = alpha - beta: every pair of
