@@ -31,13 +31,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .estimation import estimate_xi, shot_uncertainty, simulate_parity_counts
-from .evolution import (
-    ResourceLimitError,
-    coherence_spectrum,
-    ghz_pair,
-    pair_density,
-    plus_product,
-)
+from .evolution import ResourceLimitError, coherence_spectrum, ghz_pair, plus_product
 from .model import (
     DephasingFamily,
     FamilyValidationError,
@@ -53,16 +47,13 @@ from .qfi import (
     coherence_pair_qfi_shot,
     coherence_pair_qfi_shot_peak,
     qfi_exact_value,
-    time_averaged_qfi_limit,
 )
-from .verify import run_verify
+from .verify import closed_form_table, run_verify
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-SCENARIOS = ("fig1a", "fig1b", "closed-forms", "advantage", "estimate", "spectrum", "verify")
 
 
 class ConfigError(ValueError):
@@ -180,25 +171,9 @@ def run_fig1b(config: RunConfig) -> tuple[list[str], int]:
 
 def run_closed_forms(config: RunConfig) -> tuple[list[str], int]:
     """Regression of the three analytic time-averaged optima at (xi, gamma)."""
-    xi, gamma = config.xi, config.gamma
-    domain = (min(1e-6, xi / 2.0), 1.0)
-    n = config.n if config.n >= 2 else 4
-    cases = []
-    fam1 = build_single_qubit(domain, gamma=gamma)
-    cases.append(("single_plus", plus_product(1).density(), fam1, gamma / (2.0 * xi)))
-    fam2 = build_two_qubit(domain, gamma=gamma)
-    from .evolution import CoherencePair
-
-    bell = pair_density(CoherencePair.from_indices(1, 2, 2))
-    cases.append(("two_bell", bell, fam2, gamma / xi))
-    famn = build_n_qubit(n, domain, gamma=gamma)
-    cases.append((f"nqb{n}_ghz", pair_density(ghz_pair(n)), famn, n * gamma / (2.0 * xi)))
-
     lines = [config.config_line(), "case,computed,expected,rel_err"]
     breach = False
-    for name, rho, fam, expected in cases:
-        computed = time_averaged_qfi_limit(rho, fam, xi).value
-        rel = abs(computed / expected - 1.0)
+    for name, computed, expected, rel in closed_form_table(config.xi, config.n, config.gamma):
         breach = breach or rel > 1e-4
         lines.append(f"{name},{_fmt(computed)},{_fmt(expected)},{_fmt(rel)}")
     return lines, (EXIT_TOLERANCE if breach else EXIT_OK)
@@ -389,8 +364,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate_config(config: RunConfig) -> None:
-    if config.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {config.scenario!r}")
     if config.scenario != "spectrum" and not 0.0 < config.xi < 1.0:
         raise ConfigError(f"xi must lie in (0, 1), got {config.xi}")
     if config.gamma <= 0.0:

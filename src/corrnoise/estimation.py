@@ -91,7 +91,11 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Deterministic uniforms in [0, 1): splitmix64 outputs scaled by 2^-64."""
+    """Deterministic uniforms in [0, 1]: splitmix64 outputs scaled by 2^-64.
+
+    The interval is closed: a float64 holds 53 significant bits, so every
+    output >= 2^64 - 2^10 rounds to 2^64 and scales to exactly 1.0.
+    """
     return splitmix64(seed, count, offset) * 2.0**-64
 
 

@@ -256,26 +256,39 @@ def optimal_product_state(
     def probe_at(theta: np.ndarray) -> ProductState:
         return ProductState.polar(_fold_theta(theta))
 
-    def time_objective(theta: np.ndarray) -> float:
-        return time_averaged_qfi_limit_pure(probe_at(theta), family, xi).value
+    # The regime picks the Nelder-Mead objective and starts, the sweep
+    # objective, and finish(theta) -> (t, value) for a folded theta.
+    kind = TIME_AVERAGED if regime == "time" else PER_SHOT
+    if regime == "time":
 
-    def shot_value_at(theta: np.ndarray, t: float) -> float:
-        return qfi_exact_value(probe_at(theta).density(), family, xi, t)
+        def sweep_objective(theta: np.ndarray) -> float:
+            return time_averaged_qfi_limit_pure(probe_at(theta), family, xi).value
 
-    def finish_shot(theta: np.ndarray) -> tuple[float, float]:
-        return maximize_over_time(lambda t: shot_value_at(theta, t), bracket)
+        nm_objective, nm_starts = sweep_objective, starts
+
+        def finish(theta: np.ndarray) -> tuple[float, float]:
+            return 0.0, sweep_objective(theta)
+
+    else:
+
+        def shot_value_at(theta: np.ndarray, t: float) -> float:
+            return qfi_exact_value(probe_at(theta).density(), family, xi, t)
+
+        def sweep_objective(theta: np.ndarray) -> float:
+            return shot_value_at(theta, t_heuristic)
+
+        def nm_objective(z: np.ndarray) -> float:
+            return shot_value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi))))
+
+        nm_starts = [np.concatenate([s, [lt]]) for s, lt in zip(starts, start_logts)]
+
+        def finish(theta: np.ndarray) -> tuple[float, float]:
+            return maximize_over_time(lambda t: shot_value_at(theta, t), bracket)
 
     def run_start(k: int) -> tuple[float, tuple[float, ...], np.ndarray, float, bool]:
-        if regime == "time":
-            x, val, converged, _ = nelder_mead_max(time_objective, starts[k])
-            theta = _fold_theta(x)
-            return val, _theta_key(theta), theta, 0.0, converged
-        z0 = np.concatenate([starts[k], [start_logts[k]]])
-        z, _, converged, _ = nelder_mead_max(
-            lambda z: shot_value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi)))), z0
-        )
-        theta = _fold_theta(z[:-1])
-        t_star, val = finish_shot(theta)
+        x, _, converged, _ = nelder_mead_max(nm_objective, nm_starts[k])
+        theta = _fold_theta(x[:n])
+        t_star, val = finish(theta)
         return val, _theta_key(theta), theta, t_star, converged
 
     if threads is not None and threads > 1:
@@ -287,30 +300,22 @@ def optimal_product_state(
     # 9-point-per-axis coordinate sweep, one pass from the all-pi/2 probe.
     grid = np.linspace(0.0, np.pi, 9)
     theta_g = np.full(n, np.pi / 2.0)
-    objective = time_objective if regime == "time" else (lambda th: shot_value_at(th, t_heuristic))
-    val_g = float(objective(theta_g))
+    val_g = float(sweep_objective(theta_g))
     for axis in range(n):
         for cand in grid:
             trial = theta_g.copy()
             trial[axis] = cand
-            v = float(objective(trial))
+            v = float(sweep_objective(trial))
             if v > val_g:
                 val_g, theta_g = v, trial
-    if regime == "time":
-        grid_result = (val_g, _theta_key(theta_g), theta_g, 0.0, True)
-    else:
-        t_star_g, val_star_g = finish_shot(theta_g)
-        grid_result = (val_star_g, _theta_key(theta_g), theta_g, t_star_g, True)
+    t_star_g, val_star_g = finish(theta_g)
+    grid_result = (val_star_g, _theta_key(theta_g), theta_g, t_star_g, True)
 
     # Deterministic merge: maximize value, break ties on the angle encoding.
     best = max(results + [grid_result], key=lambda r: (r[0], tuple(-x for x in r[1])))
     grid_fallback_used = best is grid_result and all(r[0] < grid_result[0] for r in results)
     converged_fraction = sum(1 for r in results if r[4]) / n_starts
-    probe = ProductState.polar(best[2])
-    if regime == "time":
-        result = time_averaged_qfi_limit_pure(probe, family, xi)
-    else:
-        result = QfiResult(best[0], PER_SHOT, best[3], probe)
+    result = QfiResult(best[0], kind, best[3], ProductState.polar(best[2]))
     return OptimizationReport(result, n_starts, converged_fraction, grid_fallback_used)
 
 

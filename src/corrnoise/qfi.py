@@ -9,6 +9,15 @@ Two independent routes are provided and cross-checked:
   on the exactly propagated state, using the exact parameter derivative of
   the state (no finite differences in xi).
 
+  Every SLD sum in this module, per shot and in the t -> 0+ limit, is the one
+  kernel ``_sld_rate``.  Eigenvalues at or below KERNEL_RTOL of the largest
+  form the numerical kernel.  Derivative weight that falls between two kernel
+  eigenvalues is a diverging term, not a droppable one: above DARK_RTOL of the
+  total it raises DivergentQfiError.  That weight means a dark coherence, or a
+  t so small that the O(t) eigenvalues sink below the relative floor.  Rank
+  changes make the QFI discontinuous (Safranek, PRA 95, 052320 (2017)), so the
+  kernel is never cut silently.
+
 * ``qfi_fidelity_check`` estimates the same quantity from the Uhlmann
   fidelity between states propagated at xi and xi + dxi,
 
@@ -29,8 +38,8 @@ its supremum over t sits at t -> 0+ for purely dissipative dynamics.
   and no 2^N object is built.
 
 * ``time_averaged_qfi_limit`` reaches the same limit by Richardson
-  extrapolation of F_Q(t)/t on the propagated state.  It handles mixed
-  states and is the oracle for the closed form.
+  extrapolation of F_Q(t)/t on the propagated state, through the same
+  kernel.  It handles mixed states and is the oracle for the closed form.
 
 For an equal superposition of one coherence pair with decay rate G and rate
 derivative G', everything is closed form:
@@ -64,14 +73,10 @@ from .evolution import (
 )
 from .model import DephasingFamily
 
-SLD_KERNEL_CUTOFF = 1e-12
-# Closed-form t -> 0+ limit: eigenvalues of the O(t) weight matrix at or
-# below PURE_KERNEL_RTOL * its largest form its kernel, and so do leakage
-# directions whose squared norm (at most 1 for a unit probe) is below it.
-# The derivative may carry at most a PURE_DARK_RTOL share of its squared
-# weight inside that kernel; more is a dark coherence and the limit diverges.
-PURE_KERNEL_RTOL = 1e-13
-PURE_DARK_RTOL = 1e-12
+# The kernel policy of ``_sld_rate`` (module docstring).  KERNEL_RTOL also
+# floors the squared norm of pure-probe leakage directions.
+KERNEL_RTOL = 1e-13
+DARK_RTOL = 1e-12
 
 PER_SHOT = "per_shot"
 TIME_AVERAGED = "time_averaged"
@@ -100,7 +105,7 @@ __all__ = [
 
 
 class DivergentQfiError(ArithmeticError):
-    """Sensing at a dark coherence: zero decay rate with nonzero sensitivity."""
+    """Sensing at a dark coherence (zero decay rate, nonzero sensitivity), or at a t too small to resolve."""
 
 
 class ExtrapolationError(RuntimeError):
@@ -189,16 +194,9 @@ def _check_qfi_inputs(family: DephasingFamily, xi: float, t: float) -> None:
 
 
 def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> float:
-    """Per-shot QFI via the SLD spectral formula on the propagated state."""
+    """Per-shot QFI: the SLD sum ``_sld_rate`` of the propagated state and its exact xi-derivative."""
     _check_qfi_inputs(family, xi, t)
-    rho_t = evolve(rho0, family, xi, t)
-    deriv = drho_dxi(rho0, family, xi, t)
-    w, v = np.linalg.eigh(rho_t)
-    a = v.conj().T @ deriv @ v
-    denom = w[:, None] + w[None, :]
-    num = np.abs(a) ** 2
-    mask = denom > SLD_KERNEL_CUTOFF
-    return 2.0 * float(np.sum(num[mask] / denom[mask]))
+    return _sld_rate(evolve(rho0, family, xi, t), drho_dxi(rho0, family, xi, t))
 
 
 def qfi_exact(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> QfiResult:
@@ -272,21 +270,28 @@ def time_averaged_qfi_limit(
 
 
 def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> float:
-    """SLD QFI 2 sum_jk |a_jk|^2 / (lambda_j + lambda_k) of the O(t) pair (m, m_prime).
+    """SLD QFI 2 sum_jk |a_jk|^2 / (lambda_j + lambda_k) of a PSD matrix m and its xi-derivative m_prime.
 
-    lambda_j are the eigenvalues of m and a is m_prime in its eigenbasis.
-    Terms inside the kernel of m diverge, so weight there raises
-    DivergentQfiError instead of being dropped.
+    m is a propagated state (per-shot F_Q) or the O(t) weight matrix of a pure
+    probe (the t -> 0+ rate); lambda_j are its eigenvalues and a is m_prime in
+    its eigenbasis.  Eigenvalues at or below KERNEL_RTOL * lambda_max count as
+    zero.  A term with one such index keeps the other's eigenvalue; a term with
+    both diverges, so derivative weight there above DARK_RTOL of the total
+    raises DivergentQfiError instead of being dropped.
     """
     lam, u = np.linalg.eigh(m)
     weight = np.abs(u.conj().T @ m_prime @ u) ** 2
-    lam = np.where(lam > PURE_KERNEL_RTOL * lam[-1], lam, 0.0)
+    floor = KERNEL_RTOL * lam[-1]
+    if lam[0] > floor:
+        return 2.0 * float((weight / (lam[:, None] + lam[None, :])).sum())
+    lam = np.where(lam > floor, lam, 0.0)
     denom = lam[:, None] + lam[None, :]
     dark = denom == 0.0
-    if weight[dark].sum() > PURE_DARK_RTOL * weight.sum():
+    if weight[dark].sum() > DARK_RTOL * weight.sum():
         raise DivergentQfiError(
-            f"probe senses a dark coherence: {weight[dark].sum() / weight.sum():.3e} of the derivative weight"
-            " sits on coherences that do not decay"
+            f"{weight[dark].sum() / weight.sum():.3e} of the derivative weight sits in the numerical kernel"
+            f" (eigenvalues <= {KERNEL_RTOL:g} of the largest): the probe senses a dark coherence,"
+            " or t is too small to resolve its decay"
         )
     return 2.0 * float((weight[~dark] / denom[~dark]).sum())
 
@@ -299,7 +304,7 @@ def time_averaged_qfi_limit_pure(
     ``probe`` is a ProductState, whose N x N route builds no 2^N object, or
     a unit state vector of length 2^N, which goes through one N x N
     eigendecomposition of the Gram matrix V^dag V.  Leakage directions of
-    squared norm at most PURE_KERNEL_RTOL are dropped.  Raises
+    squared norm at most KERNEL_RTOL are dropped.  Raises
     DivergentQfiError when the probe senses a coherence that does not decay
     at xi.
     """
@@ -313,7 +318,7 @@ def time_averaged_qfi_limit_pure(
         if probe.n_qubits != n:
             raise ValueError(f"probe is for {probe.n_qubits} qubits, family has {n}")
         s = np.sin(np.array(probe.thetas))
-        s = np.where(s * s > PURE_KERNEL_RTOL, s, 0.0)
+        s = np.where(s * s > KERNEL_RTOL, s, 0.0)
         scale = np.outer(s, s)
         return QfiResult(_sld_rate(a * scale, b * scale), TIME_AVERAGED, 0.0, probe)
     psi = np.asarray(probe)
@@ -325,7 +330,7 @@ def time_averaged_qfi_limit_pure(
     spins = _spin_table(n)
     v = (spins - (np.abs(psi) ** 2) @ spins) * psi[:, None]
     g, w = np.linalg.eigh(v.conj().T @ v)
-    k = w * np.sqrt(np.where(g > PURE_KERNEL_RTOL, g, 0.0))
+    k = w * np.sqrt(np.where(g > KERNEL_RTOL, g, 0.0))
     value = _sld_rate(k.conj().T @ a @ k, k.conj().T @ b @ k)
     return QfiResult(value, TIME_AVERAGED, 0.0, state_hash(psi))
 

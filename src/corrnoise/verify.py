@@ -32,7 +32,7 @@ from .qfi import (
     time_averaged_qfi_limit_pure,
 )
 
-__all__ = ["PropertyResult", "run_verify", "default_families"]
+__all__ = ["PropertyResult", "run_verify", "default_families", "closed_form_table"]
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,28 @@ def check_qfi_crosscheck(families, seed: int, n_points: int = 50, rtol: float = 
     return _result("qfi_fidelity_crosscheck", ok, f"max relative deviation {worst:.3e} over {accepted} points")
 
 
+def closed_form_table(xi: float, n: int = 4, gamma: float = 1.0) -> list[tuple[str, float, float, float]]:
+    """(case, computed, expected, rel_err) for the three analytic time-averaged optima at (xi, gamma).
+
+    Richardson ``time_averaged_qfi_limit`` against the closed forms: single-qubit |+> at
+    gamma/(2 xi), two-qubit Bell at gamma/xi and N-qubit GHZ at N gamma/(2 xi).
+    """
+    domain = (min(1e-6, xi / 2.0), 1.0)
+    bell = pair_density(CoherencePair.from_indices(1, 2, 2))
+    cases = [
+        ("single_plus", plus_product(1).density(), build_single_qubit(domain, gamma=gamma), gamma / (2.0 * xi)),
+        ("two_bell", bell, build_two_qubit(domain, gamma=gamma), gamma / xi),
+        (f"nqb{n}_ghz", ghz_density(n), build_n_qubit(n, domain, gamma=gamma), n * gamma / (2.0 * xi)),
+    ]
+    rows = []
+    for name, rho, fam, expected in cases:
+        computed = time_averaged_qfi_limit(rho, fam, xi).value
+        rows.append((name, computed, expected, abs(computed / expected - 1.0)))
+    return rows
+
+
 def check_closed_forms(rtol: float = 1e-4) -> PropertyResult:
-    worst = 0.0
-    for xi in (1e-3, 1e-2, 1e-1):
-        fam1 = build_single_qubit((1e-6, 1.0))
-        got = time_averaged_qfi_limit(plus_product(1).density(), fam1, xi).value
-        worst = max(worst, abs(got / (0.5 / xi) - 1.0))
-        fam2 = build_two_qubit((1e-6, 1.0))
-        bell = pair_density(CoherencePair.from_indices(1, 2, 2))
-        got = time_averaged_qfi_limit(bell, fam2, xi).value
-        worst = max(worst, abs(got / (1.0 / xi) - 1.0))
-        fam4 = build_n_qubit(4, (1e-6, 1.0))
-        got = time_averaged_qfi_limit(ghz_density(4), fam4, xi).value
-        worst = max(worst, abs(got / (2.0 / xi) - 1.0))
+    worst = max(row[3] for xi in (1e-3, 1e-2, 1e-1) for row in closed_form_table(xi))
     return _result("closed_forms", worst <= rtol, f"max relative error {worst:.3e}")
 
 

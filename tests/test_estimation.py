@@ -97,6 +97,10 @@ class TestCountUniformsBelow:
             p = float(rng.uniform(0.0, 1.0))
             assert count_uniforms_below(seed, count, p) == self.reference(seed, count, p)
 
+    def test_uniform_stream_reaches_one(self):
+        # The largest output rounds up to 2^64, so the stream lives on [0, 1].
+        assert uniform_stream(seed_for_first_output(2**64 - 1), 1).tolist() == [1.0]
+
     def test_outputs_that_round_to_one_are_not_below_one(self):
         # Outputs >= 2^64 - 2^10 round to 2^64, i.e. to the uniform 1.0, which
         # a dark coherence's p_plus = 1.0 must not count.

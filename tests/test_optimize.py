@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from corrnoise.evolution import CoherencePair, ghz_pair
+from corrnoise.evolution import CoherencePair, ProductState, ghz_pair
 from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import (
     advantage_ratio,
@@ -14,7 +14,13 @@ from corrnoise.optimize import (
     optimal_coherence_pair,
     optimal_product_state,
 )
-from corrnoise.qfi import DivergentQfiError, coherence_pair_qfi_shot, coherence_pair_qfi_timeavg
+from corrnoise.qfi import (
+    DivergentQfiError,
+    coherence_pair_qfi_shot,
+    coherence_pair_qfi_timeavg,
+    qfi_exact_value,
+    time_averaged_qfi_limit_pure,
+)
 
 DOMAIN = (1e-6, 1.0)
 
@@ -183,6 +189,18 @@ class TestOptimalProductState:
         fam = with_perturbation(build_two_qubit(DOMAIN), np.zeros((2, 2)), (0.1, 0.9))
         report = optimal_product_state(fam, 0.5, "time")
         assert report.best.value == 0.0
+
+    @pytest.mark.parametrize("regime", ["time", "shot"])
+    def test_reported_value_is_the_probe_value_bitwise(self, regime):
+        # The search keeps each candidate's value, so the report needs no re-evaluation.
+        fam, xi = build_n_qubit(3, DOMAIN), 0.03
+        best = optimal_product_state(fam, xi, regime, seed=2).best
+        probe = ProductState.polar(best.probe.thetas)
+        if regime == "time":
+            assert best.time == 0.0
+            assert best.value == time_averaged_qfi_limit_pure(probe, fam, xi).value
+        else:
+            assert best.value == qfi_exact_value(probe.density(), fam, xi, best.time)
 
 
 class TestAdvantageRatio:

@@ -359,6 +359,26 @@ class TestPureProbeLimit:
             time_averaged_qfi_limit_pure(plus_product(2), fam, 2.0)
 
 
+class TestSldKernel:
+    """One relative kernel policy for every SLD sum, per shot and in the t -> 0+ limit."""
+
+    # Two-qubit family, xi = 1e-3: the O(t) eigenvalues of this product probe
+    # are 3.5e-5 t and 0.07 t.  At t = 1e-8 the smaller sits below an absolute
+    # 1e-12 cutoff but above 1e-13 of the largest; at t = 1e-9 below both.
+    XI = 1e-3
+    PROBE = ProductState.polar((0.3, 2.9))
+
+    def test_small_t_keeps_the_order_t_eigenvalues(self):
+        exact = time_averaged_qfi_limit_pure(self.PROBE, two(), self.XI).value
+        assert exact == pytest.approx(34.5945, rel=1e-5)
+        got = qfi_exact_value(self.PROBE.density(), two(), self.XI, 1e-8) / 1e-8
+        assert got == pytest.approx(exact, rel=1e-3)
+
+    def test_unresolved_t_raises_instead_of_dropping_weight(self):
+        with pytest.raises(DivergentQfiError, match="too small"):
+            qfi_exact_value(self.PROBE.density(), two(), self.XI, 1e-9)
+
+
 class TestCoherencePairQfi:
     def test_bell_time_averaged(self):
         pair = CoherencePair((1, -1), (-1, 1))
