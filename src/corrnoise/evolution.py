@@ -198,20 +198,18 @@ def decay_rate_derivative(family: DephasingFamily, xi: float, pair: CoherencePai
 
 
 # Rate matrices are the hot loop of propagation and the QFI; memoize per
-# (family content, xi).  xi = None selects the xi-derivative.
+# (family content, xi).  xi = None selects the xi-derivative.  Entry (a, b)
+# is the rate of class |ternary[a] - ternary[b]| - 1, and 0 on the diagonal.
 @lru_cache(maxsize=512)
 def _dense_rates(family: DephasingFamily, xi: float | None) -> np.ndarray:
-    coeff = family.delta_c if xi is None else family.coefficient_matrix(xi)
-    S = _spin_table(family.n_qubits)
-    q = S @ coeff @ S.T
-    d = np.real(np.diagonal(q))
-    rates = (family.gamma / 4.0) * (d[:, None] + d[None, :] - 2.0 * np.real(q))
-    if xi is not None:
-        # PSD quadratic form; negatives are roundoff within the family's
-        # validated eigenvalue floor.
-        np.maximum(rates, 0.0, out=rates)
-    rates.setflags(write=False)
-    return rates
+    diffs, _, ternary = _class_table(family.n_qubits)
+    if xi is None:
+        rates = _rate_form(family, family.delta_c, diffs)
+    else:
+        rates = _decay_rates(family, xi, diffs)
+    dense = np.concatenate([[0.0], rates])[np.abs(ternary[:, None] - ternary[None, :])]
+    dense.setflags(write=False)
+    return dense
 
 
 def rate_matrix(family: DephasingFamily, xi: float) -> np.ndarray:

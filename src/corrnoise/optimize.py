@@ -3,9 +3,7 @@
 Two resource regimes are supported:
 
 * ``"time"``  - total protocol time is constrained; the figure of merit is
-  the time-averaged QFI, whose supremum over t sits at t -> 0+.  Product
-  probes are scored by its exact limit ``time_averaged_qfi_limit``, one
-  N x N eigendecomposition each.
+  the time-averaged QFI, whose supremum over t sits at t -> 0+.
 * ``"shot"``  - the number of experimental runs is constrained; the figure
   of merit is the per-shot QFI maximized over the interrogation time.
 
@@ -14,6 +12,14 @@ superpositions (|alpha> + |beta>)/sqrt(2) over coherence pairs, scored once
 per difference class d = alpha - beta; the separable search space is product
 probes parametrized by polar angles (azimuths are fixed to zero, which is no
 loss because per-qubit Z rotations commute with the dynamics).
+
+In the time regime the product optimum needs no search.  The t -> 0+ rate of
+a product probe is the SLD QFI of the N x N pair (K A K, K B K), with
+K = diag(sin theta_j), A = (gamma/2) Re C(xi) and B = (gamma/2) Re dC.  The
+map X -> K X K (+) K' X K', with K'^2 = 1 - K^2, is CPTP, and the SLD metric
+is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81 (1996)).
+So K = 1, the probe |+>^N, is optimal for every family.  Only the shot
+regime searches over product probes.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .evolution import (
     ResourceLimitError,
     _class_table,
     _decay_rates,
+    plus_product,
 )
 from .model import DephasingFamily, build_n_qubit, build_two_qubit
 from .qfi import (
@@ -230,17 +237,25 @@ def optimal_product_state(
 ) -> OptimizationReport:
     """Maximize the regime's figure of merit over product probes.
 
-    Runs 8 + 2N Nelder-Mead multistarts over the polar angles (the all-pi/2
-    probe plus uniform-random starts) with a 9-point-per-axis coordinate
-    sweep as a grid fallback.  In the time regime each candidate is scored by
-    the exact t -> 0+ limit ``time_averaged_qfi_limit``.  In the shot
-    regime the search is joint over (theta, log t) and each candidate is
-    finished with ``maximize_over_time``.
+    Time regime: no search.  A product probe's t -> 0+ rate is the SLD QFI of
+    (K A K, K B K) with K = diag(sin theta_j) (``time_averaged_qfi_limit``).
+    The map X -> K X K (+) K' X K' with K'^2 = 1 - K^2 is CPTP, and the SLD
+    metric is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81
+    (1996)), so K = 1, i.e. |+>^N, is optimal for every family.  The report
+    holds its exact limit with starts = 0, converged_fraction = 1.0 and
+    grid_fallback_used = False; ``seed`` and ``threads`` are not used.
+
+    Shot regime: runs 8 + 2N Nelder-Mead multistarts, joint over the polar
+    angles and log t (the all-pi/2 probe plus uniform-random starts), with a
+    9-point-per-axis coordinate sweep as a grid fallback, and finishes each
+    candidate with ``maximize_over_time``.
     Fixed seed implies a bit-identical report; multistarts are independent
     and merged by a deterministic reduction, so any thread count agrees.
     """
     _check_regime(regime)
     n = family.n_qubits
+    if regime == "time":
+        return OptimizationReport(time_averaged_qfi_limit(plus_product(n), family, xi), 0, 1.0, False)
     if n > PRODUCT_MAX_QUBITS:
         raise ResourceLimitError(f"product-state search is guarded at N <= {PRODUCT_MAX_QUBITS}, got {n}")
     rng = np.random.default_rng(seed)
@@ -253,43 +268,19 @@ def optimal_product_state(
     start_logts = [np.log(t_heuristic)]
     start_logts.extend(rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1))
 
-    def probe_at(theta: np.ndarray) -> ProductState:
-        return ProductState.polar(_fold_theta(theta))
+    def value_at(theta: np.ndarray, t: float) -> float:
+        return qfi_exact_value(ProductState.polar(_fold_theta(theta)).density(), family, xi, t)
 
-    # The regime picks the Nelder-Mead objective and starts, the sweep
-    # objective, and finish(theta) -> (t, value) for a folded theta.
-    kind = TIME_AVERAGED if regime == "time" else PER_SHOT
-    if regime == "time":
+    def nm_objective(z: np.ndarray) -> float:
+        return value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi))))
 
-        def sweep_objective(theta: np.ndarray) -> float:
-            return time_averaged_qfi_limit(probe_at(theta), family, xi).value
-
-        nm_objective, nm_starts = sweep_objective, starts
-
-        def finish(theta: np.ndarray) -> tuple[float, float]:
-            return 0.0, sweep_objective(theta)
-
-    else:
-
-        def shot_value_at(theta: np.ndarray, t: float) -> float:
-            return qfi_exact_value(probe_at(theta).density(), family, xi, t)
-
-        def sweep_objective(theta: np.ndarray) -> float:
-            return shot_value_at(theta, t_heuristic)
-
-        def nm_objective(z: np.ndarray) -> float:
-            return shot_value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi))))
-
-        nm_starts = [np.concatenate([s, [lt]]) for s, lt in zip(starts, start_logts)]
-
-        def finish(theta: np.ndarray) -> tuple[float, float]:
-            return maximize_over_time(lambda t: shot_value_at(theta, t), bracket)
+    def finish(theta: np.ndarray, converged: bool) -> tuple[float, tuple[float, ...], np.ndarray, float, bool]:
+        t_star, val = maximize_over_time(lambda t: value_at(theta, t), bracket)
+        return val, _theta_key(theta), theta, t_star, converged
 
     def run_start(k: int) -> tuple[float, tuple[float, ...], np.ndarray, float, bool]:
-        x, _, converged, _ = nelder_mead_max(nm_objective, nm_starts[k])
-        theta = _fold_theta(x[:n])
-        t_star, val = finish(theta)
-        return val, _theta_key(theta), theta, t_star, converged
+        x, _, converged, _ = nelder_mead_max(nm_objective, np.concatenate([starts[k], [start_logts[k]]]))
+        return finish(_fold_theta(x[:n]), converged)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -297,25 +288,24 @@ def optimal_product_state(
     else:
         results = [run_start(k) for k in range(n_starts)]
 
-    # 9-point-per-axis coordinate sweep, one pass from the all-pi/2 probe.
+    # 9-point-per-axis coordinate sweep at t_heuristic, one pass from the all-pi/2 probe.
     grid = np.linspace(0.0, np.pi, 9)
     theta_g = np.full(n, np.pi / 2.0)
-    val_g = float(sweep_objective(theta_g))
+    val_g = value_at(theta_g, t_heuristic)
     for axis in range(n):
         for cand in grid:
             trial = theta_g.copy()
             trial[axis] = cand
-            v = float(sweep_objective(trial))
+            v = value_at(trial, t_heuristic)
             if v > val_g:
                 val_g, theta_g = v, trial
-    t_star_g, val_star_g = finish(theta_g)
-    grid_result = (val_star_g, _theta_key(theta_g), theta_g, t_star_g, True)
+    grid_result = finish(theta_g, True)
 
     # Deterministic merge: maximize value, break ties on the angle encoding.
     best = max(results + [grid_result], key=lambda r: (r[0], tuple(-x for x in r[1])))
     grid_fallback_used = best is grid_result and all(r[0] < grid_result[0] for r in results)
     converged_fraction = sum(1 for r in results if r[4]) / n_starts
-    result = QfiResult(best[0], kind, best[3], ProductState.polar(best[2]))
+    result = QfiResult(best[0], PER_SHOT, best[3], ProductState.polar(best[2]))
     return OptimizationReport(result, n_starts, converged_fraction, grid_fallback_used)
 
 

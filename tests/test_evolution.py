@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -296,21 +298,38 @@ class TestCoherenceSpectrum:
                 assert [idx for _, idx, _ in members] == sorted(idx for _, idx, _ in members)
 
     def test_dense_rates_agree_with_class_rates(self, random_complex_family):
-        # rate_matrix keeps its own S C S^T expansion for propagation; it
-        # must agree with the per-pair rate form up to rounding.
+        # Per-pair loop oracle (gamma/4) sum_jl d_j d_l C_jl, summed exactly by
+        # fsum: every pair for N <= 5, seeded pairs above.  The dense matrices
+        # gather the class rates, so they equal the spectrum's rates bitwise.
+        rng = np.random.default_rng(29)
         fams = [single(), two()] + [nqb(n) for n in range(2, 9)] + [random_complex_family(n, n) for n in (3, 5)]
         for fam in fams:
             n = fam.n_qubits
-            for xi in (1e-3, 0.01, 0.3, 0.9):
-                spectrum = coherence_spectrum(fam, xi)
-                ia, ib = np.array([pair.indices for pair, _ in spectrum]).T
-                rates = np.array([rate for _, rate in spectrum])
-                dense = rate_matrix(fam, xi)[ia, ib]
-                assert np.max(np.abs(dense - rates)) <= 1e-15 * rates.max()
             if n <= 5:
-                derivs = rate_derivative_matrix(fam)[ia, ib]
-                per_pair = np.array([decay_rate_derivative(fam, 0.3, pair) for pair, _ in spectrum])
-                assert np.max(np.abs(derivs - per_pair)) <= 1e-15 * max(np.max(np.abs(per_pair)), 1.0)
+                ia, ib = np.triu_indices(2**n, k=1)
+            else:
+                ia, ib = rng.integers(0, 2**n, size=(2, 200))
+            patterns = [np.array(pattern_from_index(i, n)) for i in range(2**n)]
+
+            def loop_rates(matrix):
+                out = []
+                for a, b in zip(ia, ib):
+                    d = patterns[a] - patterns[b]
+                    terms = (matrix[j, l].real * d[j] * d[l] for j in range(n) for l in range(n))
+                    out.append(fam.gamma / 4.0 * math.fsum(terms))
+                return np.array(out)
+
+            for xi in (1e-3, 0.01, 0.3, 0.9):
+                dense = rate_matrix(fam, xi)
+                rates = loop_rates(fam.coefficient_matrix(xi))
+                assert np.max(np.abs(dense[ia, ib] - rates)) <= 1e-15 * rates.max()
+                assert np.all(np.diagonal(dense) == 0.0)
+                spectrum = coherence_spectrum(fam, xi)
+                assert np.array_equal(dense[spectrum.alpha_index, spectrum.beta_index], spectrum.rate)
+            derivs = loop_rates(fam.delta_c)
+            assert np.max(np.abs(rate_derivative_matrix(fam)[ia, ib] - derivs)) <= 1e-15 * max(
+                np.max(np.abs(derivs)), 1.0
+            )
 
 
 class TestSuperoperator:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from corrnoise.evolution import CoherencePair, ProductState, ghz_pair
+from corrnoise.evolution import CoherencePair, ProductState, ghz_pair, plus_product
 from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import (
+    _fold_theta,
     advantage_ratio,
     default_time_bracket,
     dynamical_range_threshold,
@@ -157,7 +158,7 @@ class TestOptimalProductState:
         report = optimal_product_state(fam, xi, "time")
         assert report.best.value == pytest.approx(1.0 / (xi * (2.0 - xi)), rel=1e-3)
         assert report.best.value == pytest.approx(5.2632, abs=5e-3)
-        assert report.starts == 8 + 4
+        assert report.starts == 0
 
     def test_n4_time_regime(self):
         fam = build_n_qubit(4, DOMAIN)
@@ -201,6 +202,49 @@ class TestOptimalProductState:
             assert best.value == time_averaged_qfi_limit(probe, fam, xi).value
         else:
             assert best.value == qfi_exact_value(probe.density(), fam, xi, best.time)
+
+
+def time_regime_families(random_complex_family):
+    fams = [build_single_qubit(DOMAIN), build_two_qubit(DOMAIN)] + [build_n_qubit(n, DOMAIN) for n in range(2, 7)]
+    return fams + [random_complex_family(n, 60 + n) for n in range(1, 7)]
+
+
+class TestTimeRegimeProductOptimum:
+    # |+>^N is the time-regime product optimum by monotonicity of the SLD
+    # metric; random probes and a free search must never beat it.
+
+    def test_random_probes_never_beat_plus_state(self, random_complex_family):
+        rng = np.random.default_rng(71)
+        for fam in time_regime_families(random_complex_family):
+            n = fam.n_qubits
+            for xi in (1e-3, 0.05, 0.5):
+                optimum = optimal_product_state(fam, xi, "time").best.value
+                for k in range(60):
+                    # Half the probes are uniform, half sit within 1e-3 of pi/2.
+                    thetas = rng.uniform(0.0, np.pi, size=n) if k % 2 else np.pi / 2 + rng.uniform(-1e-3, 1e-3, size=n)
+                    probe = ProductState(thetas, rng.uniform(0.0, 2 * np.pi, size=n))
+                    assert time_averaged_qfi_limit(probe, fam, xi).value <= optimum * (1.0 + 1e-12)
+
+    def test_nelder_mead_never_beats_plus_state(self, random_complex_family):
+        rng = np.random.default_rng(72)
+        for fam in time_regime_families(random_complex_family):
+            for xi in (1e-3, 0.05):
+                optimum = optimal_product_state(fam, xi, "time").best.value
+
+                def objective(z):
+                    return time_averaged_qfi_limit(ProductState.polar(_fold_theta(z)), fam, xi).value
+
+                for _ in range(2):
+                    _, value, _, _ = nelder_mead_max(objective, rng.uniform(0.0, np.pi, size=fam.n_qubits))
+                    assert value <= optimum * (1.0 + 1e-12)
+
+    def test_collective_family_beyond_the_search_guard(self):
+        # gamma / (2 xi) for every N; the shot search's N guard does not apply.
+        fam = build_n_qubit(16, DOMAIN)
+        report = optimal_product_state(fam, 0.01, "time")
+        assert report.best.value == pytest.approx(50.0, rel=1e-12)
+        assert report.best.probe == plus_product(16)
+        assert (report.starts, report.converged_fraction, report.grid_fallback_used) == (0, 1.0, False)
 
 
 class TestAdvantageRatio:

@@ -160,14 +160,14 @@ class TestQfiFidelityCheck:
         assert got == pytest.approx(single_qubit_qfi_oracle(xi, t), rel=1e-3)
 
     def test_richardson_extrapolation_tightens(self):
-        # halving the step and extrapolating kills the O(dxi) error
+        # halving the step and extrapolating kills the O(dxi^2) error of the central difference
         fam = single()
         rho = plus_product(1).density()
         xi, t = 0.1, 2.0
         exact = qfi_exact_value(rho, fam, xi, t)
-        f1 = qfi_fidelity_check(rho, fam, xi, t, dxi=1e-4 * xi)
-        f2 = qfi_fidelity_check(rho, fam, xi, t, dxi=5e-5 * xi)
-        extrapolated = 2.0 * f2 - f1
+        f1 = qfi_fidelity_check(rho, fam, xi, t, dxi=1e-2 * xi)
+        f2 = qfi_fidelity_check(rho, fam, xi, t, dxi=5e-3 * xi)
+        extrapolated = (4.0 * f2 - f1) / 3.0
         assert extrapolated == pytest.approx(exact, rel=1e-5)
 
     def test_zero_perturbation(self):
