@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -41,7 +39,7 @@ from .model import (
     from_spectral_density,
     load_spectral_csv,
 )
-from .optimize import advantage_ratio, family_for_ratio
+from .optimize import REGIMES, advantage_ratio, family_for_ratio
 from .qfi import (
     DivergentQfiError,
     coherence_pair_qfi_shot,
@@ -76,28 +74,14 @@ class RunConfig:
     seeds: int = 200
     seed: int = 0
     out: str | None = None
-    threads: int | None = None
 
     def config_line(self) -> str:
-        # threads deliberately excluded: results are thread-count independent.
-        payload = {k: v for k, v in asdict(self).items() if k not in ("out", "threads")}
+        payload = {k: v for k, v in asdict(self).items() if k != "out"}
         return "# config: " + json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("CORRNOISE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"CORRNOISE_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _write_csv(out: str | None, lines: list[str]) -> None:
@@ -124,13 +108,6 @@ def _build_family(config: RunConfig) -> DephasingFamily:
     raise ConfigError(f"unknown family {kind!r} (expected single, two, nqb or file:<path>)")
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))  # order preserved => deterministic merge
-
-
 def run_fig1a(config: RunConfig) -> tuple[list[str], int]:
     """Per-shot QFI of the GHZ pair and of |+>^N against interrogation time."""
     family = build_n_qubit(config.n, (min(1e-6, config.xi / 2.0), 1.0), gamma=config.gamma)
@@ -140,32 +117,21 @@ def run_fig1a(config: RunConfig) -> tuple[list[str], int]:
         ts = np.geomspace(config.t_lo, config.t_hi, config.t_points)
     else:
         ts = np.linspace(config.t_lo, config.t_hi, config.t_points)
-    threads = config.threads or 1
-
-    def point(t: float) -> tuple[float, float, float]:
+    lines = [config.config_line(), "# time unit: 1/gamma", "t,qfi_product,qfi_ghz"]
+    for t in ts.tolist():
         ghz = coherence_pair_qfi_shot(family, config.xi, pair, t).value
         prod = qfi_exact_value(rho_prod, family, config.xi, t)
-        return t, prod, ghz
-
-    rows = _parallel_map(point, [float(t) for t in ts], threads)
-    lines = [config.config_line(), "# time unit: 1/gamma", "t,qfi_product,qfi_ghz"]
-    lines.extend(f"{_fmt(t)},{_fmt(p)},{_fmt(g)}" for t, p, g in rows)
+        lines.append(f"{_fmt(t)},{_fmt(prod)},{_fmt(ghz)}")
     return lines, EXIT_OK
 
 
 def run_fig1b(config: RunConfig) -> tuple[list[str], int]:
     """Advantage ratios for n = 2..config.n in both resource regimes."""
-    threads = config.threads or 1
-    ns = list(range(2, config.n + 1))
-
-    def row(n: int) -> tuple[int, float, float, float, float]:
-        time_ratio = advantage_ratio(n, config.xi, "time", seed=config.seed, threads=1).ratio
-        shot_ratio = advantage_ratio(n, config.xi, "shot", seed=config.seed, threads=1).ratio
-        return n, time_ratio, shot_ratio, float(n), float(2 ** (n - 1))
-
-    rows = _parallel_map(row, ns, threads)
     lines = [config.config_line(), "n,ratio_time,ratio_shot,pred_time,pred_shot"]
-    lines.extend(f"{n},{_fmt(rt)},{_fmt(rs)},{_fmt(pt)},{_fmt(ps)}" for n, rt, rs, pt, ps in rows)
+    for n in range(2, config.n + 1):
+        time_ratio = advantage_ratio(n, config.xi, "time", seed=config.seed, gamma=config.gamma).ratio
+        shot_ratio = advantage_ratio(n, config.xi, "shot", seed=config.seed, gamma=config.gamma).ratio
+        lines.append(f"{n},{_fmt(time_ratio)},{_fmt(shot_ratio)},{_fmt(n)},{_fmt(2 ** (n - 1))}")
     return lines, EXIT_OK
 
 
@@ -180,8 +146,7 @@ def run_closed_forms(config: RunConfig) -> tuple[list[str], int]:
 
 
 def run_advantage(config: RunConfig) -> tuple[list[str], int]:
-    threads = config.threads or 1
-    result = advantage_ratio(config.n, config.xi, config.regime, seed=config.seed, threads=threads)
+    result = advantage_ratio(config.n, config.xi, config.regime, seed=config.seed, gamma=config.gamma)
     lines = [
         config.config_line(),
         "n,xi,regime,entangled,separable,ratio,entangled_probe,separable_thetas",
@@ -202,15 +167,12 @@ def run_estimate(config: RunConfig) -> tuple[list[str], int]:
     pair = ghz_pair(config.n)
     peak = coherence_pair_qfi_shot_peak(family, config.xi, pair)
     t = peak.time
-    threads = config.threads or 1
-
-    def one(r: int) -> tuple[int, int, str, str]:
+    rows = []
+    for r in range(config.seeds):
         record = simulate_parity_counts(family, config.xi, pair, t, config.shots, config.seed ^ r)
         report = estimate_xi(record, family)
         xi_hat = "" if report.xi_hat is None else _fmt(report.xi_hat)
-        return r, record.seed, xi_hat, "1" if report.clamped else "0"
-
-    rows = _parallel_map(one, list(range(config.seeds)), threads)
+        rows.append((r, record.seed, xi_hat, "1" if report.clamped else "0"))
     estimates = np.array([float(x) for _, _, x, _ in rows if x])
     crb = shot_uncertainty(family, config.xi, pair, config.shots)
     lines = [
@@ -274,7 +236,7 @@ _RUNNERS = {
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with RunConfig fields; flags override")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--threads", type=int, help="worker threads (env CORRNOISE_THREADS, else all cores)")
+    parser.add_argument("--threads", type=int, help="ignored; corrnoise runs in one thread")
     parser.add_argument("--gamma", type=float, help="decay-rate scale; sets the time unit (default 1.0)")
     parser.add_argument("--seed", type=int, help="base seed for all randomized pieces (default 0)")
     parser.add_argument("--n", type=int, help="qubit number (fig1b: largest n of the sweep)")
@@ -300,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("advantage", help="single advantage ratio")
     _add_common(p)
-    p.add_argument("--regime", choices=("shot", "time"), help="resource regime (default shot)")
+    p.add_argument("--regime", choices=REGIMES, help="resource regime (default shot)")
 
     p = sub.add_parser("estimate", help="Monte Carlo estimation replication study")
     _add_common(p)
@@ -333,26 +295,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"config file {args.config}: unknown fields {sorted(unknown)}")
         values.update(loaded)
-    values["scenario"] = args.scenario
-    flag_fields = (
-        "out",
-        "threads",
-        "gamma",
-        "seed",
-        "n",
-        "xi",
-        "t_lo",
-        "t_hi",
-        "t_points",
-        "regime",
-        "shots",
-        "seeds",
-        "family",
-    )
-    for field in flag_fields:
-        val = getattr(args, field, None)
+    for field in fields(RunConfig):
+        val = getattr(args, field.name, None)
         if val is not None:
-            values[field] = val
+            values[field.name] = val
     if getattr(args, "t_linear", False):
         values["t_log"] = False
     try:
@@ -378,8 +324,8 @@ def _validate_config(config: RunConfig) -> None:
     if config.scenario == "estimate":
         if config.shots <= 0 or config.seeds < 2:
             raise ConfigError("estimate requires shots > 0 and seeds >= 2")
-    if config.regime not in ("shot", "time"):
-        raise ConfigError(f"regime must be 'shot' or 'time', got {config.regime!r}")
+    if config.regime not in REGIMES:
+        raise ConfigError(f"regime must be one of {REGIMES}, got {config.regime!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -387,7 +333,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
-        config.threads = _resolve_threads(config.threads)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_IO

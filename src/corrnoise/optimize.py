@@ -24,7 +24,6 @@ regime searches over product probes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +232,6 @@ def optimal_product_state(
     xi: float,
     regime: str,
     seed: int = 0,
-    threads: int | None = None,
 ) -> OptimizationReport:
     """Maximize the regime's figure of merit over product probes.
 
@@ -243,14 +241,14 @@ def optimal_product_state(
     metric is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81
     (1996)), so K = 1, i.e. |+>^N, is optimal for every family.  The report
     holds its exact limit with starts = 0, converged_fraction = 1.0 and
-    grid_fallback_used = False; ``seed`` and ``threads`` are not used.
+    grid_fallback_used = False; ``seed`` is not used.
 
     Shot regime: runs 8 + 2N Nelder-Mead multistarts, joint over the polar
     angles and log t (the all-pi/2 probe plus uniform-random starts), with a
     9-point-per-axis coordinate sweep as a grid fallback, and finishes each
     candidate with ``maximize_over_time``.
-    Fixed seed implies a bit-identical report; multistarts are independent
-    and merged by a deterministic reduction, so any thread count agrees.
+    The multistarts run one after another in start order, and the merge is
+    a deterministic reduction, so a fixed seed implies a bit-identical report.
     """
     _check_regime(regime)
     n = family.n_qubits
@@ -282,11 +280,7 @@ def optimal_product_state(
         x, _, converged, _ = nelder_mead_max(nm_objective, np.concatenate([starts[k], [start_logts[k]]]))
         return finish(_fold_theta(x[:n]), converged)
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_start, range(n_starts)))
-    else:
-        results = [run_start(k) for k in range(n_starts)]
+    results = [run_start(k) for k in range(n_starts)]
 
     # 9-point-per-axis coordinate sweep at t_heuristic, one pass from the all-pi/2 probe.
     grid = np.linspace(0.0, np.pi, 9)
@@ -333,16 +327,21 @@ def advantage_ratio(
     xi: float,
     regime: str,
     seed: int = 0,
-    threads: int | None = None,
+    gamma: float = 1.0,
 ) -> AdvantageRatio:
-    """Ratio of the best coherence-pair probe to the best product probe."""
+    """Ratio of the best coherence-pair probe to the best product probe.
+
+    ``gamma`` sets the time unit: the time-regime optima scale with it and the
+    per-shot optima do not, so the ratio is gamma-free up to the shot search's
+    roundoff.
+    """
     _check_regime(regime)
     n = int(n)
     if not 2 <= n <= PRODUCT_MAX_QUBITS:
         raise ValueError(f"n must lie in [2, {PRODUCT_MAX_QUBITS}], got {n}")
-    family = family_for_ratio(n, xi)
+    family = family_for_ratio(n, xi, gamma=gamma)
     entangled = optimal_coherence_pair(family, xi, regime)
-    separable = optimal_product_state(family, xi, regime, seed=seed, threads=threads).best
+    separable = optimal_product_state(family, xi, regime, seed=seed).best
     if separable.value <= 0.0:
         raise DivergentQfiError("separable optimum is zero; advantage ratio undefined")
     return AdvantageRatio(n, float(xi), regime, entangled, separable, entangled.value / separable.value)

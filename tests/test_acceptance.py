@@ -77,7 +77,7 @@ def test_01_closed_form_regression():
 
 def test_02_two_qubit_time_limit():
     """Two-qubit time-regime ratio at xi = 1e-3 equals 2 within 0.2%."""
-    result = advantage_ratio(2, 1e-3, "time", threads=THREADS)
+    result = advantage_ratio(2, 1e-3, "time")
     dev = abs(result.ratio / 2.0 - 1.0)
     report("criterion-2 two-qubit limit", dev <= 2e-3, f"ratio {result.ratio:.6f} dev {dev:.2e}")
 
@@ -87,7 +87,7 @@ def test_03_fig1b_shot_regime():
     worst = 0.0
     ratios = {}
     for n in range(2, 7):
-        result = advantage_ratio(n, 0.01, "shot", threads=THREADS)
+        result = advantage_ratio(n, 0.01, "shot")
         ratios[n] = result.ratio
         worst = max(worst, abs(result.ratio / 2.0 ** (n - 1) - 1.0))
     report("criterion-3 shot ratios", worst <= 0.05, f"ratios {ratios} max dev {worst:.2e}")
@@ -98,7 +98,7 @@ def test_04_fig1b_time_regime():
     worst = 0.0
     ratios = {}
     for n in range(2, 7):
-        result = advantage_ratio(n, 1e-3, "time", threads=THREADS)
+        result = advantage_ratio(n, 1e-3, "time")
         ratios[n] = result.ratio
         worst = max(worst, abs(result.ratio / n - 1.0))
     report("criterion-4 time ratios", worst <= 0.02, f"ratios {ratios} max dev {worst:.2e}")

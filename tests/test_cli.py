@@ -174,6 +174,18 @@ class TestAdvantageScenario:
         assert float(row["entangled"]) == pytest.approx(shot_peak_constant / 0.01**2, rel=1e-9)
         assert float(row["ratio"]) == pytest.approx(4.0, rel=0.05)
 
+    def test_gamma_scales_time_regime_optima(self, capsys):
+        # The time-regime optima are rates, so they scale with gamma; their ratio does not.
+        rows = []
+        for gamma in ("1", "2"):
+            _, out = run_cli(["advantage", "--n", "2", "--xi", "0.01", "--regime", "time", "--gamma", gamma], capsys)
+            _, header, body = parse_csv(out)
+            rows.append(dict(zip(header, body[0])))
+        base, doubled = rows
+        assert float(doubled["entangled"]) == 2.0 * float(base["entangled"])
+        assert float(doubled["separable"]) == 2.0 * float(base["separable"])
+        assert doubled["ratio"] == base["ratio"]
+
 
 class TestVerifyScenario:
     def test_all_pass(self, capsys):
@@ -212,14 +224,6 @@ class TestConfigHandling:
 
     def test_invalid_xi_rejected(self, capsys):
         code, _ = run_cli(["closed-forms", "--xi", "1.5"], capsys)
-        assert code == EXIT_CONFIG
-
-    def test_env_thread_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORRNOISE_THREADS", "2")
-        code, _ = run_cli(["closed-forms", "--xi", "0.1"], capsys)
-        assert code == EXIT_OK
-        monkeypatch.setenv("CORRNOISE_THREADS", "zebra")
-        code, _ = run_cli(["closed-forms", "--xi", "0.1"], capsys)
         assert code == EXIT_CONFIG
 
     def test_out_file_written(self, tmp_path, capsys):

@@ -162,29 +162,23 @@ class TestOptimalProductState:
 
     def test_n4_time_regime(self):
         fam = build_n_qubit(4, DOMAIN)
-        report = optimal_product_state(fam, 0.1, "time", threads=2)
+        report = optimal_product_state(fam, 0.1, "time")
         assert report.best.value == pytest.approx(5.0, rel=1e-3)
 
     def test_n3_shot_regime_matches_weight_argument(self, shot_peak_constant):
         fam = build_n_qubit(3, DOMAIN)
         xi = 0.01
-        report = optimal_product_state(fam, xi, "shot", threads=2)
+        report = optimal_product_state(fam, xi, "shot")
         expected = 2.0 ** (1 - 3) * shot_peak_constant / xi**2
         assert report.best.value == pytest.approx(expected, rel=2e-3)
         thetas = np.array(report.best.probe.thetas)
         assert thetas == pytest.approx(np.full(3, np.pi / 2), abs=1e-3)
 
     def test_determinism_fixed_seed(self):
-        fam = build_two_qubit(DOMAIN)
-        a = optimal_product_state(fam, 0.05, "time", seed=3)
-        b = optimal_product_state(fam, 0.05, "time", seed=3)
-        assert a == b
-
-    def test_thread_count_invariance(self):
         fam = build_n_qubit(3, DOMAIN)
-        serial = optimal_product_state(fam, 0.05, "shot", seed=1, threads=None)
-        threaded = optimal_product_state(fam, 0.05, "shot", seed=1, threads=2)
-        assert serial == threaded
+        a = optimal_product_state(fam, 0.05, "shot", seed=3)
+        b = optimal_product_state(fam, 0.05, "shot", seed=3)
+        assert a == b
 
     def test_zero_perturbation_reports_zero(self):
         fam = with_perturbation(build_two_qubit(DOMAIN), np.zeros((2, 2)), (0.1, 0.9))
@@ -255,12 +249,12 @@ class TestAdvantageRatio:
         assert type(result.separable_best.probe).__name__ == "ProductState"
 
     def test_n4_time_is_factor_n(self):
-        result = advantage_ratio(4, 1e-3, "time", threads=2)
+        result = advantage_ratio(4, 1e-3, "time")
         assert result.ratio == pytest.approx(4.0, rel=0.01)
 
     def test_shot_small_n(self):
         for n, expected in ((2, 2.0), (3, 4.0)):
-            result = advantage_ratio(n, 0.01, "shot", threads=2)
+            result = advantage_ratio(n, 0.01, "shot")
             assert result.ratio == pytest.approx(expected, rel=0.05)
 
     def test_two_qubit_shot_at_small_xi(self):
@@ -270,7 +264,7 @@ class TestAdvantageRatio:
     def test_entangled_beats_separable_time_regime(self):
         for n in (2, 3):
             for xi in (1e-3, 1e-2, 1e-1):
-                result = advantage_ratio(n, xi, "time", threads=2)
+                result = advantage_ratio(n, xi, "time")
                 assert result.entangled_best.value >= result.separable_best.value - 1e-6
                 assert result.ratio >= 1.0 - 1e-6
 
@@ -281,7 +275,7 @@ class TestAdvantageRatio:
         for fam in families:
             for xi in (1e-3, 1e-2, 1e-1):
                 pair_best = optimal_coherence_pair(fam, xi, "time").value
-                product_best = optimal_product_state(fam, xi, "time", threads=2).best.value
+                product_best = optimal_product_state(fam, xi, "time").best.value
                 assert product_best <= pair_best * (1.0 + 1e-6)
 
     def test_bad_n_rejected(self):
