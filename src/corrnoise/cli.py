@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .estimation import estimate_xi, shot_uncertainty, simulate_parity_counts
+from .estimation import replication_study, shot_uncertainty
 from .evolution import ResourceLimitError, coherence_spectrum, ghz_pair, plus_product
 from .model import (
     DephasingFamily,
@@ -165,28 +165,21 @@ def run_estimate(config: RunConfig) -> tuple[list[str], int]:
     """Replication study for GHZ-pair sensing on the collective family."""
     family = family_for_ratio(config.n, config.xi, gamma=config.gamma)
     pair = ghz_pair(config.n)
-    peak = coherence_pair_qfi_shot_peak(family, config.xi, pair)
-    t = peak.time
-    rows = []
-    for r in range(config.seeds):
-        record = simulate_parity_counts(family, config.xi, pair, t, config.shots, config.seed ^ r)
-        report = estimate_xi(record, family)
-        xi_hat = "" if report.xi_hat is None else _fmt(report.xi_hat)
-        rows.append((r, record.seed, xi_hat, "1" if report.clamped else "0"))
-    estimates = np.array([float(x) for _, _, x, _ in rows if x])
-    crb = shot_uncertainty(family, config.xi, pair, config.shots)
+    t = coherence_pair_qfi_shot_peak(family, config.xi, pair).time
+    study = replication_study(family, config.xi, pair, t, config.shots, config.seeds, config.seed)
     lines = [
         config.config_line(),
         f"# t: {_fmt(t)}",
-        f"# crb_std: {_fmt(crb)}",
+        f"# crb_std: {_fmt(shot_uncertainty(family, config.xi, pair, config.shots))}",
+        f"# empirical_std: {_fmt(study.empirical_std)}",
+        f"# mean_bias: {_fmt(study.mean_bias)}",
+        f"# failed: {study.n_failed}",
+        f"# clamped: {study.n_clamped}",
+        "replicate,seed,xi_hat,clamped",
     ]
-    if estimates.size >= 2:
-        lines.append(f"# empirical_std: {_fmt(float(np.std(estimates, ddof=1)))}")
-        lines.append(f"# mean_bias: {_fmt(float(np.mean(estimates) - config.xi))}")
-    lines.append(f"# failed: {config.seeds - estimates.size}")
-    lines.append(f"# clamped: {sum(c == '1' for _, _, _, c in rows)}")
-    lines.append("replicate,seed,xi_hat,clamped")
-    lines.extend(f"{r},{s},{x},{c}" for r, s, x, c in rows)
+    for r, report in enumerate(study.reports):
+        xi_hat = "" if report.xi_hat is None else _fmt(report.xi_hat)
+        lines.append(f"{r},{config.seed ^ r},{xi_hat},{int(report.clamped)}")
     return lines, EXIT_OK
 
 

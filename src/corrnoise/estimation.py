@@ -30,12 +30,13 @@ stream for seed 0 starts 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
 0x06C45D188009454F; these vectors are pinned in the test suite so
 independent implementations can reproduce identical experiments.  The i-th
 draw is a pure function of (seed, i), so shots can be generated in any
-order or in parallel.  Replication studies use stream seeds
-``base_seed XOR replicate_index``.
+order or in parallel.  ``replication_study``, the one replicate loop (the
+CLI's ``estimate`` prints it), gives replicate r the stream base_seed XOR r.
 
 Counts never form the float stream: u_i < p holds exactly when out_i < T,
 with T the smallest integer whose float64 rounding is >= p * 2^64, so
-``count_uniforms_below`` compares the integer outputs with T.
+``count_uniforms_below`` compares ``splitmix64`` outputs, 2^14 at a time,
+with T.
 """
 
 from __future__ import annotations
@@ -79,15 +80,17 @@ class NoInformationError(ValueError):
 
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Outputs offset+1 .. offset+count of the SplitMix64 stream for ``seed``."""
+    """Outputs offset+1 .. offset+count of the SplitMix64 stream for ``seed``, mixed in place."""
     if count < 0 or offset < 0:
         raise ValueError("count and offset must be >= 0")
-    z = np.uint64(seed & _MASK) + (np.arange(offset + 1, offset + count + 1, dtype=np.uint64)) * _GOLDEN
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(seed & _MASK)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> np.uint64(shift)
+        z *= mix
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -115,8 +118,8 @@ def _float_threshold(p: float) -> int:
 def count_uniforms_below(seed: int, count: int, p: float) -> int:
     """``count_nonzero(uniform_stream(seed, count) < p)``, without the float stream.
 
-    Mixes the SplitMix64 outputs in place, in fixed-size chunks, and compares
-    them with the integer threshold of ``p``.
+    Compares the SplitMix64 outputs, in fixed-size chunks, with the integer
+    threshold of ``p``.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -126,23 +129,10 @@ def count_uniforms_below(seed: int, count: int, p: float) -> int:
     if p > 1.0:
         return count
     threshold = np.uint64(_float_threshold(p))
-    steps = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64) * _GOLDEN
-    z = np.empty_like(steps)
-    shifted = np.empty_like(steps)
-    below = np.empty(steps.shape, dtype=bool)
-    total = 0
-    for start in range(0, count, _CHUNK):
-        m = min(_CHUNK, count - start)
-        zz, tt, bb = z[:m], shifted[:m], below[:m]
-        np.add(steps[:m], np.uint64((seed + start * int(_GOLDEN)) & _MASK), out=zz)
-        for shift, mix in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(zz, np.uint64(shift), out=tt)
-            zz ^= tt
-            zz *= mix
-        np.right_shift(zz, np.uint64(31), out=tt)
-        zz ^= tt
-        total += int(np.count_nonzero(np.less(zz, threshold, out=bb)))
-    return total
+    return sum(
+        int(np.count_nonzero(splitmix64(seed, min(_CHUNK, count - start), start) < threshold))
+        for start in range(0, count, _CHUNK)
+    )
 
 
 @dataclass(frozen=True)
@@ -165,16 +155,14 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Maximum-likelihood estimate with its Cramer-Rao scale.
+    """Maximum-likelihood estimate of one run, with its plug-in Cramer-Rao scale.
 
-    xi_hat is None when the observed plus fraction is <= 1/2 (the coherence
-    signal is not invertible).  empirical_std is populated by replication
-    studies only.
+    xi_hat is None when the plus fraction is <= 1/2 (not invertible);
+    clamped marks an estimate moved onto the nearer end of the xi domain.
     """
 
     xi_hat: float | None
     std_error_crb: float
-    empirical_std: float | None = None
     clamped: bool = False
 
 
@@ -192,15 +180,26 @@ class PromiseReport:
 
 @dataclass(frozen=True)
 class ReplicationStudy:
-    """Aggregate of many independent single-run estimates."""
+    """Every replicate's report, in replicate order, and the spread of the
+    invertible estimates (at least two) against the Cramer-Rao std at the true xi."""
 
-    estimates: np.ndarray
-    n_failed: int
-    n_clamped: int
+    reports: tuple[EstimateReport, ...]
     empirical_std: float
     mean_bias: float
     crb_std: float
-    report: EstimateReport
+
+    @property
+    def estimates(self) -> np.ndarray:
+        """The invertible estimates, in replicate order."""
+        return np.array([r.xi_hat for r in self.reports if r.xi_hat is not None])
+
+    @property
+    def n_failed(self) -> int:
+        return sum(r.xi_hat is None for r in self.reports)
+
+    @property
+    def n_clamped(self) -> int:
+        return sum(r.clamped for r in self.reports)
 
 
 def shot_uncertainty(family: DephasingFamily, xi: float, pair: CoherencePair, shots: int) -> float:
@@ -240,11 +239,6 @@ def promise_check(
     return PromiseReport(float(xi_hat), threshold, xi_hat < threshold, t_probe, coherence, delta)
 
 
-def _plus_probability(family: DephasingFamily, xi: float, pair: CoherencePair, t: float) -> float:
-    rate = decay_rate(family, xi, pair)
-    return 0.5 * (1.0 + math.exp(-rate * t))
-
-
 def simulate_parity_counts(
     family: DephasingFamily,
     xi_true: float,
@@ -259,7 +253,8 @@ def simulate_parity_counts(
         raise ValueError(f"t must be > 0, got {t}")
     if shots <= 0:
         raise ValueError(f"shots must be > 0, got {shots}")
-    plus = count_uniforms_below(seed, shots, _plus_probability(family, xi_true, pair, t))
+    p_plus = 0.5 * (1.0 + math.exp(-decay_rate(family, xi_true, pair) * t))
+    plus = count_uniforms_below(seed, shots, p_plus)
     return ExperimentRecord(pair, float(xi_true), t, int(shots), plus, int(seed))
 
 
@@ -287,9 +282,8 @@ def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateRe
         return EstimateReport(None, math.inf)
     rate_hat = -math.log(2.0 * p_hat - 1.0) / record.t
     xi_hat = (rate_hat - g0) / gp
-    lo, hi = family.xi_domain
-    clamped = not lo <= xi_hat <= hi
-    xi_hat = float(min(max(xi_hat, lo), hi))
+    clamped = not family.contains(xi_hat)
+    xi_hat = float(np.clip(xi_hat, *family.xi_domain))
     return EstimateReport(xi_hat, _crb_std(family, xi_hat, pair, record.t, record.shots), clamped=clamped)
 
 
@@ -302,24 +296,15 @@ def replication_study(
     n_seeds: int,
     base_seed: int = 0,
 ) -> ReplicationStudy:
-    """Run n_seeds independent experiments (seeds base XOR index); crb_std is at the true xi."""
+    """Run n_seeds experiments (seeds base XOR index); NoInformationError if fewer than two invert."""
     if n_seeds < 2:
         raise ValueError(f"need at least 2 replicates, got {n_seeds}")
-    estimates = []
-    n_failed = n_clamped = 0
-    for r in range(n_seeds):
-        record = simulate_parity_counts(family, xi_true, pair, t, shots, base_seed ^ r)
-        report = estimate_xi(record, family)
-        n_clamped += report.clamped
-        if report.xi_hat is None:
-            n_failed += 1
-        else:
-            estimates.append(report.xi_hat)
-    arr = np.array(estimates)
+    reports = tuple(
+        estimate_xi(simulate_parity_counts(family, xi_true, pair, t, shots, base_seed ^ r), family)
+        for r in range(n_seeds)
+    )
+    arr = np.array([r.xi_hat for r in reports if r.xi_hat is not None])
     if arr.size < 2:
         raise NoInformationError("fewer than two replicates produced an invertible signal")
-    emp_std = float(np.std(arr, ddof=1))
-    bias = float(np.mean(arr) - xi_true)
     std_crb = _crb_std(family, xi_true, pair, t, shots)
-    summary = EstimateReport(float(np.mean(arr)), std_crb, empirical_std=emp_std)
-    return ReplicationStudy(arr, n_failed, n_clamped, emp_std, bias, std_crb, summary)
+    return ReplicationStudy(reports, float(np.std(arr, ddof=1)), float(np.mean(arr) - xi_true), std_crb)

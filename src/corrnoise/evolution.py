@@ -170,7 +170,11 @@ def _class_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _rate_form(family: DephasingFamily, matrix: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """(gamma/4) d^T Re(matrix) d for every row d of ``diffs``: one real GEMM and a row-wise dot."""
+    """(gamma/4) d^T Re(matrix) d for every row d of ``diffs``: one real matmul and a row-wise dot."""
+    # Families store complex128, so np.real is a strided view and matmul takes
+    # numpy's non-BLAS loop, which computes each row on its own: a one-row
+    # ``decay_rate`` and the class table agree bit for bit, as the spectrum
+    # test against the pair-by-pair oracle pins.  BLAS on float64 would not.
     return (family.gamma / 4.0) * np.einsum("ij,ij->i", diffs @ np.real(matrix), diffs)
 
 

@@ -1,11 +1,17 @@
 """Dephasing coefficient-matrix families C(xi) = C0 + xi*dC.
 
 A family bundles the qubit count N, an overall decay-rate scale gamma,
-a pair of N x N Hermitian matrices (C0, dC) and the admissible interval
-for the correlation parameter xi.  C(xi) must stay positive semidefinite
-on that interval; construction checks the two endpoints, which suffices:
-lambda_min(C0 + xi*dC) is a minimum of functions affine in xi, hence
-concave, so it is no smaller inside the interval than at its ends.
+a pair of N x N real symmetric matrices (C0, dC) and the admissible
+interval for the correlation parameter xi.  C(xi) must stay positive
+semidefinite on that interval; construction checks the two endpoints,
+which suffices: lambda_min(C0 + xi*dC) is a minimum of functions affine in
+xi, hence concave, so it is no smaller inside the interval than at its
+ends.
+
+A Hermitian C with an imaginary part is rejected: Im C adds i(gamma/2)
+alpha^T Im(C) beta to the generator's eigenvalue -rate on |alpha><beta|,
+and corrnoise propagates the decay only.  Storage stays complex128 (see
+``evolution._rate_form`` for why).
 
 Built-in families:
 
@@ -63,6 +69,10 @@ def _as_hermitian(matrix, n: int, name: str, atol: float = HERMITICITY_ATOL) -> 
     dev = float(np.max(np.abs(arr - arr.conj().T))) if n else 0.0
     if dev > atol:
         raise FamilyValidationError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {atol:g}")
+    imag = float(np.max(np.abs(arr.imag))) if n else 0.0
+    if imag > atol:
+        term = "it adds i(gamma/2) alpha^T Im(C) beta to the generator, a coherent term corrnoise does not model"
+        raise FamilyValidationError(f"{name} has an imaginary part (max |Im| = {imag:.3e} > {atol:g}): {term}")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -204,9 +214,9 @@ def load_spectral_csv(path, gamma_ref: float, n_qubits: int | None = None) -> Sp
     """Read zero-frequency spectral densities from a ``j,l,re,im`` CSV file.
 
     Indices are 0-based; only upper-triangle entries (j <= l) are allowed and
-    the lower triangle is filled by conjugation.  Unlisted entries default to
-    zero.  Rows with j > l and duplicate (j, l) keys are rejected.  When
-    n_qubits is omitted it is inferred as max index + 1.
+    the lower triangle is filled by symmetry; im must be 0.  Unlisted entries
+    default to zero.  Rows with j > l and duplicate (j, l) keys are rejected.
+    When n_qubits is omitted it is inferred as max index + 1.
     """
     path = Path(path)
     entries: dict[tuple[int, int], complex] = {}

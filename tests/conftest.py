@@ -31,18 +31,18 @@ def shot_peak_constant(x_star):
     return x_star * math.exp(-2.0 * x_star)
 
 
-def _random_complex_family(n, seed):
-    """Complex-Hermitian PSD C0 with a sign-indefinite complex dC, PSD on [0, 1]."""
+def _random_real_family(n, seed):
+    """Real symmetric PSD C0 with a sign-indefinite real symmetric dC, PSD on [0, 1]."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    base = from_spectral_density(SpectralData(n, a @ a.conj().T / n + 0.2 * np.eye(n), 1.0))
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = h + h.conj().T
+    a = rng.normal(size=(n, n))
+    base = from_spectral_density(SpectralData(n, a @ a.T / n + 0.2 * np.eye(n), 1.0))
+    h = rng.normal(size=(n, n))
+    h = h + h.T
     lam_min = float(np.linalg.eigvalsh(base.c0)[0])
     return with_perturbation(base, 0.5 * lam_min * h / np.linalg.norm(h, 2), (0.0, 1.0))
 
 
 @pytest.fixture(scope="session")
-def random_complex_family():
-    """Factory (n, seed) -> seeded random complex-Hermitian family."""
-    return _random_complex_family
+def random_real_family():
+    """Factory (n, seed) -> seeded random real symmetric family."""
+    return _random_real_family

@@ -113,13 +113,25 @@ class TestSpectrum:
         assert out == spectrum_oracle_csv(fam, xi, config.config_line())
 
     def test_file_family_matches_pair_by_pair_oracle(self, tmp_path, capsys):
-        # Complex off-diagonals; a fixed channel, so the spectrum is taken at xi = 0.
+        # A fixed channel, so the spectrum is taken at xi = 0.
         path = tmp_path / "c.csv"
-        path.write_text("j,l,re,im\n0,0,1.0,0\n0,1,0.3,0.2\n0,2,0.1,-0.25\n1,1,0.9,0\n1,2,0.05,0.4\n2,2,1.2,0\n")
+        path.write_text("j,l,re,im\n0,0,1.0,0\n0,1,0.3,0\n0,2,0.1,0\n1,1,0.9,0\n1,2,0.05,0\n2,2,1.2,0\n")
         _, out = run_cli(["spectrum", "--family", f"file:{path}", "--gamma", "0.7"], capsys)
         fam = from_spectral_density(load_spectral_csv(path, gamma_ref=0.7))
         config = RunConfig(scenario="spectrum", family=f"file:{path}", gamma=0.7)
         assert out == spectrum_oracle_csv(fam, 0.0, config.config_line())
+
+    def test_complex_file_family_rejected(self, tmp_path, capsys):
+        # Hermitian but complex: spectrum refuses it, verify reports it.
+        path = tmp_path / "c.csv"
+        path.write_text("j,l,re,im\n0,0,1.0,0\n0,1,0.2,0.15\n1,1,1.0,0\n")
+        code, _ = run_cli(["spectrum", "--family", f"file:{path}"], capsys)
+        assert code == EXIT_CONFIG
+        code, out = run_cli(["verify", "--family", f"file:{path}"], capsys)
+        assert code == EXIT_TOLERANCE
+        status = {r[0]: r[1] for r in parse_csv(out)[2]}
+        assert status["file_family_valid"] == "FAIL"
+        assert "imaginary part" in out
 
     def test_malformed_file_exits_config(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -162,6 +174,14 @@ class TestEstimateScenario:
         assert clamped > 0
         failed_at = next(i for i, c in enumerate(comments) if c.startswith("# failed:"))
         assert comments[failed_at + 1] == f"# clamped: {clamped}"
+
+    def test_fewer_than_two_invertible_replicates_exits_config(self, capsys):
+        # One shot per replicate: replicate 0 sees a minus outcome and cannot be inverted.
+        code, out = run_cli(
+            ["estimate", "--n", "3", "--xi", "0.05", "--shots", "1", "--seeds", "2", "--seed", "0"], capsys
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
 
 
 class TestAdvantageScenario:

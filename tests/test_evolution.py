@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from corrnoise.evolution import (
     CoherencePair,
@@ -20,6 +21,7 @@ from corrnoise.evolution import (
     random_pure_density,
     rate_derivative_matrix,
     rate_matrix,
+    superoperator_matrix,
     superoperator_spectrum,
     validate_density_matrix,
 )
@@ -53,8 +55,6 @@ def superoperator_rate_oracle(family, xi, pair):
     dim = 2 ** family.n_qubits
     basis_op = np.zeros((dim, dim))
     basis_op[ia, ib] = 1.0
-    from corrnoise.evolution import superoperator_matrix
-
     sup = superoperator_matrix(family, xi)
     vec = basis_op.flatten(order="F")
     out = sup @ vec
@@ -230,6 +230,33 @@ class TestDrhoDxi:
             assert np.max(np.abs(exact - fd)) < 1e-8
 
 
+class TestGeneratorRoute:
+    """Propagation against its defining generator: expm of the dense superoperator."""
+
+    @staticmethod
+    def generator_evolve(rho, family, xi, t):
+        # superoperator_matrix acts on column-stacked operators.
+        out = expm(superoperator_matrix(family, xi) * t) @ rho.flatten(order="F")
+        return out.reshape(rho.shape, order="F")
+
+    def test_evolve_and_derivative_match_expm(self, random_real_family):
+        rng = np.random.default_rng(31)
+        fams = [single(), two(), nqb(3), random_real_family(2, 7), random_real_family(3, 8)]
+        h = 1e-5
+        for fam in fams:
+            dim = 2**fam.n_qubits
+            for xi in (0.05, 0.3):
+                for t in (0.1, 2.0):
+                    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+                    route = self.generator_evolve(rho, fam, xi, t)
+                    assert np.max(np.abs(evolve(rho, fam, xi, t) - route)) <= 1e-12
+                    up, down = (self.generator_evolve(rho, fam, xi + s, t) for s in (h, -h))
+                    fd = (up - down) / (2 * h)
+                    exact = drho_dxi(rho, fam, xi, t)
+                    assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+
+
 class TestCoherenceSpectrum:
     def test_single_qubit_has_one_pair(self):
         xi = 0.23
@@ -297,12 +324,12 @@ class TestCoherenceSpectrum:
                 assert len({rate for _, _, rate in members}) == 1
                 assert [idx for _, idx, _ in members] == sorted(idx for _, idx, _ in members)
 
-    def test_dense_rates_agree_with_class_rates(self, random_complex_family):
+    def test_dense_rates_agree_with_class_rates(self, random_real_family):
         # Per-pair loop oracle (gamma/4) sum_jl d_j d_l C_jl, summed exactly by
         # fsum: every pair for N <= 5, seeded pairs above.  The dense matrices
         # gather the class rates, so they equal the spectrum's rates bitwise.
         rng = np.random.default_rng(29)
-        fams = [single(), two()] + [nqb(n) for n in range(2, 9)] + [random_complex_family(n, n) for n in (3, 5)]
+        fams = [single(), two()] + [nqb(n) for n in range(2, 9)] + [random_real_family(n, n) for n in (3, 5)]
         for fam in fams:
             n = fam.n_qubits
             if n <= 5:

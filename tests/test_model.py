@@ -113,8 +113,8 @@ class TestSpectralDensity:
 
     def test_roundtrip_is_identity(self):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        c = a @ a.conj().T  # Hermitian PSD
+        a = rng.normal(size=(3, 3))
+        c = a @ a.T  # real symmetric PSD
         gamma = 0.7
         fam = from_spectral_density(SpectralData(3, (gamma / 2.0) * c, gamma))
         assert np.max(np.abs(fam.coefficient_matrix(0.0) - c)) < 1e-12
@@ -205,10 +205,16 @@ class TestSpectralCsv:
         return path
 
     def test_upper_triangle_parse(self, tmp_path):
-        path = self._write(tmp_path, "j,l,re,im\n0,0,0.5,0\n0,1,0.1,0.2\n1,1,0.5,0\n")
+        path = self._write(tmp_path, "j,l,re,im\n0,0,0.5,0\n0,1,0.1,0\n1,1,0.5,0\n")
         data = load_spectral_csv(path, gamma_ref=1.0)
-        expected = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
+        expected = np.array([[0.5, 0.1], [0.1, 0.5]])
         assert data.s_zero == pytest.approx(expected)
+
+    def test_imaginary_off_diagonal_rejected(self, tmp_path):
+        # Hermitian, but Im S adds a coherent term corrnoise does not model.
+        path = self._write(tmp_path, "j,l,re,im\n0,0,0.5,0\n0,1,0.1,0.2\n1,1,0.5,0\n")
+        with pytest.raises(FamilyValidationError, match="imaginary part"):
+            load_spectral_csv(path, gamma_ref=1.0)
 
     def test_unlisted_entries_default_to_zero(self, tmp_path):
         path = self._write(tmp_path, "j,l,re,im\n0,0,1.0,0\n2,2,1.0,0\n")

@@ -88,10 +88,10 @@ def exhaustive_pair_optimum(family, xi, regime, shot_peak):
 
 class TestOptimalCoherencePair:
     @pytest.mark.parametrize("regime", ["time", "shot"])
-    def test_matches_exhaustive_pair_loop(self, regime, shot_peak_constant, x_star, random_complex_family):
+    def test_matches_exhaustive_pair_loop(self, regime, shot_peak_constant, x_star, random_real_family):
         fams = [build_single_qubit(DOMAIN), build_two_qubit(DOMAIN)]
         fams += [build_n_qubit(n, DOMAIN) for n in range(2, 7)]
-        fams += [random_complex_family(n, 40 + n) for n in range(2, 7)]
+        fams += [random_real_family(n, 40 + n) for n in range(2, 7)]
         for fam in fams:
             for xi in (0.01, 0.3):
                 value, pair, g = exhaustive_pair_optimum(fam, xi, regime, shot_peak_constant)
@@ -198,18 +198,18 @@ class TestOptimalProductState:
             assert best.value == qfi_exact_value(probe.density(), fam, xi, best.time)
 
 
-def time_regime_families(random_complex_family):
+def time_regime_families(random_real_family):
     fams = [build_single_qubit(DOMAIN), build_two_qubit(DOMAIN)] + [build_n_qubit(n, DOMAIN) for n in range(2, 7)]
-    return fams + [random_complex_family(n, 60 + n) for n in range(1, 7)]
+    return fams + [random_real_family(n, 60 + n) for n in range(1, 7)]
 
 
 class TestTimeRegimeProductOptimum:
     # |+>^N is the time-regime product optimum by monotonicity of the SLD
     # metric; random probes and a free search must never beat it.
 
-    def test_random_probes_never_beat_plus_state(self, random_complex_family):
+    def test_random_probes_never_beat_plus_state(self, random_real_family):
         rng = np.random.default_rng(71)
-        for fam in time_regime_families(random_complex_family):
+        for fam in time_regime_families(random_real_family):
             n = fam.n_qubits
             for xi in (1e-3, 0.05, 0.5):
                 optimum = optimal_product_state(fam, xi, "time").best.value
@@ -219,9 +219,9 @@ class TestTimeRegimeProductOptimum:
                     probe = ProductState(thetas, rng.uniform(0.0, 2 * np.pi, size=n))
                     assert time_averaged_qfi_limit(probe, fam, xi).value <= optimum * (1.0 + 1e-12)
 
-    def test_nelder_mead_never_beats_plus_state(self, random_complex_family):
+    def test_nelder_mead_never_beats_plus_state(self, random_real_family):
         rng = np.random.default_rng(72)
-        for fam in time_regime_families(random_complex_family):
+        for fam in time_regime_families(random_real_family):
             for xi in (1e-3, 0.05):
                 optimum = optimal_product_state(fam, xi, "time").best.value
 

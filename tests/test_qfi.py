@@ -14,7 +14,14 @@ from corrnoise.evolution import (
     random_pure_density,
     rate_matrix,
 )
-from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
+from corrnoise.model import (
+    DephasingFamily,
+    FamilyValidationError,
+    build_n_qubit,
+    build_single_qubit,
+    build_two_qubit,
+    with_perturbation,
+)
 from corrnoise.qfi import (
     DivergentQfiError,
     ExtrapolationError,
@@ -271,16 +278,12 @@ class TestPureProbeLimit:
                     oracle, rtol = richardson_oracle(probe.density(), fam, xi)
                     assert exact.value == pytest.approx(oracle, rel=rtol)
 
-    def test_complex_hermitian_family_matches_richardson(self):
-        rng = np.random.default_rng(23)
+    def test_complex_hermitian_perturbation_rejected(self):
+        # Im dC adds a coherent term the decay-only propagation leaves out.
         base = build_n_qubit(3, DOMAIN)
         delta = base.delta_c + 0.05j * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
-        fam = with_perturbation(base, delta, DOMAIN)
-        for xi in (1e-2, 1e-1):
-            rho = random_pure_density(3, rng)
-            exact = time_averaged_qfi_limit(rho, fam, xi).value
-            oracle, rtol = richardson_oracle(rho, fam, xi)
-            assert exact == pytest.approx(oracle, rel=rtol)
+        with pytest.raises(FamilyValidationError, match="imaginary part"):
+            with_perturbation(base, delta, DOMAIN)
 
     def test_pair_states_match_pair_closed_form(self):
         for fam, xi in ((two(), 0.07), (build_n_qubit(3, DOMAIN), 0.03), (build_n_qubit(4, DOMAIN), 0.2)):
