@@ -79,6 +79,15 @@ class NoInformationError(ValueError):
     """The channel carries no dependence on xi at the requested probe."""
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output rounds, applied in place to the state words z."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> np.uint64(shift)
+        z *= mix
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of the SplitMix64 stream for ``seed``, mixed in place."""
     if count < 0 or offset < 0:
@@ -86,11 +95,7 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     z *= _GOLDEN
     z += np.uint64(seed & _MASK)
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        z ^= z >> np.uint64(shift)
-        z *= mix
-    z ^= z >> np.uint64(31)
-    return z
+    return _mix(z)
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -129,10 +134,15 @@ def count_uniforms_below(seed: int, count: int, p: float) -> int:
     if p > 1.0:
         return count
     threshold = np.uint64(_float_threshold(p))
-    return sum(
-        int(np.count_nonzero(splitmix64(seed, min(_CHUNK, count - start), start) < threshold))
-        for start in range(0, count, _CHUNK)
-    )
+    # Draw start + i has state seed + (start + i) * golden: the scaled index
+    # i * golden is built once, and each chunk adds its own start word.
+    scaled = np.arange(1, min(_CHUNK, count) + 1, dtype=np.uint64)
+    scaled *= _GOLDEN
+    total = 0
+    for start in range(0, count, _CHUNK):
+        z = scaled[: count - start] + np.uint64((seed + start * int(_GOLDEN)) & _MASK)
+        total += int(np.count_nonzero(_mix(z) < threshold))
+    return total
 
 
 @dataclass(frozen=True)

@@ -231,30 +231,34 @@ def rate_derivative_matrix(family: DephasingFamily) -> np.ndarray:
     return _dense_rates(family, None)
 
 
-def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> np.ndarray:
+def _times(t, rho0: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """t as float64 shaped to broadcast against the stack rho0; rejects t < 0 and a wrong state shape."""
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0.0):
+        raise ValueError(f"t must be >= 0, got {t}")
+    if rho0.shape[-2:] != rates.shape:
+        raise ValueError(f"state has shape {rho0.shape}, expected {rates.shape}")
+    return t[..., None, None]
+
+
+def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
     """Propagate rho0 for time t: entry (a, b) picks up exp(-rate_ab * t).
 
+    rho0 is one 2^N x 2^N state or a stack (..., 2^N, 2^N); t is a scalar or
+    an array that broadcasts against the stack's leading shape, one time per
+    state.  Each state of a stack propagates bit for bit as it would alone.
     Diagonal entries (and hence the trace) are preserved exactly.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
     rates = rate_matrix(family, xi)
     rho0 = np.asarray(rho0)
-    if rho0.shape != rates.shape:
-        raise ValueError(f"state has shape {rho0.shape}, expected {rates.shape}")
-    return rho0 * np.exp(-rates * t)
+    return rho0 * np.exp(-rates * _times(t, rho0, rates))
 
 
-def drho_dxi(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> np.ndarray:
-    """Exact xi-derivative of evolve(rho0, family, xi, t); traceless Hermitian."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+def drho_dxi(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
+    """Exact xi-derivative of evolve(rho0, family, xi, t), with the same stack shapes; traceless Hermitian."""
     rates = rate_matrix(family, xi)
     rho0 = np.asarray(rho0)
-    if rho0.shape != rates.shape:
-        raise ValueError(f"state has shape {rho0.shape}, expected {rates.shape}")
+    t = _times(t, rho0, rates)
     return (-t) * rate_derivative_matrix(family) * rho0 * np.exp(-rates * t)
 
 
@@ -374,18 +378,27 @@ class ProductState:
         return len(self.thetas)
 
     def statevector(self) -> np.ndarray:
-        half = np.array(self.thetas) / 2.0
-        amp1 = np.sin(half)
-        if any(p != 0.0 for p in self.phis):
-            amp1 = amp1 * np.exp(1j * np.array(self.phis))
-        factors = np.where(_spin_table(self.n_qubits) > 0.0, np.cos(half), amp1)
-        # Elementwise products over qubits, left to right as in a kron chain;
-        # np.prod's complex reduction rounds differently.
-        return reduce(np.multiply, factors.T)
+        return _product_vectors(np.array(self.thetas), np.array(self.phis))
 
     def density(self) -> np.ndarray:
         vec = self.statevector()
         return np.outer(vec, vec.conj())
+
+
+def _product_vectors(thetas: np.ndarray, phis: np.ndarray | None = None) -> np.ndarray:
+    """State vectors of product probes, one per row of polar angles: (..., N) -> (..., 2^N).
+
+    Qubit j is cos(theta_j/2)|0> + e^{i phi_j} sin(theta_j/2)|1>; phis = None
+    means all azimuths 0 and a real result.
+    """
+    half = np.asarray(thetas, dtype=np.float64) / 2.0
+    amp1 = np.sin(half)
+    if phis is not None and np.any(phis != 0.0):
+        amp1 = amp1 * np.exp(1j * phis)
+    factors = np.where(_spin_table(half.shape[-1]) > 0.0, np.cos(half)[..., None, :], amp1[..., None, :])
+    # Elementwise products over qubits, left to right as in a kron chain;
+    # np.prod's complex reduction rounds differently.
+    return reduce(np.multiply, np.moveaxis(factors, -1, 0))
 
 
 def plus_product(n_qubits: int) -> ProductState:

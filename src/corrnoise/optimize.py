@@ -20,6 +20,16 @@ map X -> K X K (+) K' X K', with K'^2 = 1 - K^2, is CPTP, and the SLD metric
 is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81 (1996)).
 So K = 1, the probe |+>^N, is optimal for every family.  Only the shot
 regime searches over product probes.
+
+The searches are written once, as ask/tell generators: ``_nelder_mead`` and
+``_time_scan`` yield the points they need and are sent back their values.
+``nelder_mead_max`` and ``maximize_over_time`` each drive one of them on a
+scalar function.  ``_lockstep`` drives many: every round, the pending points
+of all of them go to one evaluation.  The shot-regime product search uses it
+to score every multistart's points in one stacked ``qfi_exact_value`` call,
+split so that a stack holds at most ``_BATCH_ELEMENTS`` matrix elements.
+Stacked values equal single-state values bit for bit, so the order and
+grouping of evaluations never changes a result.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .evolution import (
     ResourceLimitError,
     _class_table,
     _decay_rates,
+    _product_vectors,
     plus_product,
 )
 from .model import DephasingFamily, build_n_qubit, build_two_qubit
@@ -57,6 +68,13 @@ GOLDEN_REL_TOL = 1e-6
 NM_XATOL = 1e-8
 NM_FATOL = 1e-10
 NM_MAX_ITER = 2000
+_NM_STEP = 0.35
+
+# Bound on the matrix elements one stacked QFI evaluation of the product
+# search holds: 32 states at N = 5, one at N >= 8.  It bounds memory: from
+# N = 5 on, eigh costs the same per state stacked or alone, so larger stacks
+# would add peak RSS and no speed.
+_BATCH_ELEMENTS = 1 << 15
 
 PRODUCT_MAX_QUBITS = 10
 PAIR_ENUM_MAX_QUBITS = 12
@@ -99,18 +117,46 @@ def _check_regime(regime: str) -> None:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
-def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, float]:
-    """Maximize eval_fn(t) on a positive bracket.
+def _lockstep(generators, evaluate) -> list:
+    """Drive ask/tell generators together and return their results in order.
 
-    Scans a 64-point log grid, then refines around the best grid point by
-    golden-section search to a relative t tolerance of 1e-6; returns the
-    better of grid and refined maxima as (t_star, value).
+    Each generator yields a list of points and is sent back a list of their
+    values.  Every round passes the pending points of all live generators to
+    one ``evaluate`` call, which returns their values in the same order.
     """
+    results = [None] * len(generators)
+    asks = {k: next(gen) for k, gen in enumerate(generators)}
+    while asks:
+        values = evaluate([x for points in asks.values() for x in points])
+        pending, pos = {}, 0
+        for k, points in asks.items():
+            try:
+                pending[k] = generators[k].send(values[pos : pos + len(points)])
+            except StopIteration as stop:
+                results[k] = stop.value
+            pos += len(points)
+        asks = pending
+    return results
+
+
+def _asking(gen, point):
+    """Wrap an ask/tell generator so that it asks for point(x) wherever ``gen`` asks for x."""
+    values = None
+    while True:
+        try:
+            xs = gen.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = yield [point(x) for x in xs]
+
+
+def _time_scan(bracket: tuple[float, float]):
+    """Ask/tell form of ``maximize_over_time``: yields lists of times, returns (t_star, value)."""
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < t_lo < t_hi):
         raise ValueError(f"bracket must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
     ts = np.geomspace(t_lo, t_hi, GRID_POINTS)
-    vals = [float(eval_fn(t)) for t in ts]
+    vals = [float(v) for v in (yield list(ts))]
     i = int(np.argmax(vals))
     best_t, best_v = float(ts[i]), vals[i]
 
@@ -119,20 +165,30 @@ def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, fl
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = float(eval_fn(c)), float(eval_fn(d))
+    fc, fd = (float(v) for v in (yield [c, d]))
     while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = float(eval_fn(c))
+            fc = float((yield [c])[0])
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = float(eval_fn(d))
+            fd = float((yield [d])[0])
         t_cand, v_cand = (c, fc) if fc >= fd else (d, fd)
         if v_cand > best_v:
             best_t, best_v = float(t_cand), v_cand
     return best_t, best_v
+
+
+def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, float]:
+    """Maximize eval_fn(t) on a positive bracket.
+
+    Scans a 64-point log grid, then refines around the best grid point by
+    golden-section search to a relative t tolerance of 1e-6; returns the
+    better of grid and refined maxima as (t_star, value).
+    """
+    return _lockstep([_time_scan(bracket)], lambda ts: [eval_fn(t) for t in ts])[0]
 
 
 def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, float]:
@@ -145,13 +201,8 @@ def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, flo
     return TIME_BRACKET_SPAN[0] / slow, TIME_BRACKET_SPAN[1] / slow
 
 
-def nelder_mead_max(fn, x0: np.ndarray, step: float = 0.35) -> tuple[np.ndarray, float, bool, int]:
-    """Derivative-free simplex maximization of fn.
-
-    Classic reflection/expansion/contraction/shrink moves.  Terminates when
-    the simplex diameter falls below 1e-8 or the value spread below 1e-10,
-    with a 2000-iteration cap.  Returns (x_best, f_best, converged, n_eval).
-    """
+def _nelder_mead(x0: np.ndarray, step: float):
+    """Ask/tell form of ``nelder_mead_max``: yields lists of points, returns its result tuple."""
     alpha, gamma_e, rho_c, sigma_s = 1.0, 2.0, 0.5, 0.5
     x0 = np.asarray(x0, dtype=np.float64)
     dim = x0.size
@@ -160,41 +211,72 @@ def nelder_mead_max(fn, x0: np.ndarray, step: float = 0.35) -> tuple[np.ndarray,
         x = x0.copy()
         x[j] += step
         simplex.append(x)
-    values = [float(fn(x)) for x in simplex]
+    values = [float(v) for v in (yield list(simplex))]
     n_eval = dim + 1
     converged = False
     for _ in range(NM_MAX_ITER):
         order = np.argsort(values)[::-1]
         simplex = [simplex[k] for k in order]
         values = [values[k] for k in order]
-        diameter = max(float(np.max(np.abs(s - simplex[0]))) for s in simplex[1:])
+        diameter = float(np.max(np.abs(np.array(simplex[1:]) - simplex[0])))
         if diameter <= NM_XATOL or abs(values[0] - values[-1]) <= NM_FATOL:
             converged = True
             break
         centroid = np.mean(simplex[:-1], axis=0)
         xr = centroid + alpha * (centroid - simplex[-1])
-        fr = float(fn(xr))
+        fr = float((yield [xr])[0])
         n_eval += 1
         if fr > values[0]:
             xe = centroid + gamma_e * (centroid - simplex[-1])
-            fe = float(fn(xe))
+            fe = float((yield [xe])[0])
             n_eval += 1
             simplex[-1], values[-1] = (xe, fe) if fe > fr else (xr, fr)
         elif fr > values[-2]:
             simplex[-1], values[-1] = xr, fr
         else:
             xc = centroid + rho_c * (simplex[-1] - centroid)
-            fc = float(fn(xc))
+            fc = float((yield [xc])[0])
             n_eval += 1
             if fc > values[-1]:
                 simplex[-1], values[-1] = xc, fc
             else:
                 for k in range(1, dim + 1):
                     simplex[k] = simplex[0] + sigma_s * (simplex[k] - simplex[0])
-                    values[k] = float(fn(simplex[k]))
+                values[1:] = [float(v) for v in (yield simplex[1:])]
                 n_eval += dim
     order = np.argsort(values)[::-1]
     return simplex[order[0]].copy(), values[order[0]], converged, n_eval
+
+
+def nelder_mead_max(fn, x0: np.ndarray, step: float = _NM_STEP) -> tuple[np.ndarray, float, bool, int]:
+    """Derivative-free simplex maximization of fn.
+
+    Classic reflection/expansion/contraction/shrink moves.  Terminates when
+    the simplex diameter falls below 1e-8 or the value spread below 1e-10,
+    with a 2000-iteration cap.  Returns (x_best, f_best, converged, n_eval).
+    """
+    return _lockstep([_nelder_mead(x0, step)], lambda xs: [fn(x) for x in xs])[0]
+
+
+def _coordinate_sweep(theta: np.ndarray):
+    """One pass of a 9-point-per-axis sweep over [0, pi] from theta, keeping strict improvements.
+
+    Ask/tell: yields lists of angle vectors, returns the best one.  The
+    candidates of one axis differ from the current best only on that axis, so
+    they are asked for together.
+    """
+    grid = np.linspace(0.0, np.pi, 9)
+    best = float((yield [theta])[0])
+    for axis in range(theta.size):
+        trials = []
+        for cand in grid:
+            trial = theta.copy()
+            trial[axis] = cand
+            trials.append(trial)
+        for trial, v in zip(trials, (yield trials)):
+            if float(v) > best:
+                best, theta = float(v), trial
+    return theta
 
 
 def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> QfiResult:
@@ -246,9 +328,16 @@ def optimal_product_state(
     Shot regime: runs 8 + 2N Nelder-Mead multistarts, joint over the polar
     angles and log t (the all-pi/2 probe plus uniform-random starts), with a
     9-point-per-axis coordinate sweep as a grid fallback, and finishes each
-    candidate with ``maximize_over_time``.
-    The multistarts run one after another in start order, and the merge is
-    a deterministic reduction, so a fixed seed implies a bit-identical report.
+    candidate with the ``maximize_over_time`` scan.  |+>^N is scored with its
+    own scan and replaces the merged best only when strictly better, so the
+    report is never below it.
+    The multistarts and the sweep run in lockstep, then all time scans do:
+    each round is one stacked QFI evaluation of every pending point, in
+    stacks of at most ``_BATCH_ELEMENTS`` matrix elements (32 states at
+    N = 5, one at N >= 8), and no ProductState is built per point.  Stacked
+    values equal single-state values bit for bit, and the merge is a
+    deterministic reduction, so a fixed seed implies a bit-identical report,
+    the same as running the starts one after another.
     """
     _check_regime(regime)
     n = family.n_qubits
@@ -266,37 +355,41 @@ def optimal_product_state(
     start_logts = [np.log(t_heuristic)]
     start_logts.extend(rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1))
 
-    def value_at(theta: np.ndarray, t: float) -> float:
-        return qfi_exact_value(ProductState.polar(_fold_theta(theta)).density(), family, xi, t)
+    chunk = max(1, _BATCH_ELEMENTS // 4**n)
 
-    def nm_objective(z: np.ndarray) -> float:
-        return value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi))))
+    def evaluate(points: list) -> list:
+        """QFI at (theta, t) points, in stacks of at most ``chunk`` states."""
+        thetas = _fold_theta(np.array([theta for theta, _ in points]))
+        ts = np.array([t for _, t in points])
+        values = []
+        for lo in range(0, len(points), chunk):
+            vec = _product_vectors(thetas[lo : lo + chunk])  # real: every azimuth is 0
+            values.extend(qfi_exact_value(vec[:, :, None] * vec[:, None, :], family, xi, ts[lo : lo + chunk]))
+        return values
 
-    def finish(theta: np.ndarray, converged: bool) -> tuple[float, tuple[float, ...], np.ndarray, float, bool]:
-        t_star, val = maximize_over_time(lambda t: value_at(theta, t), bracket)
-        return val, _theta_key(theta), theta, t_star, converged
+    def nm_point(z: np.ndarray) -> tuple:
+        return z[:-1], np.exp(np.clip(z[-1], log_lo, log_hi))
 
-    def run_start(k: int) -> tuple[float, tuple[float, ...], np.ndarray, float, bool]:
-        x, _, converged, _ = nelder_mead_max(nm_objective, np.concatenate([starts[k], [start_logts[k]]]))
-        return finish(_fold_theta(x[:n]), converged)
-
-    results = [run_start(k) for k in range(n_starts)]
-
+    searches = [
+        _asking(_nelder_mead(np.concatenate([starts[k], [start_logts[k]]]), _NM_STEP), nm_point)
+        for k in range(n_starts)
+    ]
     # 9-point-per-axis coordinate sweep at t_heuristic, one pass from the all-pi/2 probe.
-    grid = np.linspace(0.0, np.pi, 9)
-    theta_g = np.full(n, np.pi / 2.0)
-    val_g = value_at(theta_g, t_heuristic)
-    for axis in range(n):
-        for cand in grid:
-            trial = theta_g.copy()
-            trial[axis] = cand
-            v = value_at(trial, t_heuristic)
-            if v > val_g:
-                val_g, theta_g = v, trial
-    grid_result = finish(theta_g, True)
+    sweep = _asking(_coordinate_sweep(np.full(n, np.pi / 2.0)), lambda theta: (theta, t_heuristic))
+    *found, theta_g = _lockstep(searches + [sweep], evaluate)
+    # Every candidate, |+>^N last, finishes with its own time scan.
+    thetas = [_fold_theta(x[:n]) for x, _, _, _ in found] + [theta_g, np.full(n, np.pi / 2.0)]
+    scans = _lockstep([_asking(_time_scan(bracket), lambda t, th=th: (th, t)) for th in thetas], evaluate)
+    converged = [c for _, _, c, _ in found] + [True, True]
+    candidates = [(val, _theta_key(th), th, t_star, c) for th, (t_star, val), c in zip(thetas, scans, converged)]
+    *results, grid_result, plus = candidates
 
     # Deterministic merge: maximize value, break ties on the angle encoding.
+    # |+>^N replaces the search's best only when strictly better, so the
+    # report is never below it and a tie keeps the search's report.
     best = max(results + [grid_result], key=lambda r: (r[0], tuple(-x for x in r[1])))
+    if plus[0] > best[0]:
+        best = plus
     grid_fallback_used = best is grid_result and all(r[0] < grid_result[0] for r in results)
     converged_fraction = sum(1 for r in results if r[4]) / n_starts
     result = QfiResult(best[0], PER_SHOT, best[3], ProductState.polar(best[2]))

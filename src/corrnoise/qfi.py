@@ -172,15 +172,20 @@ class QfiResult:
             raise ValueError(f"time must be >= 0, got {self.time}")
 
 
-def _check_qfi_inputs(family: DephasingFamily, xi: float, t: float) -> None:
-    if not t > 0.0:
+def _check_qfi_inputs(family: DephasingFamily, xi: float, t) -> None:
+    if not np.all(np.asarray(t) > 0.0):
         raise ValueError(f"t must be > 0, got {t}")
     if not family.is_interior(xi):
         raise ValueError(f"xi={xi} must lie strictly inside the family domain {family.xi_domain}")
 
 
-def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> float:
-    """Per-shot QFI: the SLD sum ``_sld_rate`` of the propagated state and its exact xi-derivative."""
+def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> "float | np.ndarray":
+    """Per-shot QFI: the SLD sum ``_sld_rate`` of the propagated state and its exact xi-derivative.
+
+    One state and a scalar t give a float.  A stack of states (..., 2^N, 2^N),
+    with t a scalar or an array broadcasting against its leading shape, gives
+    an array of that shape, each item bit for bit its single-state value.
+    """
     _check_qfi_inputs(family, xi, t)
     return _sld_rate(evolve(rho0, family, xi, t), drho_dxi(rho0, family, xi, t))
 
@@ -254,7 +259,7 @@ def richardson_limit(rho0: np.ndarray, family: DephasingFamily, xi: float, level
     )
 
 
-def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> float:
+def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> "float | np.ndarray":
     """SLD QFI 2 sum_jk |a_jk|^2 / (lambda_j + lambda_k) of a PSD matrix m and its xi-derivative m_prime.
 
     m is a propagated state (per-shot F_Q) or the compressed O(t) weight
@@ -264,22 +269,32 @@ def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> float:
     the other's eigenvalue; a term with both diverges, so derivative weight
     there above DARK_RTOL of the total raises DivergentQfiError instead of
     being dropped.
+
+    One d x d pair gives a float.  Stacks (..., d, d) give an array of the
+    leading shape, each item bit for bit its single-pair value: the stack
+    goes through one ``eigh`` call, and the kernel policy applies per item.
     """
-    lam, u = np.linalg.eigh(m)
-    weight = np.abs(u.conj().T @ m_prime @ u) ** 2
-    floor = KERNEL_RTOL * lam[-1]
-    if lam[0] > floor:
-        return 2.0 * float((weight / (lam[:, None] + lam[None, :])).sum())
-    lam = np.where(lam > floor, lam, 0.0)
-    denom = lam[:, None] + lam[None, :]
-    dark = denom == 0.0
-    if weight[dark].sum() > DARK_RTOL * weight.sum():
-        raise DivergentQfiError(
-            f"{weight[dark].sum() / weight.sum():.3e} of the derivative weight sits in the numerical kernel"
-            f" (eigenvalues <= {KERNEL_RTOL:g} of the largest): the probe senses a dark coherence,"
-            " or t is too small to resolve its decay"
-        )
-    return 2.0 * float((weight[~dark] / denom[~dark]).sum())
+    shape, d = m.shape[:-2], m.shape[-1]
+    lam, u = np.linalg.eigh(m.reshape(-1, d, d))
+    weight = np.abs(np.swapaxes(u.conj(), -1, -2) @ m_prime.reshape(-1, d, d) @ u) ** 2
+    floor = KERNEL_RTOL * lam[:, -1]
+    clean = lam[:, 0] > floor
+    rates = np.empty(len(lam))
+    lc = lam[clean]
+    rates[clean] = 2.0 * (weight[clean] / (lc[:, :, None] + lc[:, None, :])).reshape(len(lc), d * d).sum(axis=1)
+    for k in np.flatnonzero(~clean):
+        lk = np.where(lam[k] > floor[k], lam[k], 0.0)
+        denom = lk[:, None] + lk[None, :]
+        dark = denom == 0.0
+        wk = weight[k]
+        if wk[dark].sum() > DARK_RTOL * wk.sum():
+            raise DivergentQfiError(
+                f"{wk[dark].sum() / wk.sum():.3e} of the derivative weight sits in the numerical kernel"
+                f" (eigenvalues <= {KERNEL_RTOL:g} of the largest): the probe senses a dark coherence,"
+                " or t is too small to resolve its decay"
+            )
+        rates[k] = 2.0 * (wk[~dark] / denom[~dark]).sum()
+    return float(rates[0]) if not shape else rates.reshape(shape)
 
 
 def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: DephasingFamily, xi: float) -> QfiResult:

@@ -194,6 +194,29 @@ class TestAdvantageScenario:
         assert float(row["entangled"]) == pytest.approx(shot_peak_constant / 0.01**2, rel=1e-9)
         assert float(row["ratio"]) == pytest.approx(4.0, rel=0.05)
 
+    # Data rows of `advantage --regime shot`, recorded before the product
+    # search ran its multistarts in lockstep; a speed change keeps them.
+    GOLDEN_SHOT_ROWS = {
+        ("4.7e-3", "3", 2): "2,0.0047000000000000002,shot,7329.2240594375799,3664.6120297187567,2.0000000000000182,"
+        "01|10,1.5707963267948966;1.5707963267948966",
+        ("4.7e-3", "3", 3): "3,0.0047000000000000002,shot,7329.2240594372342,1832.3060148592931,4.0000000000000338,"
+        "000|111,1.5707963267948966;1.5707963267948966;1.5707963267948966",
+        ("4.7e-3", "3", 4): "4,0.0047000000000000002,shot,7329.2240594374271,916.15300742967008,8.0000000000000728,"
+        "0000|1111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966",
+        ("0.2", "1", 2): "2,0.20000000000000001,shot,4.0475639868244695,2.0362956477593199,1.9877093934165653,"
+        "01|10,1.5707963267948966;1.5707963267948966",
+        ("0.2", "1", 3): "3,0.20000000000000001,shot,4.0475639868244651,1.1622754437088871,3.4824481655643158,"
+        "000|111,1.5707963267948966;1.5707963267948966;1.5707963267948966",
+        ("0.2", "1", 4): "4,0.20000000000000001,shot,4.0475639868244677,0.78141189665557953,5.1798085032336019,"
+        "0000|1111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966",
+    }
+
+    @pytest.mark.parametrize("xi, seed, n", list(GOLDEN_SHOT_ROWS))
+    def test_shot_rows_are_golden(self, xi, seed, n, capsys):
+        code, out = run_cli(["advantage", "--n", str(n), "--xi", xi, "--seed", seed, "--regime", "shot"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[2:] == [self.GOLDEN_SHOT_ROWS[xi, seed, n]]
+
     def test_gamma_scales_time_regime_optima(self, capsys):
         # The time-regime optima are rates, so they scale with gamma; their ratio does not.
         rows = []

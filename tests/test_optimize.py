@@ -6,6 +6,7 @@ import pytest
 from corrnoise.evolution import CoherencePair, ProductState, ghz_pair, plus_product
 from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import (
+    TIME_BRACKET_SPAN,
     _fold_theta,
     advantage_ratio,
     default_time_bracket,
@@ -20,6 +21,7 @@ from corrnoise.qfi import (
     coherence_pair_qfi_shot,
     coherence_pair_qfi_timeavg,
     qfi_exact_value,
+    shot_optimum_x,
     time_averaged_qfi_limit,
 )
 
@@ -196,6 +198,79 @@ class TestOptimalProductState:
             assert best.value == time_averaged_qfi_limit(probe, fam, xi).value
         else:
             assert best.value == qfi_exact_value(probe.density(), fam, xi, best.time)
+
+
+def sequential_shot_search(family, xi, seed):
+    """Loop oracle for the shot-regime product search: the multistarts one
+    after another, one ProductState and one QFI call per point, then the
+    coordinate sweep, the merge, and |+>^N when strictly better.
+
+    Returns (value, t, thetas, converged_fraction, grid_fallback_used).
+    """
+    n = family.n_qubits
+    rng = np.random.default_rng(seed)
+    n_starts = 8 + 2 * n
+    starts = [np.full(n, np.pi / 2.0)]
+    starts.extend(rng.uniform(0.0, np.pi, size=n) for _ in range(n_starts - 1))
+    bracket = default_time_bracket(family, xi)
+    log_lo, log_hi = np.log(bracket[0]), np.log(bracket[1])
+    t_heuristic = min(max(shot_optimum_x() * bracket[0] / TIME_BRACKET_SPAN[0], bracket[0]), bracket[1])
+    start_logts = [np.log(t_heuristic)]
+    start_logts.extend(rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1))
+
+    def value_at(theta, t):
+        return qfi_exact_value(ProductState.polar(_fold_theta(theta)).density(), family, xi, t)
+
+    def finish(theta, converged):
+        t_star, val = maximize_over_time(lambda t: value_at(theta, t), bracket)
+        return val, tuple(float(x) for x in np.round(theta, 12)), theta, t_star, converged
+
+    results = []
+    for k in range(n_starts):
+        z0 = np.concatenate([starts[k], [start_logts[k]]])
+        x, _, converged, _ = nelder_mead_max(
+            lambda z: value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi)))), z0
+        )
+        results.append(finish(_fold_theta(x[:n]), converged))
+    theta_g = np.full(n, np.pi / 2.0)
+    val_g = value_at(theta_g, t_heuristic)
+    for axis in range(n):
+        for cand in np.linspace(0.0, np.pi, 9):
+            trial = theta_g.copy()
+            trial[axis] = cand
+            v = value_at(trial, t_heuristic)
+            if v > val_g:
+                val_g, theta_g = v, trial
+    grid_result = finish(theta_g, True)
+    best = max(results + [grid_result], key=lambda r: (r[0], tuple(-x for x in r[1])))
+    plus = finish(np.full(n, np.pi / 2.0), True)
+    if plus[0] > best[0]:
+        best = plus
+    fallback = best is grid_result and all(r[0] < grid_result[0] for r in results)
+    return best[0], best[3], tuple(float(x) for x in best[2]), sum(r[4] for r in results) / n_starts, fallback
+
+
+class TestShotRegimeProductSearch:
+    # Random real families at N = 2 and 3 (family seed), and the collective family at N = 4 (None).
+    @pytest.mark.parametrize(
+        "n, fam_seed, xi, seed", [(2, 9, 0.6, 5), (3, 4, 0.01, 1), (3, 11, 0.881, 2), (4, None, 4.7e-3, 3)]
+    )
+    def test_lockstep_matches_sequential_loop_bitwise(self, n, fam_seed, xi, seed, random_real_family):
+        fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
+        report = optimal_product_state(fam, xi, "shot", seed=seed)
+        best = report.best
+        got = (best.value, best.time, best.probe.thetas, report.converged_fraction, report.grid_fallback_used)
+        assert got == sequential_shot_search(fam, xi, seed)
+
+    @pytest.mark.parametrize("xi", [0.5, 0.881, 0.95])
+    def test_never_below_plus_state(self, xi, random_real_family):
+        # |+>^N, with its own time scan, is one more candidate of the merge.
+        for fam_seed in range(3):
+            fam = random_real_family(3, fam_seed)
+            plus = plus_product(3).density()
+            bracket = default_time_bracket(fam, xi)
+            _, plus_value = maximize_over_time(lambda t: qfi_exact_value(plus, fam, xi, t), bracket)
+            assert optimal_product_state(fam, xi, "shot", seed=fam_seed).best.value >= plus_value
 
 
 def time_regime_families(random_real_family):

@@ -6,6 +6,7 @@ import pytest
 from corrnoise.evolution import (
     CoherencePair,
     ProductState,
+    drho_dxi,
     evolve,
     ghz_density,
     ghz_pair,
@@ -23,6 +24,7 @@ from corrnoise.model import (
     with_perturbation,
 )
 from corrnoise.qfi import (
+    KERNEL_RTOL,
     DivergentQfiError,
     ExtrapolationError,
     bures_distance_sq,
@@ -38,6 +40,7 @@ from corrnoise.qfi import (
     shot_optimum_x,
     time_averaged_qfi,
     time_averaged_qfi_limit,
+    _sld_rate,
 )
 
 DOMAIN = (1e-6, 1.0)
@@ -405,6 +408,33 @@ class TestSldKernel:
     def test_unresolved_t_raises_instead_of_dropping_weight(self):
         with pytest.raises(DivergentQfiError, match="too small"):
             qfi_exact_value(self.PROBE.density(), two(), self.XI, 1e-9)
+
+    @pytest.mark.parametrize("n, t_unresolved", [(2, 1e-9), (3, 1e-12)])
+    def test_stack_matches_single_calls_bitwise(self, n, t_unresolved, random_real_family):
+        # A stack goes through one eigh call, but every item keeps the bits
+        # and the kernel policy of its own call.  Item 0 is the probe above,
+        # one qubit added at N = 3: at t = 1e-8 it hits the kernel floor, at
+        # t_unresolved it raises.
+        fam, rng = random_real_family(n, 8) if n == 3 else two(), np.random.default_rng(40 + n)
+        dim = 2**n
+        g = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        mixed = [x @ x.conj().T / np.trace(x @ x.conj().T).real for x in g]
+        probes = [ProductState.polar((0.3, 2.9, 1.1)[:n])] + [ProductState.polar(rng.uniform(0, np.pi, n)) for _ in range(4)]
+        rhos = np.array([p.density() for p in probes] + mixed)
+        ts = np.concatenate([[1e-8], np.exp(rng.uniform(-2.0, 4.0, size=len(rhos) - 1))])
+        states, derivs = evolve(rhos, fam, self.XI, ts), drho_dxi(rhos, fam, self.XI, ts)
+        lam = np.linalg.eigvalsh(states[0])
+        assert lam[0] <= KERNEL_RTOL * lam[-1]
+        singles = [qfi_exact_value(rho, fam, self.XI, t) for rho, t in zip(rhos, ts)]
+        for k, (rho, t) in enumerate(zip(rhos, ts)):
+            assert np.array_equal(states[k], evolve(rho, fam, self.XI, t))
+            assert np.array_equal(derivs[k], drho_dxi(rho, fam, self.XI, t))
+            assert type(singles[k]) is float and _sld_rate(states[k], derivs[k]) == singles[k]
+        assert _sld_rate(states, derivs).tolist() == singles
+        shaped = qfi_exact_value(rhos.reshape(2, 5, dim, dim), fam, self.XI, ts.reshape(2, 5))
+        assert shaped.shape == (2, 5) and shaped.ravel().tolist() == singles
+        with pytest.raises(DivergentQfiError, match="too small"):
+            qfi_exact_value(rhos, fam, self.XI, np.concatenate([[t_unresolved], ts[1:]]))
 
 
 class TestCoherencePairQfi:
