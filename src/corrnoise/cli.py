@@ -22,14 +22,17 @@ Exit codes: 0 success, 1 tolerance breach / failed verification,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .estimation import replication_study, shot_uncertainty
-from .evolution import ResourceLimitError, coherence_spectrum, ghz_pair, plus_product
+from .estimation import _peak_uncertainty, replication_study
+from .evolution import CoherenceSpectrum, ResourceLimitError, coherence_spectrum, ghz_pair, plus_product
 from .model import (
     DephasingFamily,
     FamilyValidationError,
@@ -52,6 +55,9 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+# Rows per spectrum output chunk: about 3 MB of text at N = 12.
+SPECTRUM_CHUNK_ROWS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -84,13 +90,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(out: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
-    with open(out, "w", newline="") as fh:
-        fh.write(text)
+def _write_csv(out: str | None, lines: Iterable[str]) -> None:
+    """Write each item of ``lines`` and a newline, as the items come.
+
+    An item is one line or a chunk of lines joined by newlines, so a long
+    table reaches the output without ever being held whole.
+    """
+    with open(out, "w", newline="") if out not in (None, "-") else contextlib.nullcontext(sys.stdout) as fh:
+        for item in lines:
+            fh.write(item)
+            fh.write("\n")
 
 
 def _build_family(config: RunConfig) -> DephasingFamily:
@@ -165,12 +174,12 @@ def run_estimate(config: RunConfig) -> tuple[list[str], int]:
     """Replication study for GHZ-pair sensing on the collective family."""
     family = family_for_ratio(config.n, config.xi, gamma=config.gamma)
     pair = ghz_pair(config.n)
-    t = coherence_pair_qfi_shot_peak(family, config.xi, pair).time
-    study = replication_study(family, config.xi, pair, t, config.shots, config.seeds, config.seed)
+    peak = coherence_pair_qfi_shot_peak(family, config.xi, pair)
+    study = replication_study(family, config.xi, pair, peak.time, config.shots, config.seeds, config.seed)
     lines = [
         config.config_line(),
-        f"# t: {_fmt(t)}",
-        f"# crb_std: {_fmt(shot_uncertainty(family, config.xi, pair, config.shots))}",
+        f"# t: {_fmt(peak.time)}",
+        f"# crb_std: {_fmt(_peak_uncertainty(peak, config.shots))}",
         f"# empirical_std: {_fmt(study.empirical_std)}",
         f"# mean_bias: {_fmt(study.mean_bias)}",
         f"# failed: {study.n_failed}",
@@ -183,16 +192,46 @@ def run_estimate(config: RunConfig) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
-def run_spectrum(config: RunConfig) -> tuple[list[str], int]:
+def _spectrum_rows(spectrum: CoherenceSpectrum) -> Iterator[str]:
+    """The spectrum's ``alpha,beta,rate`` rows, in chunks of at most ``SPECTRUM_CHUNK_ROWS``.
+
+    Each run of bit-equal rates is formatted once (comparing bits keeps 0.0
+    and -0.0 apart, which compare equal but print differently).  A row is
+    gathered from a per-N table of "bitstring," labels (qubit 0 = MSB, as in
+    CoherencePair.label) and the run's text, NUL-padded to one width; the
+    padding is deleted from each chunk.
+    """
+    n = spectrum.n_qubits
+    labels = np.full((2**n, n + 1), ord(","), dtype=np.uint8)
+    labels[:, :n] = ord("0") + ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    labels = labels.view(f"S{n + 1}").ravel()
+    bits = spectrum.rate.view(np.uint64)
+    run_start = np.concatenate([[True], bits[1:] != bits[:-1]])
+    texts = np.array([f"{_fmt(r)}\n".encode() for r in spectrum.rate[run_start].tolist()])
+    row = np.dtype([("alpha", labels.dtype), ("beta", labels.dtype), ("rate", texts.dtype)])
+    runs_begun = 0
+    for lo in range(0, len(bits), SPECTRUM_CHUNK_ROWS):
+        chunk = slice(lo, lo + SPECTRUM_CHUNK_ROWS)
+        run = np.cumsum(run_start[chunk]) + (runs_begun - 1)
+        runs_begun = int(run[-1]) + 1
+        block = np.empty(len(run), dtype=row)
+        block["alpha"] = labels[spectrum.alpha_index[chunk]]
+        block["beta"] = labels[spectrum.beta_index[chunk]]
+        block["rate"] = texts[run]
+        yield block.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+
+
+def run_spectrum(config: RunConfig) -> tuple[Iterable[str], int]:
+    """Coherence decay-rate spectrum, one ``alpha,beta,rate`` row per canonical pair, ascending by rate.
+
+    The spectrum arrays are built here, so their errors raise before any
+    output; the rows are formatted as the writer consumes them.
+    """
     family = _build_family(config)
     xi = config.xi if family.contains(config.xi) else family.xi_domain[0]
     spectrum = coherence_spectrum(family, xi)
-    # Basis index -> bitstring label, qubit 0 = MSB (as in CoherencePair.label).
-    bits = [format(i, f"0{family.n_qubits}b") for i in range(2**family.n_qubits)]
-    lines = [config.config_line(), f"# xi: {_fmt(xi)}", "alpha,beta,rate"]
-    rows = zip(spectrum.alpha_index.tolist(), spectrum.beta_index.tolist(), spectrum.rate.tolist())
-    lines.extend(f"{bits[a]},{bits[b]},{_fmt(r)}" for a, b, r in rows)
-    return lines, EXIT_OK
+    header = [config.config_line(), f"# xi: {_fmt(xi)}", "alpha,beta,rate"]
+    return itertools.chain(header, _spectrum_rows(spectrum)), EXIT_OK
 
 
 def run_verify_scenario(config: RunConfig) -> tuple[list[str], int]:

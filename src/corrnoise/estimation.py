@@ -50,7 +50,7 @@ import numpy as np
 from .evolution import CoherencePair, _pair_diff, _rate_form, decay_rate, ghz_pair
 from .model import DephasingFamily
 from .optimize import dynamical_range_threshold
-from .qfi import DivergentQfiError, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
+from .qfi import DivergentQfiError, QfiResult, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -216,9 +216,13 @@ def shot_uncertainty(family: DephasingFamily, xi: float, pair: CoherencePair, sh
     """Cramer-Rao uncertainty [M * max_t F_Q]^{-1/2} for one coherence pair."""
     if shots <= 0:
         raise ValueError(f"shots must be > 0, got {shots}")
-    peak = coherence_pair_qfi_shot_peak(family, xi, pair)
+    return _peak_uncertainty(coherence_pair_qfi_shot_peak(family, xi, pair), shots)
+
+
+def _peak_uncertainty(peak: QfiResult, shots: int) -> float:
+    """[M * F_peak]^{-1/2} from a pair's ``coherence_pair_qfi_shot_peak`` result, for M = shots > 0."""
     if peak.value == 0.0:
-        raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
+        raise NoInformationError(f"pair {peak.probe.label} carries no information about xi (G' = 0)")
     return 1.0 / math.sqrt(shots * peak.value)
 
 

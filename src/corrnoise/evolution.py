@@ -267,9 +267,11 @@ class CoherenceSpectrum(Sequence):
     """Canonical coherence pairs of an N-qubit family, ascending by rate.
 
     Three read-only arrays of equal length: the basis indices of each pair's
-    alpha and beta (alpha_index < beta_index) and its decay rate.  Indexing
-    builds the ``(CoherencePair, rate)`` entry on demand, so the spectrum
-    also reads as a sequence of pairs.
+    alpha and beta (alpha_index < beta_index) and its decay rate (float64).
+    The index arrays have the smallest unsigned integer dtype that holds
+    2^N - 1: uint8 up to N = 8, uint16 above.  Indexing builds the
+    ``(CoherencePair, rate)`` entry on demand, so the spectrum also reads as
+    a sequence of pairs.
     """
 
     n_qubits: int
@@ -285,13 +287,26 @@ class CoherenceSpectrum(Sequence):
         return pair, float(self.rate[k])
 
 
+def _pair_classes(ternary: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Class row ternary[ib] - ternary[ia] - 1 of each pair, as int32 (3^12 < 2^31)."""
+    classes = ternary[ib]
+    classes -= ternary[ia]
+    classes -= 1
+    return classes
+
+
 def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
     """All canonical coherence pairs with decay rates, ascending by rate.
 
-    Pairs of one difference class tie exactly, and ties break in lexicographic
-    pair order.  The result holds index and rate arrays; pair objects are
-    built only when an entry is read.  Guarded at N <= 12: the enumeration
-    holds 2^N(2^N - 1)/2 pairs.
+    Pairs of one difference class tie exactly, and ties (within a class or
+    across classes of equal rate) break in lexicographic pair order.  The
+    sort key is each pair's class-rate rank, not its float rate: an unsigned
+    integer of 8 or 16 bits, which numpy sorts stably by radix, or of 32 bits
+    past 65,536 distinct rates.  The order is the one a stable sort of the
+    rates gives.  The result holds index and rate arrays
+    (see ``CoherenceSpectrum`` for their dtypes); pair objects are built
+    only when an entry is read.  Guarded at N <= 12: the enumeration holds
+    2^N(2^N - 1)/2 pairs.
     """
     n = family.n_qubits
     if n > SPECTRUM_MAX_QUBITS:
@@ -299,11 +314,22 @@ def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
             f"coherence_spectrum enumerates ~4^N/2 pairs; n_qubits={n} exceeds the guard {SPECTRUM_MAX_QUBITS}"
         )
     diffs, _, ternary = _class_table(n)
-    ia, ib = np.triu_indices(2**n, k=1)
-    vals = _decay_rates(family, xi, diffs)[ternary[ib] - ternary[ia] - 1]
-    # triu_indices lists pairs in lexicographic order, which a stable sort keeps for ties.
-    order = np.argsort(vals, kind="stable")
-    arrays = ia[order], ib[order], vals[order]
+    ternary = ternary.astype(np.int32)
+    class_rates = _decay_rates(family, xi, diffs)
+    # Equal rates (0.0 and -0.0 too) share a rank, as they tie in a float sort.
+    _, rank = np.unique(class_rates, return_inverse=True)
+    rank = rank.astype(np.min_scalar_type(rank.max()))
+    # The strict upper triangle of a 2^N x 2^N grid, read row by row: every
+    # pair (ia, ib), ia < ib, in lexicographic order, which the stable sort keeps for ties.
+    grid = np.broadcast_to(np.arange(2**n, dtype=np.min_scalar_type(2**n - 1)), (2**n, 2**n))
+    upper = ~np.tri(2**n, dtype=bool)
+    ia, ib = grid.T[upper], grid[upper]
+    # Freeing each large temporary early keeps the N = 12 peak near 250 MB.
+    del upper
+    order = np.argsort(rank[_pair_classes(ternary, ia, ib)], kind="stable")
+    ia, ib = ia[order], ib[order]
+    del order
+    arrays = ia, ib, class_rates[_pair_classes(ternary, ia, ib)]
     for arr in arrays:
         arr.setflags(write=False)
     return CoherenceSpectrum(n, *arrays)

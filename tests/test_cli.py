@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -142,6 +143,44 @@ class TestSpectrum:
     def test_missing_file_exits_io(self, tmp_path, capsys):
         code, _ = run_cli(["spectrum", "--family", f"file:{tmp_path}/nope.csv"], capsys)
         assert code in (EXIT_CONFIG, EXIT_IO)
+
+
+def diagonally_dominant_file(path, n, seed):
+    """A seeded real spectral-density file, PSD by diagonal dominance, whose pair rates are nearly all distinct."""
+    rng = np.random.default_rng(seed)
+    k = np.triu(rng.integers(-500, 501, size=(n, n)), 1)
+    k = k + k.T
+    diag = np.abs(k).sum(axis=1) + 100
+    rows = [f"{j},{l},{int(diag[j] if j == l else k[j, l]) / 1000!r},0" for j in range(n) for l in range(j, n)]
+    path.write_text("\n".join(["j,l,re,im", *rows]) + "\n")
+    return path
+
+
+class TestSpectrumGoldenBytes:
+    # sha256 of everything after the "# config:" line, which holds the file path.
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (["--n", "9", "--xi", "0.047"], "d1f4ad5f26f3a08714b66db101b8920ab19e9071df606f4f966cd64d20a1e598"),
+            (["--family", "two", "--xi", "0.2"], "fb278b9865285120a81a456e911a21767b48b9f41433961c411fd3ee7581bdb9"),
+            (
+                ["--family", "file:{random6}", "--gamma", "0.7"],
+                "62e6c94c3c5aeaf644f13fb389a1f6f3e4a5d5bdc6fe3bed8ea196b10ce4cfc6",
+            ),
+        ],
+    )
+    def test_stdout_and_out_file_bytes(self, args, digest, tmp_path, capsys):
+        # The n = 6 file family has 358 distinct rates over 2016 rows.
+        random6 = diagonally_dominant_file(tmp_path / "c.csv", 6, 2024)
+        args = ["spectrum"] + [a.format(random6=random6) for a in args]
+        code, out = run_cli(args, capsys)
+        assert code == EXIT_OK
+        config_line, body = out.split("\n", 1)
+        assert config_line == RunConfig(**json.loads(config_line.removeprefix("# config: "))).config_line()
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+        path = tmp_path / "spectrum.csv"
+        assert run_cli(args + ["--out", str(path)], capsys) == (EXIT_OK, "")
+        assert path.read_bytes() == out.encode()
 
 
 class TestEstimateScenario:

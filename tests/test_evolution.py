@@ -25,6 +25,7 @@ from corrnoise.evolution import (
     superoperator_spectrum,
     validate_density_matrix,
 )
+from corrnoise.evolution import _class_table, _decay_rates
 from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 
 DOMAIN = (1e-6, 1.0)
@@ -323,6 +324,42 @@ class TestCoherenceSpectrum:
             for members in classes.values():
                 assert len({rate for _, _, rate in members}) == 1
                 assert [idx for _, idx, _ in members] == sorted(idx for _, idx, _ in members)
+
+    @staticmethod
+    def argsort_oracle(family, xi):
+        """The float-sort construction: int64 triu_indices, class-rate gather, stable argsort of the rates."""
+        diffs, _, ternary = _class_table(family.n_qubits)
+        ia, ib = np.triu_indices(2**family.n_qubits, k=1)
+        vals = _decay_rates(family, xi, diffs)[ternary[ib] - ternary[ia] - 1]
+        order = np.argsort(vals, kind="stable")
+        return ia[order], ib[order], vals[order]
+
+    def assert_matches_argsort_oracle(self, family, xi):
+        spec = coherence_spectrum(family, xi)
+        ia, ib, rate = self.argsort_oracle(family, xi)
+        n = family.n_qubits
+        for arr in (spec.alpha_index, spec.beta_index):
+            assert arr.dtype == (np.uint8 if n <= 8 else np.uint16)
+        assert np.array_equal(spec.alpha_index, ia)
+        assert np.array_equal(spec.beta_index, ib)
+        assert np.array_equal(spec.rate.view(np.uint64), rate.view(np.uint64))
+
+    @pytest.mark.parametrize("family", ["single", "two"] + [f"nqb{n}" for n in range(2, 10)])
+    def test_rank_sort_matches_argsort_oracle(self, family):
+        fam = {"single": single, "two": two}.get(family, lambda: nqb(int(family[3:])))()
+        for xi in (1e-3, 0.047, 0.5):
+            self.assert_matches_argsort_oracle(fam, xi)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_rank_sort_matches_argsort_oracle_on_random_families(self, n, random_real_family):
+        # Many distinct class rates (from n = 6 more than 256, so a 16-bit rank key).
+        for seed in (n, 100 + n):
+            for xi in (0.0, 0.31, 1.0):
+                self.assert_matches_argsort_oracle(random_real_family(n, seed), xi)
+
+    def test_rank_sort_with_a_32_bit_key(self, random_real_family):
+        # 88,573 distinct class rates: the rank key no longer fits 16 bits.
+        self.assert_matches_argsort_oracle(random_real_family(11, 11), 0.31)
 
     def test_dense_rates_agree_with_class_rates(self, random_real_family):
         # Per-pair loop oracle (gamma/4) sum_jl d_j d_l C_jl, summed exactly by
