@@ -86,6 +86,11 @@ class RunConfig:
         return "# config: " + json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+# The JSON types a config file may give each RunConfig annotation, matched on
+# the exact type of the value since bool is a subclass of int.
+_CONFIG_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,), "str | None": (str, type(None))}
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -322,10 +327,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file {args.config}: invalid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(loaded) - known
+        known = {f.name: f.type for f in fields(RunConfig)}
+        unknown = set(loaded) - set(known)
         if unknown:
             raise ConfigError(f"config file {args.config}: unknown fields {sorted(unknown)}")
+        for name, value in loaded.items():
+            if type(value) not in _CONFIG_TYPES[known[name]]:
+                raise ConfigError(f"config file {args.config}: field {name!r} must be {known[name]}, got {value!r}")
         values.update(loaded)
     for field in fields(RunConfig):
         val = getattr(args, field.name, None)
@@ -333,10 +341,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             values[field.name] = val
     if getattr(args, "t_linear", False):
         values["t_log"] = False
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = RunConfig(**values)
     _validate_config(config)
     return config
 

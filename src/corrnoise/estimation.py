@@ -229,8 +229,6 @@ def _peak_uncertainty(peak: QfiResult, shots: int) -> float:
 def promise_check(
     family: DephasingFamily,
     xi_hat: float,
-    gamma: float | None = None,
-    n: int | None = None,
     shots: int | None = None,
 ) -> PromiseReport:
     """Check whether an estimate sits inside the dynamical range N / 2^(N-1).
@@ -242,13 +240,11 @@ def promise_check(
     """
     if xi_hat <= 0.0:
         raise ValueError(f"xi_hat must be > 0, got {xi_hat}")
-    gamma = family.gamma if gamma is None else float(gamma)
-    n = family.n_qubits if n is None else int(n)
     pair = ghz_pair(family.n_qubits)
     rate = decay_rate(family, xi_hat, pair)
-    t_probe = 1.0 / (n * xi_hat * gamma)
+    t_probe = 1.0 / (family.n_qubits * xi_hat * family.gamma)
     coherence = math.exp(-rate * t_probe)
-    threshold = dynamical_range_threshold(n)
+    threshold = dynamical_range_threshold(family.n_qubits)
     delta = shot_uncertainty(family, xi_hat, pair, shots) if shots is not None else None
     return PromiseReport(float(xi_hat), threshold, xi_hat < threshold, t_probe, coherence, delta)
 

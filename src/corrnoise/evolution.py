@@ -30,6 +30,10 @@ from .model import DephasingFamily
 SPECTRUM_MAX_QUBITS = 12
 SUPEROP_MAX_QUBITS = 3
 
+DENSITY_HERM_ATOL = 1e-10
+DENSITY_TRACE_ATOL = 1e-10
+DENSITY_EIG_FLOOR = -1e-8
+
 __all__ = [
     "ResourceLimitError",
     "SpinPattern",
@@ -463,22 +467,17 @@ def random_pure_density(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_atol: float = 1e-10,
-    trace_atol: float = 1e-10,
-    eig_floor: float = -1e-8,
-) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, unit trace and PSD within tolerance."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > herm_atol:
-        raise ValueError(f"not Hermitian: max deviation {herm:.3e} > {herm_atol:g}")
+    if herm > DENSITY_HERM_ATOL:
+        raise ValueError(f"not Hermitian: max deviation {herm:.3e} > {DENSITY_HERM_ATOL:g}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {trace_atol:g}")
+    if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
+        raise ValueError(f"trace {tr} deviates from 1 by more than {DENSITY_TRACE_ATOL:g}")
     lam = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lam < eig_floor:
-        raise ValueError(f"negative eigenvalue {lam:.3e} below floor {eig_floor:g}")
+    if lam < DENSITY_EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {lam:.3e} below floor {DENSITY_EIG_FLOOR:g}")

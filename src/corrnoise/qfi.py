@@ -61,11 +61,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .evolution import (
+    DENSITY_EIG_FLOOR,
     CoherencePair,
     ProductState,
     _decay_rates,
@@ -122,10 +122,10 @@ class ExtrapolationError(RuntimeError):
         self.extrapolants = extrapolants
 
 
-def _psd_sqrt(rho: np.ndarray, eig_floor: float = -1e-8) -> np.ndarray:
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    if w[0] < eig_floor:
-        raise ValueError(f"matrix has eigenvalue {w[0]:.3e} below PSD floor {eig_floor:g}")
+    if w[0] < DENSITY_EIG_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {w[0]:.3e} below PSD floor {DENSITY_EIG_FLOOR:g}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -374,15 +374,16 @@ def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherenceP
     return QfiResult(t * per_time * x2 * math.exp(-x2) / -math.expm1(-x2), PER_SHOT, t, pair)
 
 
-@lru_cache(maxsize=1)
 def shot_optimum_x() -> float:
-    """Root of 1 - exp(-2x) = x; the per-shot optimum in units of the decay rate."""
-    from scipy.optimize import brentq
+    """Root x* of 1 - exp(-2x) = x: the per-shot optimum G t of the pair QFI.
 
-    return float(brentq(lambda x: -math.expm1(-2.0 * x) - x, 0.5, 1.0, xtol=1e-15, rtol=8.9e-16))
+    x* = 1 + W0(-2 e^-2) / 2 (principal Lambert-W branch) is a fixed number, so
+    it is pinned as its correctly rounded double, 0x1.97f7c26efbf2bp-1, rather
+    than searched for at run time; the tests check the rounding.
+    """
+    return 0.79681213002002
 
 
-@lru_cache(maxsize=1)
 def shot_optimum_value() -> float:
     """x* exp(-2 x*): the per-shot peak of the pair QFI in units of (G'/G)^2."""
     x = shot_optimum_x()

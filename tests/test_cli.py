@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,25 @@ class TestConfigHandling:
         code, _ = run_cli(["closed-forms", "--config", str(cfg)], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "scenario, loaded, name",
+        [
+            ("advantage", {"n": "3"}, "n"),
+            ("advantage", {"xi": "0.1"}, "xi"),
+            ("estimate", {"seeds": 2.5}, "seeds"),
+            ("fig1a", {"t_log": "no"}, "t_log"),
+        ],
+    )
+    def test_config_field_of_wrong_type_exits_config(self, tmp_path, capsys, scenario, loaded, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        code = main([scenario, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert repr(name) in captured.err
+
     def test_invalid_xi_rejected(self, capsys):
         code, _ = run_cli(["closed-forms", "--xi", "1.5"], capsys)
         assert code == EXIT_CONFIG
@@ -330,3 +353,46 @@ class TestByteStability:
             assert code == EXIT_OK
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+# Runs in a fresh interpreter where every scipy import raises ImportError, and
+# prints each scenario's exit code and stdout as JSON.
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from corrnoise.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    results.append([code, buf.getvalue()])
+assert sys.modules["scipy"] is None
+print(json.dumps(results))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    ARGVS = [
+        ["advantage", "--n", "3", "--regime", "shot"],
+        ["fig1b", "--n", "3"],
+        ["estimate", "--n", "3", "--seeds", "20", "--shots", "1000"],
+        ["fig1a", "--n", "3", "--t-points", "5"],
+        ["closed-forms"],
+        ["spectrum", "--n", "3"],
+        ["verify"],
+    ]
+
+    def test_scenarios_run_without_scipy(self, capsys):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(self.ARGVS)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        for argv, (code, out) in zip(self.ARGVS, results):
+            assert code == EXIT_OK, argv
+            assert out == run_cli(argv, capsys)[1], argv

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -492,6 +493,21 @@ class TestCoherencePairQfi:
         assert shot_optimum_x() == pytest.approx(x_star, abs=1e-12)
         assert shot_optimum_value() == pytest.approx(shot_peak_constant, abs=1e-12)
         assert x_star == pytest.approx(0.796812, abs=1e-6)
+
+    def test_shot_optimum_x_is_correctly_rounded_root(self):
+        # f(x) = 1 - e^(-2x) - x is positive on (0, x*) and negative past it,
+        # so the double nearest x* has the sign change inside its rounding
+        # interval [x - ulp/2, x + ulp/2].
+        x = shot_optimum_x()
+        assert x.hex() == "0x1.97f7c26efbf2bp-1"
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            half_ulp = decimal.Decimal(math.ulp(x)) / 2
+
+            def f(v):
+                return 1 - (-2 * v).exp() - v
+
+            assert f(decimal.Decimal(x) - half_ulp) > 0 > f(decimal.Decimal(x) + half_ulp)
 
     def test_shot_peak_against_grid_scan(self, x_star):
         fam = build_n_qubit(6, DOMAIN)
