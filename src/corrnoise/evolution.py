@@ -235,14 +235,17 @@ def rate_derivative_matrix(family: DephasingFamily) -> np.ndarray:
     return _dense_rates(family, None)
 
 
-def _times(t, rho0: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """t as float64 shaped to broadcast against the stack rho0; rejects t < 0 and a wrong state shape."""
-    t = np.asarray(t, dtype=np.float64)
+def _decay(rho0, family: DephasingFamily, xi: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho0, t shaped against the stack rho0, exp(-rate * t)), from one rate lookup; rejects t < 0 and bad shapes."""
+    rates = rate_matrix(family, xi)
+    rho0, t = np.asarray(rho0), np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
     if rho0.shape[-2:] != rates.shape:
         raise ValueError(f"state has shape {rho0.shape}, expected {rates.shape}")
-    return t[..., None, None]
+    t = t[..., None, None]
+    decay = -rates * t
+    return rho0, t, np.exp(decay, out=decay)
 
 
 def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
@@ -251,19 +254,17 @@ def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarra
     rho0 is one 2^N x 2^N state or a stack (..., 2^N, 2^N); t is a scalar or
     an array that broadcasts against the stack's leading shape, one time per
     state.  Each state of a stack propagates bit for bit as it would alone.
-    Diagonal entries (and hence the trace) are preserved exactly.
+    Diagonal entries (and hence the trace) are preserved exactly.  The decay
+    factor is ``_decay``'s, which ``drho_dxi`` and ``qfi_exact_value`` share.
     """
-    rates = rate_matrix(family, xi)
-    rho0 = np.asarray(rho0)
-    return rho0 * np.exp(-rates * _times(t, rho0, rates))
+    rho0, _, decay = _decay(rho0, family, xi, t)
+    return rho0 * decay
 
 
 def drho_dxi(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
-    """Exact xi-derivative of evolve(rho0, family, xi, t), with the same stack shapes; traceless Hermitian."""
-    rates = rate_matrix(family, xi)
-    rho0 = np.asarray(rho0)
-    t = _times(t, rho0, rates)
-    return (-t) * rate_derivative_matrix(family) * rho0 * np.exp(-rates * t)
+    """Exact xi-derivative (-t) rate' rho0 exp(-rate t) of ``evolve``, same shapes and decay; Hermitian, traceless."""
+    rho0, t, decay = _decay(rho0, family, xi, t)
+    return (-t) * rate_derivative_matrix(family) * rho0 * decay
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,11 +307,11 @@ def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
     across classes of equal rate) break in lexicographic pair order.  The
     sort key is each pair's class-rate rank, not its float rate: an unsigned
     integer of 8 or 16 bits, which numpy sorts stably by radix, or of 32 bits
-    past 65,536 distinct rates.  The order is the one a stable sort of the
-    rates gives.  The result holds index and rate arrays
-    (see ``CoherenceSpectrum`` for their dtypes); pair objects are built
-    only when an entry is read.  Guarded at N <= 12: the enumeration holds
-    2^N(2^N - 1)/2 pairs.
+    past 65,536 distinct rates, sorted in two stable 16-bit radix passes.
+    The order is the one a stable sort of the rates gives.  The result holds
+    index and rate arrays (see ``CoherenceSpectrum`` for their dtypes); pair
+    objects are built only when an entry is read.  Guarded at N <= 12: the
+    enumeration holds 2^N(2^N - 1)/2 pairs.
     """
     n = family.n_qubits
     if n > SPECTRUM_MAX_QUBITS:
@@ -330,7 +331,17 @@ def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
     ia, ib = grid.T[upper], grid[upper]
     # Freeing each large temporary early keeps the N = 12 peak near 250 MB.
     del upper
-    order = np.argsort(rank[_pair_classes(ternary, ia, ib)], kind="stable")
+    keys = rank[_pair_classes(ternary, ia, ib)]
+    if keys.itemsize > 2:
+        # numpy sorts 32-bit keys by comparison, not by radix: sort in two
+        # stable 16-bit passes instead, the low half first.
+        high = (keys >> 16).astype(np.uint16)
+        keys = keys.astype(np.uint16)
+        order = np.argsort(keys, kind="stable")
+        ia, ib, keys = ia[order], ib[order], high[order]
+        del high, order
+    order = np.argsort(keys, kind="stable")
+    del keys
     ia, ib = ia[order], ib[order]
     del order
     arrays = ia, ib, class_rates[_pair_classes(ternary, ia, ib)]

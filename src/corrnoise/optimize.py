@@ -21,15 +21,17 @@ is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81 (1996)).
 So K = 1, the probe |+>^N, is optimal for every family.  Only the shot
 regime searches over product probes.
 
-The searches are written once, as ask/tell generators: ``_nelder_mead`` and
-``_time_scan`` yield the points they need and are sent back their values.
-``nelder_mead_max`` and ``maximize_over_time`` each drive one of them on a
-scalar function.  ``_lockstep`` drives many: every round, the pending points
-of all of them go to one evaluation.  The shot-regime product search uses it
-to score every multistart's points in one stacked ``qfi_exact_value`` call,
-split so that a stack holds at most ``_BATCH_ELEMENTS`` matrix elements.
-Stacked values equal single-state values bit for bit, so the order and
-grouping of evaluations never changes a result.
+The searches are written once, as ask/tell generators: ``_nelder_mead`` (its
+simplex one array) and ``_time_scan`` yield the points they need and are sent
+back their values.  ``nelder_mead_max`` and ``maximize_over_time`` each drive
+one of them on a scalar function.  ``_lockstep`` drives many: every round, the
+pending points of all of them go to one evaluation.  The shot-regime product
+search uses it to score every multistart's points in one stacked
+``qfi_exact_value`` call, split so that a stack holds at most
+``_BATCH_ELEMENTS`` matrix elements, with one product vector per distinct
+angle row; candidates with byte-equal angles share one time scan.  Stacked
+values equal single-state values bit for bit, so the order and grouping of
+evaluations never changes a result.
 """
 
 from __future__ import annotations
@@ -202,27 +204,22 @@ def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, flo
 
 
 def _nelder_mead(x0: np.ndarray, step: float):
-    """Ask/tell form of ``nelder_mead_max``: yields lists of points, returns its result tuple."""
+    """Ask/tell ``nelder_mead_max`` on one (dim + 1, dim) simplex array: yields lists of points, returns its result."""
     alpha, gamma_e, rho_c, sigma_s = 1.0, 2.0, 0.5, 0.5
     x0 = np.asarray(x0, dtype=np.float64)
     dim = x0.size
-    simplex = [x0.copy()]
-    for j in range(dim):
-        x = x0.copy()
-        x[j] += step
-        simplex.append(x)
-    values = [float(v) for v in (yield list(simplex))]
+    simplex = np.tile(x0, (dim + 1, 1))
+    simplex[np.arange(1, dim + 1), np.arange(dim)] += step
+    values = np.array((yield list(simplex)), dtype=np.float64)
     n_eval = dim + 1
     converged = False
     for _ in range(NM_MAX_ITER):
-        order = np.argsort(values)[::-1]
-        simplex = [simplex[k] for k in order]
-        values = [values[k] for k in order]
-        diameter = float(np.max(np.abs(np.array(simplex[1:]) - simplex[0])))
-        if diameter <= NM_XATOL or abs(values[0] - values[-1]) <= NM_FATOL:
+        order = values.argsort()[::-1]
+        simplex, values = simplex[order], values[order]
+        if np.abs(simplex[1:] - simplex[0]).max() <= NM_XATOL or abs(values[0] - values[-1]) <= NM_FATOL:
             converged = True
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / dim
         xr = centroid + alpha * (centroid - simplex[-1])
         fr = float((yield [xr])[0])
         n_eval += 1
@@ -240,12 +237,11 @@ def _nelder_mead(x0: np.ndarray, step: float):
             if fc > values[-1]:
                 simplex[-1], values[-1] = xc, fc
             else:
-                for k in range(1, dim + 1):
-                    simplex[k] = simplex[0] + sigma_s * (simplex[k] - simplex[0])
-                values[1:] = [float(v) for v in (yield simplex[1:])]
+                simplex[1:] = simplex[0] + sigma_s * (simplex[1:] - simplex[0])
+                values[1:] = (yield list(simplex[1:]))
                 n_eval += dim
-    order = np.argsort(values)[::-1]
-    return simplex[order[0]].copy(), values[order[0]], converged, n_eval
+    best = values.argsort()[-1]
+    return simplex[best].copy(), float(values[best]), converged, n_eval
 
 
 def nelder_mead_max(fn, x0: np.ndarray, step: float = _NM_STEP) -> tuple[np.ndarray, float, bool, int]:
@@ -334,10 +330,12 @@ def optimal_product_state(
     The multistarts and the sweep run in lockstep, then all time scans do:
     each round is one stacked QFI evaluation of every pending point, in
     stacks of at most ``_BATCH_ELEMENTS`` matrix elements (32 states at
-    N = 5, one at N >= 8), and no ProductState is built per point.  Stacked
-    values equal single-state values bit for bit, and the merge is a
-    deterministic reduction, so a fixed seed implies a bit-identical report,
-    the same as running the starts one after another.
+    N = 5, one at N >= 8), building each distinct angle row's vector once
+    and no ProductState.  Candidates with byte-equal folded angles (|+>^N and
+    start 0 on the collective family) share one scan.  Stacked values equal
+    single-state values bit for bit, and the merge is a deterministic
+    reduction, so a fixed seed implies a bit-identical report, the same as
+    running the starts one after another.
     """
     _check_regime(regime)
     n = family.n_qubits
@@ -361,14 +359,17 @@ def optimal_product_state(
         """QFI at (theta, t) points, in stacks of at most ``chunk`` states."""
         thetas = _fold_theta(np.array([theta for theta, _ in points]))
         ts = np.array([t for _, t in points])
+        rows: dict = {}  # distinct angle rows: a time scan asks for one row at many t
+        inverse = [rows.setdefault(row.tobytes(), len(rows)) for row in thetas]
+        vecs = _product_vectors(np.frombuffer(b"".join(rows), dtype=np.float64).reshape(len(rows), n))[inverse]
         values = []
         for lo in range(0, len(points), chunk):
-            vec = _product_vectors(thetas[lo : lo + chunk])  # real: every azimuth is 0
+            vec = vecs[lo : lo + chunk]  # real: every azimuth is 0
             values.extend(qfi_exact_value(vec[:, :, None] * vec[:, None, :], family, xi, ts[lo : lo + chunk]))
         return values
 
     def nm_point(z: np.ndarray) -> tuple:
-        return z[:-1], np.exp(np.clip(z[-1], log_lo, log_hi))
+        return z[:-1], np.exp(min(max(z[-1], log_lo), log_hi))
 
     searches = [
         _asking(_nelder_mead(np.concatenate([starts[k], [start_logts[k]]]), _NM_STEP), nm_point)
@@ -377,9 +378,12 @@ def optimal_product_state(
     # 9-point-per-axis coordinate sweep at t_heuristic, one pass from the all-pi/2 probe.
     sweep = _asking(_coordinate_sweep(np.full(n, np.pi / 2.0)), lambda theta: (theta, t_heuristic))
     *found, theta_g = _lockstep(searches + [sweep], evaluate)
-    # Every candidate, |+>^N last, finishes with its own time scan.
+    # Every candidate, |+>^N last, finishes with a time scan, shared by byte-equal angles.
     thetas = [_fold_theta(x[:n]) for x, _, _, _ in found] + [theta_g, np.full(n, np.pi / 2.0)]
-    scans = _lockstep([_asking(_time_scan(bracket), lambda t, th=th: (th, t)) for th in thetas], evaluate)
+    distinct = {th.tobytes(): th for th in thetas}
+    scanners = [_asking(_time_scan(bracket), lambda t, th=th: (th, t)) for th in distinct.values()]
+    scanned = dict(zip(distinct, _lockstep(scanners, evaluate)))
+    scans = [scanned[th.tobytes()] for th in thetas]
     converged = [c for _, _, c, _ in found] + [True, True]
     candidates = [(val, _theta_key(th), th, t_star, c) for th, (t_star, val), c in zip(thetas, scans, converged)]
     *results, grid_result, plus = candidates

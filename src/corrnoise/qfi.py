@@ -68,13 +68,14 @@ from .evolution import (
     DENSITY_EIG_FLOOR,
     CoherencePair,
     ProductState,
+    _decay,
     _decay_rates,
     _pair_diff,
     _rate_form,
     _spin_table,
     decay_rate,
-    drho_dxi,
     evolve,
+    rate_derivative_matrix,
     rate_matrix,
     validate_density_matrix,
 )
@@ -185,9 +186,17 @@ def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> 
     One state and a scalar t give a float.  A stack of states (..., 2^N, 2^N),
     with t a scalar or an array broadcasting against its leading shape, gives
     an array of that shape, each item bit for bit its single-state value.
+    The state and its derivative are ``evolve``'s and ``drho_dxi``'s, from
+    one rate lookup and one decay factor exp(-rate t) (``evolution._decay``).
     """
     _check_qfi_inputs(family, xi, t)
-    return _sld_rate(evolve(rho0, family, xi, t), drho_dxi(rho0, family, xi, t))
+    rho0, t, decay = _decay(rho0, family, xi, t)
+    deriv = (-t) * rate_derivative_matrix(family) * rho0
+    deriv *= decay
+    # Fresh pages cost more than this arithmetic: the state reuses the decay buffer, inputs go before eigh.
+    state = np.multiply(rho0, decay, out=decay if decay.shape == rho0.shape and decay.dtype == rho0.dtype else None)
+    del rho0, decay
+    return _sld_rate(state, deriv)
 
 
 def qfi_exact(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> QfiResult:
@@ -276,12 +285,17 @@ def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> "float | np.ndarray":
     """
     shape, d = m.shape[:-2], m.shape[-1]
     lam, u = np.linalg.eigh(m.reshape(-1, d, d))
-    weight = np.abs(np.swapaxes(u.conj(), -1, -2) @ m_prime.reshape(-1, d, d) @ u) ** 2
+    a = np.swapaxes(u.conj(), -1, -2) @ m_prime.reshape(-1, d, d)
+    a = a @ u
+    del u
+    # In place, and a * a is |a|^2 bit for bit for real a; no mask copies unless an item hits the floor.
+    weight = np.multiply(a, a, out=a) if a.dtype.kind == "f" else np.abs(a) ** 2
     floor = KERNEL_RTOL * lam[:, -1]
     clean = lam[:, 0] > floor
+    lc, wc = (lam, weight) if clean.all() else (lam[clean], weight[clean])
+    denom = lc[:, :, None] + lc[:, None, :]
     rates = np.empty(len(lam))
-    lc = lam[clean]
-    rates[clean] = 2.0 * (weight[clean] / (lc[:, :, None] + lc[:, None, :])).reshape(len(lc), d * d).sum(axis=1)
+    rates[clean] = 2.0 * np.divide(wc, denom, out=denom).reshape(len(lc), d * d).sum(axis=1)
     for k in np.flatnonzero(~clean):
         lk = np.where(lam[k] > floor[k], lam[k], 0.0)
         denom = lk[:, None] + lk[None, :]
@@ -368,10 +382,11 @@ def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherenceP
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     per_time = coherence_pair_qfi_timeavg(family, xi, pair).value
-    if per_time == 0.0:
-        return QfiResult(0.0, PER_SHOT, t, pair)
     x2 = 2.0 * decay_rate(family, xi, pair) * t
-    return QfiResult(t * per_time * x2 * math.exp(-x2) / -math.expm1(-x2), PER_SHOT, t, pair)
+    decay = math.exp(-x2)
+    if per_time == 0.0 or decay == 0.0:  # blind, or decayed where t * per_time * x2 may overflow to inf
+        return QfiResult(0.0, PER_SHOT, t, pair)
+    return QfiResult(t * per_time * x2 * decay / -math.expm1(-x2), PER_SHOT, t, pair)
 
 
 def shot_optimum_x() -> float:

@@ -63,6 +63,13 @@ class TestFig1a:
         sel = ts >= 20.0
         assert np.all(prod[sel] <= ghz[sel] / 16.0 + 1e-30)
 
+    def test_huge_times_score_zero(self, capsys):
+        # Both QFIs have decayed to 0 at t = 1e300; the pair formula used to give NaN there.
+        code, out = run_cli(["fig1a", "--n", "3", "--t-points", "3", "--t-lo", "1e-300", "--t-hi", "1e300"], capsys)
+        assert code == EXIT_OK
+        _, _, rows = parse_csv(out)
+        assert rows[-1][1:] == ["0", "0"]
+
     def test_linear_spacing_flag(self, capsys):
         code, out = run_cli(
             ["fig1a", "--t-points", "5", "--t-lo", "1", "--t-hi", "5", "--t-linear"], capsys
@@ -246,6 +253,8 @@ class TestAdvantageScenario:
         "000|111,1.5707963267948966;1.5707963267948966;1.5707963267948966",
         ("4.7e-3", "3", 4): "4,0.0047000000000000002,shot,7329.2240594374271,916.15300742967008,8.0000000000000728,"
         "0000|1111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966",
+        ("4.7e-3", "3", 5): "5,0.0047000000000000002,shot,7329.2240594375799,458.07650371484476,16.000000000000139,"
+        "00000|11111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966",
         ("0.2", "1", 2): "2,0.20000000000000001,shot,4.0475639868244695,2.0362956477593199,1.9877093934165653,"
         "01|10,1.5707963267948966;1.5707963267948966",
         ("0.2", "1", 3): "3,0.20000000000000001,shot,4.0475639868244651,1.1622754437088871,3.4824481655643158,"

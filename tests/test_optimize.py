@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from corrnoise import optimize
 from corrnoise.evolution import CoherencePair, ProductState, ghz_pair, plus_product
 from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import (
+    GRID_POINTS,
     TIME_BRACKET_SPAN,
     _fold_theta,
     advantage_ratio,
@@ -250,17 +252,69 @@ def sequential_shot_search(family, xi, seed):
     return best[0], best[3], tuple(float(x) for x in best[2]), sum(r[4] for r in results) / n_starts, fallback
 
 
+def recorded_search(monkeypatch, family, xi, seed):
+    """optimal_product_state in the shot regime, recording the largest QFI stack and the Nelder-Mead shrink steps."""
+    stacks, shrinks = [0], [0]
+    nelder_mead, qfi = optimize._nelder_mead, optimize.qfi_exact_value
+
+    def counting_nelder_mead(x0, step):
+        # A shrink step is the one ask for dim points (the first asks for dim + 1, the others for 1).
+        gen, values = nelder_mead(x0, step), None
+        while True:
+            try:
+                xs = gen.send(values)
+            except StopIteration as stop:
+                return stop.value
+            shrinks[0] += len(xs) == len(x0)
+            values = yield xs
+
+    def sized_qfi(rho0, *args):
+        stacks[0] = max(stacks[0], len(rho0))
+        return qfi(rho0, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_nelder_mead", counting_nelder_mead)
+        patch.setattr(optimize, "qfi_exact_value", sized_qfi)
+        report = optimal_product_state(family, xi, "shot", seed=seed)
+    return report, stacks[0], shrinks[0]
+
+
 class TestShotRegimeProductSearch:
-    # Random real families at N = 2 and 3 (family seed), and the collective family at N = 4 (None).
+    # Random real families at N = 2, 3 and 5 (family seed), and the collective family at N = 4 (None).
+    # N = 5 fills 32-state stacks (2^15 matrix elements); at (3, 4) and (5, 6) some start takes a shrink step.
     @pytest.mark.parametrize(
-        "n, fam_seed, xi, seed", [(2, 9, 0.6, 5), (3, 4, 0.01, 1), (3, 11, 0.881, 2), (4, None, 4.7e-3, 3)]
+        "n, fam_seed, xi, seed",
+        [(2, 9, 0.6, 5), (3, 4, 0.01, 1), (3, 11, 0.881, 2), (4, None, 4.7e-3, 3), (5, 6, 0.7, 0)],
     )
-    def test_lockstep_matches_sequential_loop_bitwise(self, n, fam_seed, xi, seed, random_real_family):
+    def test_lockstep_matches_sequential_loop_bitwise(self, n, fam_seed, xi, seed, random_real_family, monkeypatch):
         fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
-        report = optimal_product_state(fam, xi, "shot", seed=seed)
+        report, largest_stack, shrinks = recorded_search(monkeypatch, fam, xi, seed)
         best = report.best
         got = (best.value, best.time, best.probe.thetas, report.converged_fraction, report.grid_fallback_used)
         assert got == sequential_shot_search(fam, xi, seed)
+        if n == 5:
+            assert largest_stack == 32
+        if (n, fam_seed) in {(3, 4), (5, 6)}:
+            assert shrinks > 0
+
+    @pytest.mark.parametrize("n, fam_seed, xi, seed", [(3, None, 4.7e-3, 0), (4, None, 0.03, 1), (3, 4, 0.01, 1)])
+    def test_no_angle_row_is_time_scanned_twice(self, n, fam_seed, xi, seed, random_real_family, monkeypatch):
+        # On the collective family start 0 ends at exactly pi/2, the angles of
+        # |+>^N: the two candidates share one scan.
+        fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
+        grid = set(np.geomspace(*default_time_bracket(fam, xi), GRID_POINTS).tolist())
+        scanned = []
+
+        def recording(rho0, family, xi_, t):
+            ts = np.broadcast_to(t, rho0.shape[:-2]).tolist()
+            scanned.extend((rho.tobytes(), tk) for rho, tk in zip(rho0, ts) if tk in grid)
+            return qfi_exact_value(rho0, family, xi_, t)
+
+        monkeypatch.setattr(optimize, "qfi_exact_value", recording)
+        optimal_product_state(fam, xi, "shot", seed=seed)
+        assert len(scanned) == len(set(scanned))
+        plus = plus_product(n).density().tobytes()
+        assert sum(rho == plus for rho, _ in scanned) == GRID_POINTS
 
     @pytest.mark.parametrize("xi", [0.5, 0.881, 0.95])
     def test_never_below_plus_state(self, xi, random_real_family):

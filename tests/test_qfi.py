@@ -437,6 +437,36 @@ class TestSldKernel:
         with pytest.raises(DivergentQfiError, match="too small"):
             qfi_exact_value(rhos, fam, self.XI, np.concatenate([[t_unresolved], ts[1:]]))
 
+    @pytest.mark.parametrize("n, t_unresolved", [(2, 1e-9), (3, 1e-12), (4, 1e-12)])
+    def test_composed_route_is_the_oracle(self, n, t_unresolved, random_real_family):
+        # qfi_exact_value shares one decay factor between the state and its
+        # derivative; the composed _sld_rate(evolve, drho_dxi) must give the
+        # same bits, on real product stacks and complex mixed ones.  Item 0
+        # of the product stack hits the kernel floor at t = 1e-8.
+        fam, rng = (two() if n == 2 else random_real_family(n, 8 + n)), np.random.default_rng(60 + n)
+        dim = 2**n
+        thetas = [(0.3, 2.9, 1.1, 0.7)[:n]] + [rng.uniform(0, np.pi, n) for _ in range(6)]
+        g = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+        for rhos in (np.array([ProductState.polar(th).density() for th in thetas]),
+                     np.array([x @ x.conj().T / np.trace(x @ x.conj().T).real for x in g])):
+            ts = np.exp(rng.uniform(-2.0, 4.0, size=len(rhos)))
+            if rhos.dtype.kind == "f":
+                ts[0] = 1e-8
+                lam = np.linalg.eigvalsh(evolve(rhos[0], fam, self.XI, ts[0]))
+                assert lam[0] <= KERNEL_RTOL * lam[-1]
+            composed = _sld_rate(evolve(rhos, fam, self.XI, ts), drho_dxi(rhos, fam, self.XI, ts))
+            assert qfi_exact_value(rhos, fam, self.XI, ts).tolist() == composed.tolist()
+            for rho, t, value in zip(rhos, ts, composed.tolist()):
+                assert qfi_exact_value(rho, fam, self.XI, t) == value
+            # One scalar t for the whole stack.
+            composed = _sld_rate(evolve(rhos, fam, self.XI, ts[1]), drho_dxi(rhos, fam, self.XI, ts[1]))
+            assert qfi_exact_value(rhos, fam, self.XI, ts[1]).tolist() == composed.tolist()
+        probe = ProductState.polar(thetas[0]).density()
+        with pytest.raises(DivergentQfiError, match="too small"):
+            qfi_exact_value(probe, fam, self.XI, t_unresolved)
+        with pytest.raises(DivergentQfiError, match="too small"):
+            _sld_rate(evolve(probe, fam, self.XI, t_unresolved), drho_dxi(probe, fam, self.XI, t_unresolved))
+
 
 class TestCoherencePairQfi:
     def test_bell_time_averaged(self):
@@ -488,6 +518,11 @@ class TestCoherencePairQfi:
             closed = coherence_pair_qfi_shot(fam, xi, pair, t).value
             exact = qfi_exact_value(pair_density(pair), fam, xi, t)
             assert closed == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [1e100, 1e154, 1e300])
+    def test_shot_formula_at_huge_t_is_zero(self, t):
+        # t * per_time * x2 overflows from about t = 1e154, where exp(-x2) is 0.
+        assert coherence_pair_qfi_shot(build_n_qubit(3, DOMAIN), 0.1, ghz_pair(3), t).value == 0.0
 
     def test_shot_optimum_constants(self, x_star, shot_peak_constant):
         assert shot_optimum_x() == pytest.approx(x_star, abs=1e-12)
