@@ -354,6 +354,9 @@ def _validate_config(config: RunConfig) -> None:
     if config.scenario in ("fig1a", "fig1b", "closed-forms", "advantage", "estimate") and config.n < 2:
         raise ConfigError(f"n must be >= 2, got {config.n}")
     if config.scenario == "fig1a":
+        for name, value in (("t_lo", config.t_lo), ("t_hi", config.t_hi)):
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 < config.t_lo < config.t_hi:
             raise ConfigError(f"need 0 < t_lo < t_hi, got ({config.t_lo}, {config.t_hi})")
         if config.t_points < 2:

@@ -101,7 +101,6 @@ class OptimizationReport:
     best: QfiResult
     starts: int
     converged_fraction: float
-    grid_fallback_used: bool
 
 
 @dataclass(frozen=True)
@@ -196,10 +195,12 @@ def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, fl
 def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, float]:
     """[1e-3, 1e2] in units of the slowest nonzero decay rate at xi."""
     rates = _decay_rates(family, xi, _class_table(family.n_qubits)[0])
-    positive = rates[rates > 1e-12 * max(rates.max(), 1.0)]
+    positive = rates[rates > 1e-12 * rates.max()]
     if positive.size == 0:
         raise ValueError("family has no nonzero decay rate; no finite time scale")
     slow = float(positive.min())
+    if TIME_BRACKET_SPAN[1] / slow == np.inf:
+        raise ValueError(f"slowest decay rate {slow:.17g} puts the time bracket past the float range")
     return TIME_BRACKET_SPAN[0] / slow, TIME_BRACKET_SPAN[1] / slow
 
 
@@ -254,27 +255,6 @@ def nelder_mead_max(fn, x0: np.ndarray, step: float = _NM_STEP) -> tuple[np.ndar
     return _lockstep([_nelder_mead(x0, step)], lambda xs: [fn(x) for x in xs])[0]
 
 
-def _coordinate_sweep(theta: np.ndarray):
-    """One pass of a 9-point-per-axis sweep over [0, pi] from theta, keeping strict improvements.
-
-    Ask/tell: yields lists of angle vectors, returns the best one.  The
-    candidates of one axis differ from the current best only on that axis, so
-    they are asked for together.
-    """
-    grid = np.linspace(0.0, np.pi, 9)
-    best = float((yield [theta])[0])
-    for axis in range(theta.size):
-        trials = []
-        for cand in grid:
-            trial = theta.copy()
-            trial[axis] = cand
-            trials.append(trial)
-        for trial, v in zip(trials, (yield trials)):
-            if float(v) > best:
-                best, theta = float(v), trial
-    return theta
-
-
 def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> QfiResult:
     """Best equal-weight coherence-pair probe, scored once per difference class.
 
@@ -318,29 +298,40 @@ def optimal_product_state(
     The map X -> K X K (+) K' X K' with K'^2 = 1 - K^2 is CPTP, and the SLD
     metric is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81
     (1996)), so K = 1, i.e. |+>^N, is optimal for every family.  The report
-    holds its exact limit with starts = 0, converged_fraction = 1.0 and
-    grid_fallback_used = False; ``seed`` is not used.
+    holds its exact limit with starts = 0 and converged_fraction = 1.0;
+    ``seed`` is not used.
 
     Shot regime: runs 8 + 2N Nelder-Mead multistarts, joint over the polar
-    angles and log t (the all-pi/2 probe plus uniform-random starts), with a
-    9-point-per-axis coordinate sweep as a grid fallback, and finishes each
-    candidate with the ``maximize_over_time`` scan.  |+>^N is scored with its
-    own scan and replaces the merged best only when strictly better, so the
-    report is never below it.
-    The multistarts and the sweep run in lockstep, then all time scans do:
-    each round is one stacked QFI evaluation of every pending point, in
-    stacks of at most ``_BATCH_ELEMENTS`` matrix elements (32 states at
-    N = 5, one at N >= 8), building each distinct angle row's vector once
-    and no ProductState.  Candidates with byte-equal folded angles (|+>^N and
-    start 0 on the collective family) share one scan.  Stacked values equal
-    single-state values bit for bit, and the merge is a deterministic
-    reduction, so a fixed seed implies a bit-identical report, the same as
-    running the starts one after another.
+    angles and log t (the all-pi/2 probe at t = x* / slowest rate, plus
+    uniform-random starts), and finishes each candidate with the
+    ``maximize_over_time`` scan.  |+>^N, with its own scan, is the last
+    candidate of the merge (largest value, then smallest angle key, then
+    earliest), so the report is never below it.
+
+    Only part of the time-regime argument carries over to finite t.  The
+    instrument with Kraus operators (x)_j diag(cos(theta_j/2), sin(theta_j/2))
+    and their per-qubit swaps, with a classical flag, is CPTP, xi-independent
+    and commutes with the dynamics (a diagonal congruence commutes with a
+    Schur multiplier); populations are conserved, so each branch weighs 2^-N.
+    Monotonicity gives F(+, t) >= 2^-N sum_S F(theta^S, t), where theta^S
+    sends theta_j to pi - theta_j for j in S.  For diagonal C every flip is a
+    symmetry, so |+>^N is the shot optimum; for correlated C it is open, so
+    the search runs.
+
+    The multistarts run in lockstep, then all time scans do: each round is
+    one stacked QFI evaluation of every pending point, in stacks of at most
+    ``_BATCH_ELEMENTS`` matrix elements (32 states at N = 5, one at N >= 8),
+    building each distinct angle row's vector once and no ProductState.
+    Candidates with byte-equal folded angles (|+>^N and start 0 on the
+    collective family) share one scan.  Stacked values equal single-state
+    values bit for bit, and the merge is a deterministic reduction, so a
+    fixed seed implies a bit-identical report, the same as running the
+    starts one after another.
     """
     _check_regime(regime)
     n = family.n_qubits
     if regime == "time":
-        return OptimizationReport(time_averaged_qfi_limit(plus_product(n), family, xi), 0, 1.0, False)
+        return OptimizationReport(time_averaged_qfi_limit(plus_product(n), family, xi), 0, 1.0)
     if n > PRODUCT_MAX_QUBITS:
         raise ResourceLimitError(f"product-state search is guarded at N <= {PRODUCT_MAX_QUBITS}, got {n}")
     rng = np.random.default_rng(seed)
@@ -349,8 +340,7 @@ def optimal_product_state(
     starts.extend(rng.uniform(0.0, np.pi, size=n) for _ in range(n_starts - 1))
     bracket = default_time_bracket(family, xi)
     log_lo, log_hi = np.log(bracket[0]), np.log(bracket[1])
-    t_heuristic = min(max(shot_optimum_x() * bracket[0] / TIME_BRACKET_SPAN[0], bracket[0]), bracket[1])
-    start_logts = [np.log(t_heuristic)]
+    start_logts = [np.log(shot_optimum_x() * bracket[0] / TIME_BRACKET_SPAN[0])]
     start_logts.extend(rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1))
 
     chunk = max(1, _BATCH_ELEMENTS // 4**n)
@@ -375,29 +365,20 @@ def optimal_product_state(
         _asking(_nelder_mead(np.concatenate([starts[k], [start_logts[k]]]), _NM_STEP), nm_point)
         for k in range(n_starts)
     ]
-    # 9-point-per-axis coordinate sweep at t_heuristic, one pass from the all-pi/2 probe.
-    sweep = _asking(_coordinate_sweep(np.full(n, np.pi / 2.0)), lambda theta: (theta, t_heuristic))
-    *found, theta_g = _lockstep(searches + [sweep], evaluate)
+    found = _lockstep(searches, evaluate)
     # Every candidate, |+>^N last, finishes with a time scan, shared by byte-equal angles.
-    thetas = [_fold_theta(x[:n]) for x, _, _, _ in found] + [theta_g, np.full(n, np.pi / 2.0)]
+    thetas = [_fold_theta(x[:n]) for x, _, _, _ in found] + [np.full(n, np.pi / 2.0)]
     distinct = {th.tobytes(): th for th in thetas}
     scanners = [_asking(_time_scan(bracket), lambda t, th=th: (th, t)) for th in distinct.values()]
     scanned = dict(zip(distinct, _lockstep(scanners, evaluate)))
     scans = [scanned[th.tobytes()] for th in thetas]
-    converged = [c for _, _, c, _ in found] + [True, True]
-    candidates = [(val, _theta_key(th), th, t_star, c) for th, (t_star, val), c in zip(thetas, scans, converged)]
-    *results, grid_result, plus = candidates
+    candidates = [(val, _theta_key(th), th, t_star) for th, (t_star, val) in zip(thetas, scans)]
 
     # Deterministic merge: maximize value, break ties on the angle encoding.
-    # |+>^N replaces the search's best only when strictly better, so the
-    # report is never below it and a tie keeps the search's report.
-    best = max(results + [grid_result], key=lambda r: (r[0], tuple(-x for x in r[1])))
-    if plus[0] > best[0]:
-        best = plus
-    grid_fallback_used = best is grid_result and all(r[0] < grid_result[0] for r in results)
-    converged_fraction = sum(1 for r in results if r[4]) / n_starts
+    best = max(candidates, key=lambda r: (r[0], tuple(-x for x in r[1])))
+    converged_fraction = sum(c for _, _, c, _ in found) / n_starts
     result = QfiResult(best[0], PER_SHOT, best[3], ProductState.polar(best[2]))
-    return OptimizationReport(result, n_starts, converged_fraction, grid_fallback_used)
+    return OptimizationReport(result, n_starts, converged_fraction)
 
 
 def dynamical_range_threshold(n: int) -> float:

@@ -167,8 +167,8 @@ class QfiResult:
     def __post_init__(self):
         if self.regime not in (PER_SHOT, TIME_AVERAGED):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if not self.value >= 0.0:
-            raise ValueError(f"QFI value must be >= 0, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(f"QFI value must be finite and >= 0, got {self.value}")
         if not self.time >= 0.0:
             raise ValueError(f"time must be >= 0, got {self.time}")
 

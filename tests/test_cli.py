@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,18 @@ class TestFig1a:
         assert code == EXIT_OK
         _, _, rows = parse_csv(out)
         assert rows[-1][1:] == ["0", "0"]
+
+    @pytest.mark.parametrize("args, name", [(["--t-hi", "1e400"], "t_hi"), (["--t-hi", "inf"], "t_hi"), (None, "t_lo")])
+    def test_infinite_time_bound_exits_config(self, args, name, tmp_path, capsys):
+        if args is None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: math.inf}))  # JSON Infinity
+            args = ["--config", str(cfg)]
+        code = main(["fig1a", "--n", "3", *args])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be finite")
 
     def test_linear_spacing_flag(self, capsys):
         code, out = run_cli(
@@ -280,6 +293,16 @@ class TestAdvantageScenario:
         assert float(doubled["entangled"]) == 2.0 * float(base["entangled"])
         assert float(doubled["separable"]) == 2.0 * float(base["separable"])
         assert doubled["ratio"] == base["ratio"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_qfi_overflow_exits_config(self, tmp_path, capsys):
+        # At gamma = 1e300 the pair optimum overflows to inf; no row may carry it.
+        out_path = tmp_path / "fig1b.csv"
+        code = main(["fig1b", "--n", "2", "--gamma", "1e300", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "finite" in captured.err
+        assert not out_path.exists()
 
 
 class TestVerifyScenario:

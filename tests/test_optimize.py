@@ -205,9 +205,9 @@ class TestOptimalProductState:
 def sequential_shot_search(family, xi, seed):
     """Loop oracle for the shot-regime product search: the multistarts one
     after another, one ProductState and one QFI call per point, then the
-    coordinate sweep, the merge, and |+>^N when strictly better.
+    merge with |+>^N as its last candidate.
 
-    Returns (value, t, thetas, converged_fraction, grid_fallback_used).
+    Returns (value, t, thetas, converged_fraction).
     """
     n = family.n_qubits
     rng = np.random.default_rng(seed)
@@ -234,22 +234,9 @@ def sequential_shot_search(family, xi, seed):
             lambda z: value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi)))), z0
         )
         results.append(finish(_fold_theta(x[:n]), converged))
-    theta_g = np.full(n, np.pi / 2.0)
-    val_g = value_at(theta_g, t_heuristic)
-    for axis in range(n):
-        for cand in np.linspace(0.0, np.pi, 9):
-            trial = theta_g.copy()
-            trial[axis] = cand
-            v = value_at(trial, t_heuristic)
-            if v > val_g:
-                val_g, theta_g = v, trial
-    grid_result = finish(theta_g, True)
-    best = max(results + [grid_result], key=lambda r: (r[0], tuple(-x for x in r[1])))
     plus = finish(np.full(n, np.pi / 2.0), True)
-    if plus[0] > best[0]:
-        best = plus
-    fallback = best is grid_result and all(r[0] < grid_result[0] for r in results)
-    return best[0], best[3], tuple(float(x) for x in best[2]), sum(r[4] for r in results) / n_starts, fallback
+    best = max(results + [plus], key=lambda r: (r[0], tuple(-x for x in r[1])))
+    return best[0], best[3], tuple(float(x) for x in best[2]), sum(r[4] for r in results) / n_starts
 
 
 def recorded_search(monkeypatch, family, xi, seed):
@@ -290,7 +277,7 @@ class TestShotRegimeProductSearch:
         fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
         report, largest_stack, shrinks = recorded_search(monkeypatch, fam, xi, seed)
         best = report.best
-        got = (best.value, best.time, best.probe.thetas, report.converged_fraction, report.grid_fallback_used)
+        got = (best.value, best.time, best.probe.thetas, report.converged_fraction)
         assert got == sequential_shot_search(fam, xi, seed)
         if n == 5:
             assert largest_stack == 32
@@ -325,6 +312,30 @@ class TestShotRegimeProductSearch:
             bracket = default_time_bracket(fam, xi)
             _, plus_value = maximize_over_time(lambda t: qfi_exact_value(plus, fam, xi, t), bracket)
             assert optimal_product_state(fam, xi, "shot", seed=fam_seed).best.value >= plus_value
+
+    @pytest.mark.parametrize("n, fam_seed", [(2, None), (3, None), (4, None), (5, None), (2, 0), (3, 1), (4, 2)])
+    @pytest.mark.parametrize("k", range(3))
+    def test_no_nearby_or_random_probe_beats_plus_state(self, n, fam_seed, k, random_real_family):
+        # Every single-axis move of |+>^N onto a 9-point grid over [0, pi], and
+        # random product probes, at |+>^N's own t* and two more times in the
+        # bracket.  A failure is a counterexample to |+>^N being the shot
+        # optimum, which the search would then have to find.
+        xi = (1e-3, 0.03, 0.2)[k] if fam_seed is None else (0.05, 0.5, 0.881)[k]
+        fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
+        bracket = default_time_bracket(fam, xi)
+        plus = plus_product(n).density()
+        t_star, _ = maximize_over_time(lambda t: qfi_exact_value(plus, fam, xi, t), bracket)
+        probes = []
+        for axis in range(n):
+            for cand in np.linspace(0.0, np.pi, 9):
+                theta = np.full(n, np.pi / 2.0)
+                theta[axis] = cand
+                probes.append(theta)
+        probes.extend(np.random.default_rng(10 * n + k).uniform(0.0, np.pi, size=(40, n)))
+        rhos = np.stack([ProductState.polar(theta).density() for theta in probes])
+        for t in [t_star, *np.geomspace(*bracket, 4)[1:3]]:
+            ceiling = qfi_exact_value(plus, fam, xi, t) * (1.0 + 1e-12)
+            assert np.all(qfi_exact_value(rhos, fam, xi, t) <= ceiling)
 
 
 def time_regime_families(random_real_family):
@@ -367,7 +378,7 @@ class TestTimeRegimeProductOptimum:
         report = optimal_product_state(fam, 0.01, "time")
         assert report.best.value == pytest.approx(50.0, rel=1e-12)
         assert report.best.probe == plus_product(16)
-        assert (report.starts, report.converged_fraction, report.grid_fallback_used) == (0, 1.0, False)
+        assert (report.starts, report.converged_fraction) == (0, 1.0)
 
 
 class TestAdvantageRatio:
@@ -407,6 +418,12 @@ class TestAdvantageRatio:
                 product_best = optimal_product_state(fam, xi, "time").best.value
                 assert product_best <= pair_best * (1.0 + 1e-6)
 
+    def test_shot_ratio_holds_at_tiny_gamma(self):
+        # The time bracket's slowest rate is found relative to the largest, at any rate scale.
+        base = advantage_ratio(3, 0.01, "shot").ratio
+        for gamma in (1e-13, 1e-200):
+            assert advantage_ratio(3, 0.01, "shot", gamma=gamma).ratio == pytest.approx(base, abs=1e-12)
+
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             advantage_ratio(1, 0.1, "time")
@@ -435,3 +452,11 @@ class TestTimeBracket:
         slow = 6 * 0.01
         assert lo == pytest.approx(1e-3 / slow, rel=1e-9)
         assert hi == pytest.approx(1e2 / slow, rel=1e-9)
+
+    def test_relative_to_the_fastest_rate(self):
+        # Only the rate scale moves the bracket, down to where its upper end overflows.
+        lo, hi = default_time_bracket(build_n_qubit(6, DOMAIN), 0.01)
+        tiny = build_n_qubit(6, DOMAIN, gamma=1e-200)
+        assert default_time_bracket(tiny, 0.01) == pytest.approx((lo * 1e200, hi * 1e200))
+        with pytest.raises(ValueError, match="float range"):
+            default_time_bracket(build_n_qubit(6, DOMAIN, gamma=1e-307), 0.01)
