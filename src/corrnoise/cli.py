@@ -42,7 +42,7 @@ from .model import (
     from_spectral_density,
     load_spectral_csv,
 )
-from .optimize import REGIMES, advantage_ratio, family_for_ratio
+from .optimize import PRODUCT_MAX_QUBITS, REGIMES, advantage_ratio, family_for_ratio
 from .qfi import (
     DivergentQfiError,
     coherence_pair_qfi_shot,
@@ -353,6 +353,8 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"gamma must be > 0, got {config.gamma}")
     if config.scenario in ("fig1a", "fig1b", "closed-forms", "advantage", "estimate") and config.n < 2:
         raise ConfigError(f"n must be >= 2, got {config.n}")
+    if config.scenario == "fig1b" and config.n > PRODUCT_MAX_QUBITS:
+        raise ConfigError(f"fig1b sweeps n up to {PRODUCT_MAX_QUBITS}, got {config.n}")
     if config.scenario == "fig1a":
         for name, value in (("t_lo", config.t_lo), ("t_hi", config.t_hi)):
             if not np.isfinite(value):
@@ -380,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
         lines, code = _RUNNERS[config.scenario](config)
     except (ConfigError, FamilyValidationError, ResourceLimitError, DivergentQfiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -392,59 +392,47 @@ def superoperator_spectrum(family: DephasingFamily, xi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProductState:
-    """Pure product probe: qubit j in cos(theta_j/2)|0> + e^{i phi_j} sin(theta_j/2)|1>."""
+    """Pure product probe: qubit j in cos(theta_j/2)|0> + sin(theta_j/2)|1>.
+
+    No azimuths: phi_j would enter as U = (x)_j diag(1, e^{i phi_j}), a xi-independent diagonal unitary.  A
+    diagonal congruence commutes with the Schur-multiplier propagator, so rho_phi(t) = U rho(t) U^dag, and
+    likewise d_xi rho.  The QFI is unitarily invariant, so F(t) and lim F(t)/t do not depend on phi.
+    """
 
     thetas: tuple[float, ...]
-    phis: tuple[float, ...]
 
     def __post_init__(self):
         thetas = tuple(float(t) for t in self.thetas)
-        phis = tuple(float(p) for p in self.phis)
-        if len(thetas) != len(phis) or not thetas:
-            raise ValueError("thetas and phis must be nonempty and of equal length")
+        if not thetas:
+            raise ValueError("thetas must be nonempty")
         if any(not 0.0 <= t <= np.pi for t in thetas):
             raise ValueError(f"polar angles must lie in [0, pi], got {thetas}")
-        if any(not 0.0 <= p < 2.0 * np.pi for p in phis):
-            raise ValueError(f"azimuthal angles must lie in [0, 2*pi), got {phis}")
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "phis", phis)
-
-    @classmethod
-    def polar(cls, thetas) -> "ProductState":
-        thetas = tuple(float(t) for t in thetas)
-        return cls(thetas, (0.0,) * len(thetas))
 
     @property
     def n_qubits(self) -> int:
         return len(self.thetas)
 
     def statevector(self) -> np.ndarray:
-        return _product_vectors(np.array(self.thetas), np.array(self.phis))
+        return _product_vectors(np.array(self.thetas))
 
     def density(self) -> np.ndarray:
         vec = self.statevector()
-        return np.outer(vec, vec.conj())
+        return np.outer(vec, vec)
 
 
-def _product_vectors(thetas: np.ndarray, phis: np.ndarray | None = None) -> np.ndarray:
-    """State vectors of product probes, one per row of polar angles: (..., N) -> (..., 2^N).
-
-    Qubit j is cos(theta_j/2)|0> + e^{i phi_j} sin(theta_j/2)|1>; phis = None
-    means all azimuths 0 and a real result.
-    """
+def _product_vectors(thetas: np.ndarray) -> np.ndarray:
+    """Real state vectors of product probes, one per row of polar angles: (..., N) -> (..., 2^N)."""
     half = np.asarray(thetas, dtype=np.float64) / 2.0
-    amp1 = np.sin(half)
-    if phis is not None and np.any(phis != 0.0):
-        amp1 = amp1 * np.exp(1j * phis)
-    factors = np.where(_spin_table(half.shape[-1]) > 0.0, np.cos(half)[..., None, :], amp1[..., None, :])
+    factors = np.where(_spin_table(half.shape[-1]) > 0.0, np.cos(half)[..., None, :], np.sin(half)[..., None, :])
     # Elementwise products over qubits, left to right as in a kron chain;
-    # np.prod's complex reduction rounds differently.
+    # np.prod's reduction rounds differently.
     return reduce(np.multiply, np.moveaxis(factors, -1, 0))
 
 
 def plus_product(n_qubits: int) -> ProductState:
-    """|+>^{tensor N}: every polar angle pi/2, azimuths 0."""
-    return ProductState.polar((np.pi / 2.0,) * n_qubits)
+    """|+>^{tensor N}: every polar angle pi/2."""
+    return ProductState((np.pi / 2.0,) * n_qubits)
 
 
 def pair_state(pair: CoherencePair) -> np.ndarray:

@@ -9,9 +9,8 @@ Two resource regimes are supported:
 
 The entangled search space is the set of equal-weight two-level
 superpositions (|alpha> + |beta>)/sqrt(2) over coherence pairs, scored once
-per difference class d = alpha - beta; the separable search space is product
-probes parametrized by polar angles (azimuths are fixed to zero, which is no
-loss because per-qubit Z rotations commute with the dynamics).
+per difference class d = alpha - beta; the separable search space is
+``ProductState``, product probes parametrized by polar angles.
 
 In the time regime the product optimum needs no search.  The t -> 0+ rate of
 a product probe is the SLD QFI of the N x N pair (K A K, K B K), with
@@ -354,7 +353,7 @@ def optimal_product_state(
         vecs = _product_vectors(np.frombuffer(b"".join(rows), dtype=np.float64).reshape(len(rows), n))[inverse]
         values = []
         for lo in range(0, len(points), chunk):
-            vec = vecs[lo : lo + chunk]  # real: every azimuth is 0
+            vec = vecs[lo : lo + chunk]
             values.extend(qfi_exact_value(vec[:, :, None] * vec[:, None, :], family, xi, ts[lo : lo + chunk]))
         return values
 
@@ -377,7 +376,7 @@ def optimal_product_state(
     # Deterministic merge: maximize value, break ties on the angle encoding.
     best = max(candidates, key=lambda r: (r[0], tuple(-x for x in r[1])))
     converged_fraction = sum(c for _, _, c, _ in found) / n_starts
-    result = QfiResult(best[0], PER_SHOT, best[3], ProductState.polar(best[2]))
+    result = QfiResult(best[0], PER_SHOT, best[3], ProductState(best[2]))
     return OptimizationReport(result, n_starts, converged_fraction)
 
 

@@ -167,10 +167,8 @@ class QfiResult:
     def __post_init__(self):
         if self.regime not in (PER_SHOT, TIME_AVERAGED):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if not 0.0 <= self.value < math.inf:
-            raise ValueError(f"QFI value must be finite and >= 0, got {self.value}")
-        if not self.time >= 0.0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
+        if not (0.0 <= self.value < math.inf and 0.0 <= self.time < math.inf):
+            raise ValueError(f"QFI value and time must be finite and >= 0, got {self.value} at t = {self.time}")
 
 
 def _check_qfi_inputs(family: DephasingFamily, xi: float, t) -> None:
@@ -364,10 +362,11 @@ def _pair_optimum(family: DephasingFamily, xi: float, diffs: np.ndarray, regime:
         raise DivergentQfiError(f"dark coherence class d = {diffs[k].astype(int)}: rate 0, sensitivity {gp[k]:g}")
     blind = gp == 0.0
     g = np.where(blind, 1.0, g)
-    if regime == TIME_AVERAGED:
-        return np.where(blind, 0.0, gp * gp / (2.0 * g)), np.zeros_like(g)
-    ratio = np.where(blind, 0.0, gp / g)
-    return ratio * ratio * shot_optimum_value(), np.where(blind, 0.0, shot_optimum_x() / g)
+    with np.errstate(over="ignore", invalid="ignore"):  # rates near the float limits: QfiResult rejects inf and nan
+        if regime == TIME_AVERAGED:
+            return np.where(blind, 0.0, gp * gp / (2.0 * g)), np.zeros_like(g)
+        ratio = np.where(blind, 0.0, gp / g)
+        return ratio * ratio * shot_optimum_value(), np.where(blind, 0.0, shot_optimum_x() / g)
 
 
 def coherence_pair_qfi_timeavg(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:

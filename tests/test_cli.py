@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrnoise import cli
 from corrnoise.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, RunConfig, main
 from corrnoise.evolution import CoherencePair, decay_rate
 from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, from_spectral_density, load_spectral_csv
@@ -294,13 +295,24 @@ class TestAdvantageScenario:
         assert float(doubled["separable"]) == 2.0 * float(base["separable"])
         assert doubled["ratio"] == base["ratio"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_qfi_overflow_exits_config(self, tmp_path, capsys):
-        # At gamma = 1e300 the pair optimum overflows to inf; no row may carry it.
-        out_path = tmp_path / "fig1b.csv"
-        code = main(["fig1b", "--n", "2", "--gamma", "1e300", "--out", str(out_path)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fig1b", "--n", "2", "--gamma", "1e300"],  # G'^2 overflows
+            ["advantage", "--n", "2", "--regime", "time", "--gamma", "1e160"],
+            ["advantage", "--n", "3", "--regime", "shot", "--gamma", "1e-310"],  # t = x*/G overflows
+            ["estimate", "--gamma", "1e-310", "--seeds", "3", "--shots", "100"],  # used to print "# t: inf"
+        ],
+        ids=["fig1b-gamma-1e300", "time-gamma-1e160", "shot-gamma-1e-310", "estimate-gamma-1e-310"],
+    )
+    def test_qfi_overflow_exits_config(self, args, tmp_path, capsys):
+        # The pair optimum overflows to inf; no row may carry it, and under the
+        # error::RuntimeWarning filter a numpy overflow warning fails the test.
+        out_path = tmp_path / "out.csv"
+        code = main([*args, "--out", str(out_path)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "finite" in captured.err
         assert not out_path.exists()
 
@@ -358,6 +370,29 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert repr(name) in captured.err
+
+    def test_memory_error_exits_config(self, monkeypatch, capsys):
+        # Exit code 1 is a tolerance breach; running out of memory is a configuration error.
+        message = "Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576)"
+
+        def out_of_memory(config):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._RUNNERS, "fig1a", out_of_memory)
+        code = main(["fig1a", "--n", "20"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {message}\n"
+
+    def test_fig1b_beyond_search_guard_rejected_before_work(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "advantage_ratio", lambda *args, **kwargs: calls.append(args))
+        code = main(["fig1b", "--n", str(cli.PRODUCT_MAX_QUBITS + 1)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert calls == []
+        assert captured.out == "" and captured.err.startswith("error: fig1b")
 
     def test_invalid_xi_rejected(self, capsys):
         code, _ = run_cli(["closed-forms", "--xi", "1.5"], capsys)

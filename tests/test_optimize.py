@@ -194,7 +194,7 @@ class TestOptimalProductState:
         # The search keeps each candidate's value, so the report needs no re-evaluation.
         fam, xi = build_n_qubit(3, DOMAIN), 0.03
         best = optimal_product_state(fam, xi, regime, seed=2).best
-        probe = ProductState.polar(best.probe.thetas)
+        probe = ProductState(best.probe.thetas)
         if regime == "time":
             assert best.time == 0.0
             assert best.value == time_averaged_qfi_limit(probe, fam, xi).value
@@ -221,7 +221,7 @@ def sequential_shot_search(family, xi, seed):
     start_logts.extend(rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1))
 
     def value_at(theta, t):
-        return qfi_exact_value(ProductState.polar(_fold_theta(theta)).density(), family, xi, t)
+        return qfi_exact_value(ProductState(_fold_theta(theta)).density(), family, xi, t)
 
     def finish(theta, converged):
         t_star, val = maximize_over_time(lambda t: value_at(theta, t), bracket)
@@ -332,7 +332,7 @@ class TestShotRegimeProductSearch:
                 theta[axis] = cand
                 probes.append(theta)
         probes.extend(np.random.default_rng(10 * n + k).uniform(0.0, np.pi, size=(40, n)))
-        rhos = np.stack([ProductState.polar(theta).density() for theta in probes])
+        rhos = np.stack([ProductState(theta).density() for theta in probes])
         for t in [t_star, *np.geomspace(*bracket, 4)[1:3]]:
             ceiling = qfi_exact_value(plus, fam, xi, t) * (1.0 + 1e-12)
             assert np.all(qfi_exact_value(rhos, fam, xi, t) <= ceiling)
@@ -356,7 +356,7 @@ class TestTimeRegimeProductOptimum:
                 for k in range(60):
                     # Half the probes are uniform, half sit within 1e-3 of pi/2.
                     thetas = rng.uniform(0.0, np.pi, size=n) if k % 2 else np.pi / 2 + rng.uniform(-1e-3, 1e-3, size=n)
-                    probe = ProductState(thetas, rng.uniform(0.0, 2 * np.pi, size=n))
+                    probe = ProductState(thetas)
                     assert time_averaged_qfi_limit(probe, fam, xi).value <= optimum * (1.0 + 1e-12)
 
     def test_nelder_mead_never_beats_plus_state(self, random_real_family):
@@ -366,7 +366,7 @@ class TestTimeRegimeProductOptimum:
                 optimum = optimal_product_state(fam, xi, "time").best.value
 
                 def objective(z):
-                    return time_averaged_qfi_limit(ProductState.polar(_fold_theta(z)), fam, xi).value
+                    return time_averaged_qfi_limit(ProductState(_fold_theta(z)), fam, xi).value
 
                 for _ in range(2):
                     _, value, _, _ = nelder_mead_max(objective, rng.uniform(0.0, np.pi, size=fam.n_qubits))

@@ -26,6 +26,8 @@ from corrnoise.model import (
 )
 from corrnoise.qfi import (
     KERNEL_RTOL,
+    PER_SHOT,
+    QfiResult,
     DivergentQfiError,
     ExtrapolationError,
     bures_distance_sq,
@@ -59,6 +61,14 @@ def single_qubit_qfi_oracle(xi, t, gamma=1.0):
     """Closed-form per-shot QFI of |+> under single-qubit rate estimation."""
     x = gamma * xi * t
     return (gamma * t) ** 2 * math.exp(-2 * x) / (1.0 - math.exp(-2 * x))
+
+
+def azimuthal_density(thetas, phis):
+    """Product-probe density with azimuths phis, from an explicit kron chain; real when every phi is 0."""
+    vec = np.array([1.0])
+    for theta, phi in zip(thetas, phis):
+        vec = np.kron(vec, [np.cos(theta / 2.0), np.sin(theta / 2.0) * (np.exp(1j * phi) if phi else 1.0)])
+    return np.outer(vec, vec.conj())
 
 
 def dephased_fidelity_oracle(a, b):
@@ -153,6 +163,10 @@ class TestQfiExact:
         assert res.regime == "per_shot"
         assert res.time == 1.0
         assert res.probe.startswith("state:")
+
+    def test_result_rejects_infinite_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            QfiResult(1.0, PER_SHOT, math.inf, "probe")
 
     def test_preconditions(self):
         rho = plus_product(1).density()
@@ -269,17 +283,19 @@ class TestPureProbeLimit:
                 assert exact.regime == "time_averaged" and exact.time == 0.0
 
     def test_product_probes_match_richardson_and_statevector_route(self):
+        # The polar-only probe must score what the same probe with azimuths does.
         rng = np.random.default_rng(22)
         for n in range(2, 7):
             fam = family_n(n)
             for xi in (1e-2, 1e-1):
                 for phis in ((0.0,) * n, tuple(rng.uniform(0.0, 2.0 * np.pi, size=n))):
-                    probe = ProductState(tuple(rng.uniform(0.0, np.pi, size=n)), phis)
+                    thetas = tuple(rng.uniform(0.0, np.pi, size=n))
+                    probe, rho = ProductState(thetas), azimuthal_density(thetas, phis)
                     exact = time_averaged_qfi_limit(probe, fam, xi)
                     assert exact.probe == probe
-                    via_density = time_averaged_qfi_limit(probe.density(), fam, xi).value
+                    via_density = time_averaged_qfi_limit(rho, fam, xi).value
                     assert exact.value == pytest.approx(via_density, rel=1e-10)
-                    oracle, rtol = richardson_oracle(probe.density(), fam, xi)
+                    oracle, rtol = richardson_oracle(rho, fam, xi)
                     assert exact.value == pytest.approx(oracle, rel=rtol)
 
     def test_complex_hermitian_perturbation_rejected(self):
@@ -301,7 +317,7 @@ class TestPureProbeLimit:
 
     def test_z_eigenstates_give_zero(self):
         fam = build_n_qubit(4, DOMAIN)
-        probe = ProductState.polar((0.0, np.pi, np.pi, 0.0))
+        probe = ProductState((0.0, np.pi, np.pi, 0.0))
         assert time_averaged_qfi_limit(probe, fam, 0.03).value == 0.0
         assert time_averaged_qfi_limit(probe.density(), fam, 0.03).value == 0.0
 
@@ -313,7 +329,7 @@ class TestPureProbeLimit:
         # C(xi) = xi * I on [0, 1]: nothing decays at xi = 0, yet dC = I
         fam = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
         with pytest.raises(DivergentQfiError):
-            time_averaged_qfi_limit(ProductState.polar((1.0, 2.0)), fam, 0.0)
+            time_averaged_qfi_limit(ProductState((1.0, 2.0)), fam, 0.0)
         with pytest.raises(DivergentQfiError):
             time_averaged_qfi_limit(pair_density(CoherencePair((1, 1), (1, -1))), fam, 0.0)
 
@@ -321,7 +337,7 @@ class TestPureProbeLimit:
         # Richardson stops short here; the direct F(t)/t keeps closing in on
         # the exact limit as t falls.
         fam, xi = two(), 1e-3
-        probe = ProductState.polar((1.0, 2.0))
+        probe = ProductState((1.0, 2.0))
         exact = time_averaged_qfi_limit(probe, fam, xi).value
         gaps = [abs(qfi_exact_value(probe.density(), fam, xi, t) / t - exact) for t in (1e-4, 1e-5, 1e-6)]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -376,17 +392,17 @@ class TestDensityLimit:
         rng = np.random.default_rng(26)
         fam = build_n_qubit(4, DOMAIN)
         for thetas in ((0.0, 1.0, np.pi, 2.0), (1e-8, 0.4, 2.5, np.pi - 1e-8)):
-            probe = ProductState(thetas, tuple(rng.uniform(0.0, 2.0 * np.pi, size=4)))
+            probe, rho = ProductState(thetas), azimuthal_density(thetas, rng.uniform(0.0, 2.0 * np.pi, size=4))
             for xi in (1e-3, 0.05):
                 product = time_averaged_qfi_limit(probe, fam, xi).value
-                dense = time_averaged_qfi_limit(probe.density(), fam, xi).value
+                dense = time_averaged_qfi_limit(rho, fam, xi).value
                 assert dense == pytest.approx(product, rel=1e-10, abs=1e-12)
 
     def test_ill_conditioned_weight_matrix(self):
         # The O(t) weight eigenvalues are 1.5e-14 against 0.138.  Richardson
         # settles on 0.03458 here without raising; the 60-digit limit is 0.0383347.
         fam, xi = build_n_qubit(3, DOMAIN), 2e-6
-        probe = ProductState.polar((1e-4, np.pi - 1e-4, 0.7))
+        probe = ProductState((1e-4, np.pi - 1e-4, 0.7))
         for state in (probe, probe.density()):
             assert time_averaged_qfi_limit(state, fam, xi).value == pytest.approx(0.0383347, rel=1e-3)
 
@@ -398,7 +414,7 @@ class TestSldKernel:
     # are 3.5e-5 t and 0.07 t.  At t = 1e-8 the smaller sits below an absolute
     # 1e-12 cutoff but above 1e-13 of the largest; at t = 1e-9 below both.
     XI = 1e-3
-    PROBE = ProductState.polar((0.3, 2.9))
+    PROBE = ProductState((0.3, 2.9))
 
     def test_small_t_keeps_the_order_t_eigenvalues(self):
         exact = time_averaged_qfi_limit(self.PROBE, two(), self.XI).value
@@ -420,7 +436,7 @@ class TestSldKernel:
         dim = 2**n
         g = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
         mixed = [x @ x.conj().T / np.trace(x @ x.conj().T).real for x in g]
-        probes = [ProductState.polar((0.3, 2.9, 1.1)[:n])] + [ProductState.polar(rng.uniform(0, np.pi, n)) for _ in range(4)]
+        probes = [ProductState((0.3, 2.9, 1.1)[:n])] + [ProductState(rng.uniform(0, np.pi, n)) for _ in range(4)]
         rhos = np.array([p.density() for p in probes] + mixed)
         ts = np.concatenate([[1e-8], np.exp(rng.uniform(-2.0, 4.0, size=len(rhos) - 1))])
         states, derivs = evolve(rhos, fam, self.XI, ts), drho_dxi(rhos, fam, self.XI, ts)
@@ -447,7 +463,7 @@ class TestSldKernel:
         dim = 2**n
         thetas = [(0.3, 2.9, 1.1, 0.7)[:n]] + [rng.uniform(0, np.pi, n) for _ in range(6)]
         g = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
-        for rhos in (np.array([ProductState.polar(th).density() for th in thetas]),
+        for rhos in (np.array([ProductState(th).density() for th in thetas]),
                      np.array([x @ x.conj().T / np.trace(x @ x.conj().T).real for x in g])):
             ts = np.exp(rng.uniform(-2.0, 4.0, size=len(rhos)))
             if rhos.dtype.kind == "f":
@@ -461,7 +477,7 @@ class TestSldKernel:
             # One scalar t for the whole stack.
             composed = _sld_rate(evolve(rhos, fam, self.XI, ts[1]), drho_dxi(rhos, fam, self.XI, ts[1]))
             assert qfi_exact_value(rhos, fam, self.XI, ts[1]).tolist() == composed.tolist()
-        probe = ProductState.polar(thetas[0]).density()
+        probe = ProductState(thetas[0]).density()
         with pytest.raises(DivergentQfiError, match="too small"):
             qfi_exact_value(probe, fam, self.XI, t_unresolved)
         with pytest.raises(DivergentQfiError, match="too small"):
