@@ -40,10 +40,8 @@ from .qfi import (
     coherence_pair_qfi_shot_peak,
     coherence_pair_qfi_timeavg,
     fidelity,
-    qfi_exact,
     qfi_exact_value,
     qfi_fidelity_check,
-    time_averaged_qfi,
     time_averaged_qfi_limit,
 )
 from .optimize import (

@@ -49,7 +49,7 @@ from .qfi import (
     coherence_pair_qfi_shot_peak,
     qfi_exact_value,
 )
-from .verify import closed_form_table, run_verify
+from .verify import CLOSED_FORM_RTOL, closed_form_table, run_verify
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -109,7 +109,7 @@ def _write_csv(out: str | None, lines: Iterable[str]) -> None:
 
 def _build_family(config: RunConfig) -> DephasingFamily:
     kind = config.family
-    domain = (min(1e-6, config.xi / 2.0) if config.xi > 0 else 1e-6, 1.0)
+    domain = (min(1e-6, config.xi / 2.0), 1.0)
     if kind == "single":
         return build_single_qubit(domain, gamma=config.gamma)
     if kind == "two":
@@ -154,7 +154,7 @@ def run_closed_forms(config: RunConfig) -> tuple[list[str], int]:
     lines = [config.config_line(), "case,computed,expected,rel_err"]
     breach = False
     for name, computed, expected, rel in closed_form_table(config.xi, config.n, config.gamma):
-        breach = breach or rel > 1e-4
+        breach = breach or rel > CLOSED_FORM_RTOL
         lines.append(f"{name},{_fmt(computed)},{_fmt(expected)},{_fmt(rel)}")
     return lines, (EXIT_TOLERANCE if breach else EXIT_OK)
 
@@ -349,6 +349,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _validate_config(config: RunConfig) -> None:
     if config.scenario != "spectrum" and not 0.0 < config.xi < 1.0:
         raise ConfigError(f"xi must lie in (0, 1), got {config.xi}")
+    if config.scenario == "spectrum" and config.family in ("single", "two", "nqb") and not 0.0 < config.xi <= 1.0:
+        raise ConfigError(f"xi must lie in (0, 1] for the {config.family} family, got {config.xi}")
     if config.gamma <= 0.0:
         raise ConfigError(f"gamma must be > 0, got {config.gamma}")
     if config.scenario in ("fig1a", "fig1b", "closed-forms", "advantage", "estimate") and config.n < 2:
@@ -392,7 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _write_csv(config.out, lines)
     except OSError as exc:
-        print(f"i/o error writing {config.out}: {exc}", file=sys.stderr)
+        target = "<stdout>" if config.out in (None, "-") else config.out
+        print(f"i/o error writing {target}: {exc}", file=sys.stderr)
         return EXIT_IO
     return code
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evolution import CoherencePair, _pair_diff, _rate_form, decay_rate, ghz_pair
+from .evolution import CoherencePair, _pair_diff, _rate_form, decay_rate, decay_rate_derivative, ghz_pair
 from .model import DephasingFamily
 from .optimize import dynamical_range_threshold
 from .qfi import DivergentQfiError, QfiResult, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
@@ -282,9 +282,8 @@ def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateRe
     pair = record.pair
     # G(0): the rate extrapolated to xi = 0, which may sit outside the
     # admissible domain; needed only as the intercept of the linear inversion.
-    diff = _pair_diff(family, pair)
-    g0 = float(_rate_form(family, family.c0, diff)[0])
-    gp = float(_rate_form(family, family.delta_c, diff)[0])
+    g0 = float(_rate_form(family, family.c0, _pair_diff(family, pair))[0])
+    gp = decay_rate_derivative(family, pair)
     if gp == 0.0:
         raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
     p_hat = record.plus_count / record.shots

@@ -200,7 +200,7 @@ def decay_rate(family: DephasingFamily, xi: float, pair: CoherencePair) -> float
     return float(_decay_rates(family, xi, _pair_diff(family, pair))[0])
 
 
-def decay_rate_derivative(family: DephasingFamily, xi: float, pair: CoherencePair) -> float:
+def decay_rate_derivative(family: DephasingFamily, pair: CoherencePair) -> float:
     """d(rate)/d(xi) = (gamma/4)(alpha-beta)^dag dC (alpha-beta); xi-independent."""
     return float(_rate_form(family, family.delta_c, _pair_diff(family, pair))[0])
 
@@ -208,7 +208,8 @@ def decay_rate_derivative(family: DephasingFamily, xi: float, pair: CoherencePai
 # Rate matrices are the hot loop of propagation and the QFI; memoize per
 # (family content, xi).  xi = None selects the xi-derivative.  Entry (a, b)
 # is the rate of class |ternary[a] - ternary[b]| - 1, and 0 on the diagonal.
-@lru_cache(maxsize=512)
+# Two entries, 8 MB each at N = 10, hold what one search reuses: its rates and their derivative.
+@lru_cache(maxsize=2)
 def _dense_rates(family: DephasingFamily, xi: float | None) -> np.ndarray:
     diffs, _, ternary = _class_table(family.n_qubits)
     if xi is None:
@@ -223,10 +224,8 @@ def _dense_rates(family: DephasingFamily, xi: float | None) -> np.ndarray:
 def rate_matrix(family: DephasingFamily, xi: float) -> np.ndarray:
     """2^N x 2^N matrix of decay rates for every (row, column) basis pair.
 
-    Diagonal entries are exactly zero and all entries are >= 0.
+    Diagonal entries are exactly zero and all entries are >= 0; ``_decay_rates`` checks xi on a memo miss.
     """
-    if not family.contains(xi):
-        raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
     return _dense_rates(family, float(xi))
 
 

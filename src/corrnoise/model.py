@@ -83,7 +83,9 @@ class DephasingFamily:
     """Linear family C(xi) = c0 + xi*delta_c of dephasing coefficient matrices.
 
     Families compare and hash by content through ``fingerprint``, so equal
-    families share memoized per-(family, xi) data.
+    families share the memoized rate matrices (the two most recent ones).
+    A rate (gamma/4) d^T C d, |d_j| <= 2, or its xi-derivative is at most gamma N^2 max|C| in size, max|C| over
+    C(lo), C(hi) and dC; a family where twice that (2G, in the time-regime pair optimum) overflows is rejected.
     """
 
     n_qubits: int
@@ -113,6 +115,9 @@ class DephasingFamily:
                 raise FamilyValidationError(
                     f"C(xi) not positive semidefinite at xi={xi:.6g}: min eigenvalue {lam:.3e} < {PSD_EIG_FLOOR:g}"
                 )
+        ends = (self.coefficient_matrix(lo), self.coefficient_matrix(hi), self.delta_c)
+        if not np.isfinite(2.0 * gamma * n * n * max(float(np.abs(m).max()) for m in ends)):
+            raise FamilyValidationError(f"gamma={gamma:g} is too large: 2 gamma N^2 max|C| overflows the float range")
 
     def coefficient_matrix(self, xi: float) -> np.ndarray:
         """C(xi) = c0 + xi*delta_c as a fresh complex array."""

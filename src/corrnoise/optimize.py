@@ -1,11 +1,8 @@
 """Probe and interrogation-time optimization, and entanglement-advantage ratios.
 
-Two resource regimes are supported:
-
-* ``"time"``  - total protocol time is constrained; the figure of merit is
-  the time-averaged QFI, whose supremum over t sits at t -> 0+.
-* ``"shot"``  - the number of experimental runs is constrained; the figure
-  of merit is the per-shot QFI maximized over the interrogation time.
+The resource regimes are ``qfi.REGIMES``: ``"time"`` constrains the total
+protocol time (figure of merit: the time-averaged QFI, whose supremum sits at
+t -> 0+), ``"shot"`` the number of runs (the per-shot QFI maximized over t).
 
 The entangled search space is the set of equal-weight two-level
 superpositions (|alpha> + |beta>)/sqrt(2) over coherence pairs, scored once
@@ -50,17 +47,15 @@ from .evolution import (
 )
 from .model import DephasingFamily, build_n_qubit, build_two_qubit
 from .qfi import (
-    PER_SHOT,
-    TIME_AVERAGED,
+    REGIMES,
     DivergentQfiError,
     QfiResult,
+    _check_regime,
     _pair_optimum,
     qfi_exact_value,
     shot_optimum_x,
     time_averaged_qfi_limit,
 )
-
-REGIMES = ("time", "shot")
 
 TIME_BRACKET_SPAN = (1e-3, 1e2)
 GRID_POINTS = 64
@@ -110,11 +105,6 @@ class AdvantageRatio:
     entangled_best: QfiResult
     separable_best: QfiResult
     ratio: float
-
-
-def _check_regime(regime: str) -> None:
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
 def _lockstep(generators, evaluate) -> list:
@@ -266,12 +256,11 @@ def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> Q
             f"pair enumeration is guarded at N <= {PAIR_ENUM_MAX_QUBITS}, got {n}"
         )
     diffs, first, _ = _class_table(n)
-    kind = TIME_AVERAGED if regime == "time" else PER_SHOT
-    values, times = _pair_optimum(family, xi, diffs, kind)
+    values, times = _pair_optimum(family, xi, diffs, regime)
     top = np.flatnonzero(values == values.max())
     k = top[np.lexsort((first[top, 1], first[top, 0]))[0]]
     pair = CoherencePair.from_indices(*map(int, first[k]), n)
-    return QfiResult(float(values[k]), kind, float(times[k]), pair)
+    return QfiResult(float(values[k]), regime, float(times[k]), pair)
 
 
 def _fold_theta(theta: np.ndarray) -> np.ndarray:
@@ -376,7 +365,7 @@ def optimal_product_state(
     # Deterministic merge: maximize value, break ties on the angle encoding.
     best = max(candidates, key=lambda r: (r[0], tuple(-x for x in r[1])))
     converged_fraction = sum(c for _, _, c, _ in found) / n_starts
-    result = QfiResult(best[0], PER_SHOT, best[3], ProductState(best[2]))
+    result = QfiResult(best[0], "shot", best[3], ProductState(best[2]))
     return OptimizationReport(result, n_starts, converged_fraction)
 
 
@@ -412,7 +401,6 @@ def advantage_ratio(
     per-shot optima do not, so the ratio is gamma-free up to the shot search's
     roundoff.
     """
-    _check_regime(regime)
     n = int(n)
     if not 2 <= n <= PRODUCT_MAX_QUBITS:
         raise ValueError(f"n must lie in [2, {PRODUCT_MAX_QUBITS}], got {n}")

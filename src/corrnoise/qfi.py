@@ -1,8 +1,10 @@
 """Quantum Fisher information for the correlation parameter xi.
 
-Two independent routes are provided and cross-checked:
+A QfiResult's regime is one of REGIMES: "shot" for the per-shot F_Q(t), "time"
+for the time average F_Q(t)/t, whose supremum over t sits at t -> 0+ for
+purely dissipative dynamics.
 
-* ``qfi_exact`` evaluates the symmetric-logarithmic-derivative spectral form
+* ``qfi_exact_value`` evaluates the symmetric-logarithmic-derivative spectral form
 
       F_Q = 2 * sum_{jk} |<j| d_rho |k>|^2 / (lambda_j + lambda_k)
 
@@ -25,9 +27,6 @@ Two independent routes are provided and cross-checked:
 
   the central difference of the squared Bures distance, whose leading error
   is O(dxi^2) rather than the O(dxi) of a one-sided step.
-
-``time_averaged_qfi`` divides the per-shot value by the interrogation time;
-its supremum over t sits at t -> 0+ for purely dissipative dynamics.
 
 * ``time_averaged_qfi_limit`` is the one exact route to that limit.  Write
   rho0 = sum_k p_k |psi_k><psi_k| over its support, the eigenvalues above
@@ -87,19 +86,17 @@ from .model import DephasingFamily
 KERNEL_RTOL = 1e-13
 DARK_RTOL = 1e-12
 
-PER_SHOT = "per_shot"
-TIME_AVERAGED = "time_averaged"
+REGIMES = ("time", "shot")
 
 __all__ = [
+    "REGIMES",
     "DivergentQfiError",
     "ExtrapolationError",
     "QfiResult",
     "fidelity",
     "bures_distance_sq",
-    "qfi_exact",
     "qfi_exact_value",
     "qfi_fidelity_check",
-    "time_averaged_qfi",
     "time_averaged_qfi_limit",
     "richardson_limit",
     "coherence_pair_qfi_timeavg",
@@ -155,9 +152,14 @@ def state_hash(rho: np.ndarray) -> str:
     return "state:" + hashlib.sha1(rho.tobytes()).hexdigest()[:16]
 
 
+def _check_regime(regime: str) -> None:
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
 @dataclass(frozen=True)
 class QfiResult:
-    """A QFI value with its resource regime, interrogation time and probe."""
+    """A QFI value with its regime in REGIMES, interrogation time (0 for a t -> 0+ limit) and probe."""
 
     value: float
     regime: str
@@ -165,8 +167,7 @@ class QfiResult:
     probe: "ProductState | CoherencePair | str"
 
     def __post_init__(self):
-        if self.regime not in (PER_SHOT, TIME_AVERAGED):
-            raise ValueError(f"unknown regime {self.regime!r}")
+        _check_regime(self.regime)
         if not (0.0 <= self.value < math.inf and 0.0 <= self.time < math.inf):
             raise ValueError(f"QFI value and time must be finite and >= 0, got {self.value} at t = {self.time}")
 
@@ -197,10 +198,6 @@ def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> 
     return _sld_rate(state, deriv)
 
 
-def qfi_exact(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> QfiResult:
-    return QfiResult(qfi_exact_value(rho0, family, xi, t), PER_SHOT, float(t), state_hash(rho0))
-
-
 def qfi_fidelity_check(
     rho0: np.ndarray, family: DephasingFamily, xi: float, t: float, dxi: float | None = None
 ) -> float:
@@ -208,7 +205,7 @@ def qfi_fidelity_check(
 
     Uses 2 (1 - sqrt(F(rho(xi - dxi), rho(xi + dxi)))) / dxi^2 with a default
     step of 1e-3 * xi; both ends must lie in the family domain.  This is an
-    independent check on ``qfi_exact``.
+    independent check on ``qfi_exact_value``.
     """
     _check_qfi_inputs(family, xi, t)
     if dxi is None:
@@ -219,13 +216,6 @@ def qfi_fidelity_check(
         raise ValueError(f"xi -/+ dxi = {xi - dxi}, {xi + dxi} leaves the family domain {family.xi_domain}")
     f = fidelity(evolve(rho0, family, xi - dxi, t), evolve(rho0, family, xi + dxi, t))
     return 2.0 * (1.0 - math.sqrt(f)) / (dxi * dxi)
-
-
-def time_averaged_qfi(rho0: np.ndarray, family: DephasingFamily, xi: float, t: float) -> QfiResult:
-    """Per-shot QFI divided by the interrogation time."""
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    return QfiResult(qfi_exact_value(rho0, family, xi, t) / t, TIME_AVERAGED, float(t), state_hash(rho0))
 
 
 def richardson_limit(rho0: np.ndarray, family: DephasingFamily, xi: float, levels: int = 7) -> QfiResult:
@@ -247,7 +237,7 @@ def richardson_limit(rho0: np.ndarray, family: DephasingFamily, xi: float, level
     descriptor = state_hash(rho0)
     max_rate = float(rate_matrix(family, xi).max())
     if max_rate <= 0.0:
-        return QfiResult(0.0, TIME_AVERAGED, 0.0, descriptor)
+        return QfiResult(0.0, "time", 0.0, descriptor)
     t0 = 0.01 / max_rate
     rows: list[list[float]] = []
     diagonal: list[float] = []
@@ -260,7 +250,7 @@ def richardson_limit(rho0: np.ndarray, family: DephasingFamily, xi: float, level
         diagonal.append(row[-1])
         if k >= 1 and abs(diagonal[-1] - diagonal[-2]) <= 1e-6 * max(abs(diagonal[-1]), 1e-300):
             value = max(diagonal[-1], 0.0)
-            return QfiResult(value, TIME_AVERAGED, 0.0, descriptor)
+            return QfiResult(value, "time", 0.0, descriptor)
     raise ExtrapolationError(
         f"time-averaged QFI extrapolation did not converge to 1e-6 in {levels} levels", diagonal
     )
@@ -331,7 +321,7 @@ def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: Dephasin
         s = np.sin(np.array(probe.thetas))
         s = np.where(s * s > KERNEL_RTOL, s, 0.0)
         scale = np.outer(s, s)
-        return QfiResult(_sld_rate(a * scale, b * scale), TIME_AVERAGED, 0.0, probe)
+        return QfiResult(_sld_rate(a * scale, b * scale), "time", 0.0, probe)
     rho0 = np.asarray(probe)
     validate_density_matrix(rho0)
     if rho0.shape != (2**n, 2**n):
@@ -347,13 +337,13 @@ def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: Dephasin
     k = w * np.sqrt(np.where(g > KERNEL_RTOL, g, 0.0))
     eye = np.eye(r)
     value = _sld_rate(k.conj().T @ np.kron(eye, a) @ k, k.conj().T @ np.kron(eye, b) @ k)
-    return QfiResult(value, TIME_AVERAGED, 0.0, state_hash(rho0))
+    return QfiResult(value, "time", 0.0, state_hash(rho0))
 
 
 def _pair_optimum(family: DephasingFamily, xi: float, diffs: np.ndarray, regime: str) -> tuple:
     """(values, times) of the coherence classes ``diffs`` optimised over t; a dark class raises.
 
-    TIME_AVERAGED: G'^2 / (2G) at t -> 0+; PER_SHOT: (G'/G)^2 x* e^{-2x*} at t = x*/G; G' = 0 scores 0.
+    "time": G'^2 / (2G) at t -> 0+; "shot": (G'/G)^2 x* e^{-2x*} at t = x*/G; G' = 0 scores 0.
     """
     g, gp = _decay_rates(family, xi, diffs), _rate_form(family, family.delta_c, diffs)
     dark = (g == 0.0) & (gp != 0.0)
@@ -363,7 +353,7 @@ def _pair_optimum(family: DephasingFamily, xi: float, diffs: np.ndarray, regime:
     blind = gp == 0.0
     g = np.where(blind, 1.0, g)
     with np.errstate(over="ignore", invalid="ignore"):  # rates near the float limits: QfiResult rejects inf and nan
-        if regime == TIME_AVERAGED:
+        if regime == "time":
             return np.where(blind, 0.0, gp * gp / (2.0 * g)), np.zeros_like(g)
         ratio = np.where(blind, 0.0, gp / g)
         return ratio * ratio * shot_optimum_value(), np.where(blind, 0.0, shot_optimum_x() / g)
@@ -371,8 +361,8 @@ def _pair_optimum(family: DephasingFamily, xi: float, diffs: np.ndarray, regime:
 
 def coherence_pair_qfi_timeavg(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Closed-form optimal time-averaged QFI G'^2 / (2 G) for one coherence pair."""
-    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), TIME_AVERAGED)
-    return QfiResult(float(value[0]), TIME_AVERAGED, float(time[0]), pair)
+    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), "time")
+    return QfiResult(float(value[0]), "time", float(time[0]), pair)
 
 
 def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherencePair, t: float) -> QfiResult:
@@ -384,8 +374,8 @@ def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherenceP
     x2 = 2.0 * decay_rate(family, xi, pair) * t
     decay = math.exp(-x2)
     if per_time == 0.0 or decay == 0.0:  # blind, or decayed where t * per_time * x2 may overflow to inf
-        return QfiResult(0.0, PER_SHOT, t, pair)
-    return QfiResult(t * per_time * x2 * decay / -math.expm1(-x2), PER_SHOT, t, pair)
+        return QfiResult(0.0, "shot", t, pair)
+    return QfiResult(t * per_time * x2 * decay / -math.expm1(-x2), "shot", t, pair)
 
 
 def shot_optimum_x() -> float:
@@ -406,5 +396,5 @@ def shot_optimum_value() -> float:
 
 def coherence_pair_qfi_shot_peak(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Per-shot pair QFI maximized over t: value (G'/G)^2 x* e^{-2x*} at t = x*/G."""
-    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), PER_SHOT)
-    return QfiResult(float(value[0]), PER_SHOT, float(time[0]), pair)
+    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), "shot")
+    return QfiResult(float(value[0]), "shot", float(time[0]), pair)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrnoise import cli
+from corrnoise import cli, evolution, verify
 from corrnoise.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, RunConfig, main
 from corrnoise.evolution import CoherencePair, decay_rate
 from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, from_spectral_density, load_spectral_csv
@@ -169,6 +170,35 @@ class TestSpectrum:
         code, _ = run_cli(["spectrum", "--family", f"file:{tmp_path}/nope.csv"], capsys)
         assert code in (EXIT_CONFIG, EXIT_IO)
 
+    @pytest.mark.parametrize("family", ["single", "two", "nqb"])
+    @pytest.mark.parametrize("xi", ["5", "-1", "0", "1.5"])
+    def test_builtin_family_rejects_xi_outside_its_domain(self, family, xi, capsys):
+        code = main(["spectrum", "--family", family, "--n", "2", "--xi", xi])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: xi must lie in (0, 1] for the {family} family, got {float(xi)}\n"
+
+    def test_builtin_family_accepts_xi_one(self, capsys):
+        code, out = run_cli(["spectrum", "--n", "2", "--xi", "1"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "# xi: 1"
+
+    def test_file_family_prints_at_its_domain_point(self, tmp_path, capsys):
+        # A fixed channel lives on [0, 0]; whatever --xi says, it is printed there.
+        path = tmp_path / "s.csv"
+        path.write_text("j,l,re,im\n0,0,0.5,0\n1,1,0.5,0\n")
+        outs = [run_cli(["spectrum", "--family", f"file:{path}", "--xi", xi], capsys) for xi in ("5", "0.01")]
+        for code, out in outs:
+            assert code == EXIT_OK
+            assert out.splitlines()[1] == "# xi: 0"
+        assert outs[0][1].splitlines()[2:] == outs[1][1].splitlines()[2:]
+
+    def test_gamma_near_the_float_limit_still_prints(self, capsys):
+        code, out = run_cli(["spectrum", "--family", "two", "--gamma", "1e307"], capsys)
+        assert code == EXIT_OK
+        assert all(math.isfinite(float(row[2])) for row in parse_csv(out)[2])
+
 
 def diagonally_dominant_file(path, n, seed):
     """A seeded real spectral-density file, PSD by diagonal dominance, whose pair rates are nearly all distinct."""
@@ -317,7 +347,40 @@ class TestAdvantageScenario:
         assert not out_path.exists()
 
 
+class TestRatesPastTheFloatRange:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fig1b", "--n", "3"],
+            ["advantage", "--n", "3", "--regime", "time"],
+            ["advantage", "--n", "3", "--regime", "shot"],
+            ["estimate", "--n", "3"],
+            ["fig1a", "--n", "3"],
+            ["spectrum", "--family", "two"],
+        ],
+        ids=["fig1b", "advantage-time", "advantage-shot", "estimate", "fig1a", "spectrum"],
+    )
+    def test_gamma_1e308_exits_config(self, args, tmp_path, capsys):
+        # The family is rejected before any rate is formed: one error line,
+        # no output, and no numpy warning (an error under the test filter).
+        out_path = tmp_path / "out.csv"
+        code = main([*args, "--gamma", "1e308", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith("error: gamma=1e+308 ") and captured.err.count("\n") == 1
+        assert not out_path.exists()
+
+
 class TestVerifyScenario:
+    def test_rates_nonnegative_reads_the_least_class_rate(self):
+        # The single-qubit rate xi at xi = 1e-3, not the zero diagonal of the dense matrix.
+        result = verify.check_rates_nonnegative(verify.default_families())
+        assert result.passed and result.detail == "min rate 1.000e-03"
+
+    def test_rates_nonnegative_catches_a_broken_rate_form(self, monkeypatch):
+        monkeypatch.setattr(verify, "_rate_form", lambda fam, m, d: -evolution._rate_form(fam, m, d))
+        assert not verify.check_rates_nonnegative(verify.default_families()).passed
+
     def test_all_pass(self, capsys):
         code, out = run_cli(["verify"], capsys)
         assert code == EXIT_OK
@@ -397,6 +460,16 @@ class TestConfigHandling:
     def test_invalid_xi_rejected(self, capsys):
         code, _ = run_cli(["closed-forms", "--xi", "1.5"], capsys)
         assert code == EXIT_CONFIG
+
+    def test_stdout_write_error_names_stdout(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["closed-forms"])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "i/o error writing <stdout>: [Errno 32] Broken pipe\n"
 
     def test_out_file_written(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"

@@ -13,6 +13,7 @@ from corrnoise.evolution import (
     decay_rate_derivative,
     drho_dxi,
     evolve,
+    ghz_density,
     ghz_pair,
     index_from_pattern,
     pair_density,
@@ -25,8 +26,9 @@ from corrnoise.evolution import (
     superoperator_spectrum,
     validate_density_matrix,
 )
-from corrnoise.evolution import _class_table, _decay_rates
+from corrnoise.evolution import _class_table, _decay_rates, _dense_rates
 from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
+from corrnoise.optimize import optimal_product_state
 
 DOMAIN = (1e-6, 1.0)
 
@@ -129,6 +131,17 @@ class TestDecayRate:
         assert rate_derivative_matrix(nqb(3)) is rate_derivative_matrix(nqb(3))
         assert rate_matrix(nqb(3), 0.1) is not rate_matrix(nqb(3), 0.2)
 
+    def test_memo_holds_what_one_search_reuses(self):
+        # A search at fixed xi reuses its rate matrix and their derivative: two
+        # misses, then hits.  A sweep over xi keeps no more than two matrices.
+        _dense_rates.cache_clear()
+        optimal_product_state(nqb(3), 0.05, "shot")
+        info = _dense_rates.cache_info()
+        assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+        for xi in np.linspace(0.1, 0.9, 9):
+            evolve(ghz_density(3), nqb(3), float(xi), 1.0)
+        assert _dense_rates.cache_info().currsize == 2
+
     def test_nonnegative_over_families_and_pairs(self):
         for fam in (single(), two(), nqb(3)):
             for xi in (1e-4, 0.1, 0.9):
@@ -142,19 +155,19 @@ class TestDecayRateDerivative:
         h = 1e-6
         fam = two()
         fd = (decay_rate(fam, 0.3 + h, pair) - decay_rate(fam, 0.3 - h, pair)) / (2 * h)
-        got = decay_rate_derivative(fam, 0.3, pair)
+        got = decay_rate_derivative(fam, pair)
         assert got == pytest.approx(2.0, rel=1e-12)
         assert got == pytest.approx(fd, rel=1e-8)
 
     def test_ghz_pair(self):
         for n in (2, 4, 6):
-            got = decay_rate_derivative(nqb(n), 0.2, ghz_pair(n))
+            got = decay_rate_derivative(nqb(n), ghz_pair(n))
             assert got == pytest.approx(float(n), rel=1e-12)
 
     def test_zero_perturbation(self):
         fam = with_perturbation(two(), np.zeros((2, 2)), DOMAIN)
         for pair in (CoherencePair((1, -1), (-1, 1)), CoherencePair((1, 1), (-1, -1))):
-            assert decay_rate_derivative(fam, 0.2, pair) == 0.0
+            assert decay_rate_derivative(fam, pair) == 0.0
 
 
 class TestEvolve:

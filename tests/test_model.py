@@ -175,6 +175,15 @@ class TestFamilyInvariants:
         with pytest.raises(FamilyValidationError):
             DephasingFamily(1, 0.0, np.zeros((1, 1)), np.ones((1, 1)), (0.1, 1.0))
 
+    def test_rates_past_the_float_range_rejected(self):
+        # 2 gamma N^2 max|C| must be finite: 2 * 1e307 * 4 is, 2 * 1e308 * 4 is not.
+        assert build_two_qubit(DOMAIN, gamma=1e307).gamma == 1e307
+        for build in (lambda: build_two_qubit(DOMAIN, gamma=1e308), lambda: build_n_qubit(3, DOMAIN, gamma=1e308)):
+            with pytest.raises(FamilyValidationError, match="gamma=1e\\+308"):
+                build()
+        with pytest.raises(FamilyValidationError, match="gamma=1 "):
+            DephasingFamily(1, 1.0, np.zeros((1, 1)), np.full((1, 1), 1e308), (0.1, 1.0))
+
     def test_hermiticity_tolerance(self):
         skew = np.array([[1.0, 1e-11], [0.0, 1.0]])
         with pytest.raises(FamilyValidationError):

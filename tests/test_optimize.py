@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from corrnoise import optimize
-from corrnoise.evolution import CoherencePair, ProductState, ghz_pair, plus_product
+from corrnoise import qfi
+from corrnoise.evolution import CoherencePair, ProductState, ghz_pair, pair_density, plus_product, random_pure_density
 from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import (
     GRID_POINTS,
@@ -19,10 +20,13 @@ from corrnoise.optimize import (
     optimal_product_state,
 )
 from corrnoise.qfi import (
+    REGIMES,
     DivergentQfiError,
     coherence_pair_qfi_shot,
+    coherence_pair_qfi_shot_peak,
     coherence_pair_qfi_timeavg,
     qfi_exact_value,
+    richardson_limit,
     shot_optimum_x,
     time_averaged_qfi_limit,
 )
@@ -124,7 +128,7 @@ class TestOptimalCoherencePair:
         best = optimal_coherence_pair(fam, xi, "time")
         assert best.probe == CoherencePair((1, -1), (-1, 1))
         assert best.value == pytest.approx(1.0 / xi, rel=1e-12)
-        assert best.regime == "time_averaged"
+        assert best.regime == "time"
 
     def test_n4_time_regime(self):
         fam = build_n_qubit(4, DOMAIN)
@@ -460,3 +464,55 @@ class TestTimeBracket:
         assert default_time_bracket(tiny, 0.01) == pytest.approx((lo * 1e200, hi * 1e200))
         with pytest.raises(ValueError, match="float range"):
             default_time_bracket(build_n_qubit(6, DOMAIN, gamma=1e-307), 0.01)
+
+
+def recomputed(result, family, xi, rho=None):
+    """The figure of merit ``result.regime`` names, recomputed for its probe at its time."""
+    if rho is None:
+        rho = pair_density(result.probe) if isinstance(result.probe, CoherencePair) else result.probe.density()
+    if result.regime == "shot":
+        return qfi_exact_value(rho, family, xi, result.time)
+    assert result.time == 0.0
+    return time_averaged_qfi_limit(rho, family, xi).value
+
+
+class TestRegimeVocabulary:
+    """Every QfiResult names its regime with a word of REGIMES, and the word matches the value."""
+
+    def test_one_vocabulary(self):
+        assert REGIMES == ("time", "shot")
+        assert optimize.REGIMES is qfi.REGIMES
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_searches_report_their_regime(self, regime):
+        fam, xi = build_n_qubit(3, DOMAIN), 0.05
+        pair = optimal_coherence_pair(fam, xi, regime)
+        product = optimal_product_state(fam, xi, regime).best
+        for result in (pair, product):
+            assert result.regime == regime
+            assert recomputed(result, fam, xi) == pytest.approx(result.value, rel=1e-9)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_advantage_ratio_reports_its_regime(self, regime):
+        report = advantage_ratio(3, 0.05, regime)
+        assert report.regime == report.entangled_best.regime == report.separable_best.regime == regime
+
+    def test_pair_closed_forms_report_their_regime(self):
+        fam, xi, pair = build_n_qubit(3, DOMAIN), 0.05, ghz_pair(3)
+        results = {
+            "time": coherence_pair_qfi_timeavg(fam, xi, pair),
+            "shot": coherence_pair_qfi_shot(fam, xi, pair, 2.0),
+            "shot peak": coherence_pair_qfi_shot_peak(fam, xi, pair),
+        }
+        for name, result in results.items():
+            assert result.regime == name.split()[0]
+            assert recomputed(result, fam, xi) == pytest.approx(result.value, rel=1e-9)
+
+    def test_time_limits_report_the_time_regime(self):
+        fam, xi = build_n_qubit(3, DOMAIN), 0.05
+        rho = random_pure_density(3, np.random.default_rng(5))
+        for result in (time_averaged_qfi_limit(plus_product(3), fam, xi), time_averaged_qfi_limit(rho, fam, xi)):
+            assert result.regime == "time" and result.time == 0.0
+        oracle = richardson_limit(rho, fam, xi)
+        assert oracle.regime == "time"
+        assert recomputed(oracle, fam, xi, rho) == pytest.approx(oracle.value, rel=1e-6)

@@ -26,7 +26,6 @@ from corrnoise.model import (
 )
 from corrnoise.qfi import (
     KERNEL_RTOL,
-    PER_SHOT,
     QfiResult,
     DivergentQfiError,
     ExtrapolationError,
@@ -35,13 +34,12 @@ from corrnoise.qfi import (
     coherence_pair_qfi_shot_peak,
     coherence_pair_qfi_timeavg,
     fidelity,
-    qfi_exact,
     qfi_exact_value,
     qfi_fidelity_check,
     richardson_limit,
     shot_optimum_value,
     shot_optimum_x,
-    time_averaged_qfi,
+    state_hash,
     time_averaged_qfi_limit,
     _sld_rate,
 )
@@ -159,14 +157,20 @@ class TestQfiExact:
         assert got == pytest.approx(0.1619 / xi**2, rel=1e-3)
 
     def test_result_wrapper(self):
-        res = qfi_exact(plus_product(1).density(), single(), 0.1, 1.0)
-        assert res.regime == "per_shot"
+        rho = plus_product(1).density()
+        res = QfiResult(qfi_exact_value(rho, single(), 0.1, 1.0), "shot", 1.0, state_hash(rho))
+        assert res.regime == "shot"
         assert res.time == 1.0
         assert res.probe.startswith("state:")
 
     def test_result_rejects_infinite_time(self):
         with pytest.raises(ValueError, match="finite"):
-            QfiResult(1.0, PER_SHOT, math.inf, "probe")
+            QfiResult(1.0, "shot", math.inf, "probe")
+
+    @pytest.mark.parametrize("regime", ["per_shot", "time_averaged", "Time", ""])
+    def test_result_rejects_words_outside_regimes(self, regime):
+        with pytest.raises(ValueError, match="regime must be one of"):
+            QfiResult(1.0, regime, 1.0, "probe")
 
     def test_preconditions(self):
         rho = plus_product(1).density()
@@ -212,10 +216,9 @@ class TestTimeAveraged:
         fam = single()
         rho = plus_product(1).density()
         xi, t = 0.2, 1.4
-        got = time_averaged_qfi(rho, fam, xi, t)
+        got = qfi_exact_value(rho, fam, xi, t) / t
         expected = single_qubit_qfi_oracle(xi, t) / t
-        assert got.value == pytest.approx(expected, rel=1e-10)
-        assert got.regime == "time_averaged"
+        assert got == pytest.approx(expected, rel=1e-10)
 
     def test_limit_reproduces_small_t(self):
         fam = single()
@@ -228,7 +231,7 @@ class TestTimeAveraged:
     def test_long_time_decays_to_zero(self):
         fam = single()
         rho = plus_product(1).density()
-        assert time_averaged_qfi(rho, fam, 0.2, 500.0).value < 1e-30
+        assert qfi_exact_value(rho, fam, 0.2, 500.0) / 500.0 < 1e-30
 
     def test_limit_closed_forms(self):
         xi = 0.1
@@ -280,7 +283,7 @@ class TestPureProbeLimit:
                 exact = time_averaged_qfi_limit(rho, fam, xi)
                 oracle, rtol = richardson_oracle(rho, fam, xi)
                 assert exact.value == pytest.approx(oracle, rel=rtol)
-                assert exact.regime == "time_averaged" and exact.time == 0.0
+                assert exact.regime == "time" and exact.time == 0.0
 
     def test_product_probes_match_richardson_and_statevector_route(self):
         # The polar-only probe must score what the same probe with azimuths does.
@@ -377,7 +380,7 @@ class TestDensityLimit:
                     exact = time_averaged_qfi_limit(rho, fam, xi)
                     oracle, rtol = richardson_oracle(rho, fam, xi)
                     assert exact.value == pytest.approx(oracle, rel=rtol)
-                    assert exact.regime == "time_averaged" and exact.time == 0.0
+                    assert exact.regime == "time" and exact.time == 0.0
 
     def test_full_rank_gives_exactly_zero(self):
         rng = np.random.default_rng(25)
