@@ -44,13 +44,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .evolution import CoherencePair, _pair_diff, _rate_form, decay_rate, decay_rate_derivative, ghz_pair
+from .evolution import CoherencePair, _decay_rates, _pair_diff, _rate_form, decay_rate, ghz_pair
 from .model import DephasingFamily
 from .optimize import dynamical_range_threshold
-from .qfi import DivergentQfiError, QfiResult, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
+from .qfi import DivergentQfiError, QfiResult, _pair_qfi_shot, _pair_rates, coherence_pair_qfi_shot_peak
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -107,6 +108,7 @@ def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return splitmix64(seed, count, offset) * 2.0**-64
 
 
+@lru_cache(maxsize=16)
 def _float_threshold(p: float) -> int:
     """Smallest integer T whose float64 rounding is >= p * 2^64.
 
@@ -249,6 +251,11 @@ def promise_check(
     return PromiseReport(float(xi_hat), threshold, xi_hat < threshold, t_probe, coherence, delta)
 
 
+# The replicates of a study share (family, xi_true, pair): the rate behind
+# p_plus and the pair's inversion line are looked up, not recomputed.
+_true_rate = lru_cache(maxsize=8)(decay_rate)
+
+
 def simulate_parity_counts(
     family: DephasingFamily,
     xi_true: float,
@@ -263,15 +270,34 @@ def simulate_parity_counts(
         raise ValueError(f"t must be > 0, got {t}")
     if shots <= 0:
         raise ValueError(f"shots must be > 0, got {shots}")
-    p_plus = 0.5 * (1.0 + math.exp(-decay_rate(family, xi_true, pair) * t))
+    p_plus = 0.5 * (1.0 + math.exp(-_true_rate(family, float(xi_true), pair) * t))
     plus = count_uniforms_below(seed, shots, p_plus)
     return ExperimentRecord(pair, float(xi_true), t, int(shots), plus, int(seed))
 
 
+@lru_cache(maxsize=8)
+def _inversion_line(family: DephasingFamily, pair: CoherencePair) -> tuple:
+    """(G(0), G', d) of one pair: intercept and slope of its rate, linear in xi, and its one-row difference d.
+
+    G(0) is the rate extrapolated to xi = 0, which may sit outside the admissible domain.  G' is a
+    length-1 array, as in ``_pair_rates``.
+    """
+    d = _pair_diff(family, pair)
+    gp = _rate_form(family, family.delta_c, d)
+    for arr in (d, gp):
+        arr.setflags(write=False)
+    return float(_rate_form(family, family.c0, d)[0]), gp, d
+
+
 def _crb_std(family: DephasingFamily, xi: float, pair: CoherencePair, t: float, shots: int) -> float:
     """Cramer-Rao std [M F_Q(t)]^{-1/2} of M shots of one pair probed for time t; 0 on a dark coherence."""
+    return _crb_std_from_rates(_pair_rates(family, xi, pair), pair, t, shots)
+
+
+def _crb_std_from_rates(rates: tuple, pair: CoherencePair, t: float, shots: int) -> float:
+    """``_crb_std`` from the pair's ``_pair_rates`` at xi."""
     try:
-        qfi = coherence_pair_qfi_shot(family, xi, pair, t).value
+        qfi = _pair_qfi_shot(rates, pair, t).value
     except DivergentQfiError:
         return 0.0
     return 1.0 / math.sqrt(shots * qfi) if qfi > 0.0 else math.inf
@@ -280,20 +306,18 @@ def _crb_std(family: DephasingFamily, xi: float, pair: CoherencePair, t: float, 
 def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateReport:
     """Closed-form maximum-likelihood inversion of the parity counts, with the plug-in CRB at xi_hat."""
     pair = record.pair
-    # G(0): the rate extrapolated to xi = 0, which may sit outside the
-    # admissible domain; needed only as the intercept of the linear inversion.
-    g0 = float(_rate_form(family, family.c0, _pair_diff(family, pair))[0])
-    gp = decay_rate_derivative(family, pair)
-    if gp == 0.0:
+    g0, gp, d = _inversion_line(family, pair)
+    if gp[0] == 0.0:
         raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
     p_hat = record.plus_count / record.shots
     if p_hat <= 0.5:
         return EstimateReport(None, math.inf)
     rate_hat = -math.log(2.0 * p_hat - 1.0) / record.t
-    xi_hat = (rate_hat - g0) / gp
+    xi_hat = (rate_hat - g0) / float(gp[0])
     clamped = not family.contains(xi_hat)
     xi_hat = float(np.clip(xi_hat, *family.xi_domain))
-    return EstimateReport(xi_hat, _crb_std(family, xi_hat, pair, record.t, record.shots), clamped=clamped)
+    std = _crb_std_from_rates((_decay_rates(family, xi_hat, d), gp, d), pair, record.t, record.shots)
+    return EstimateReport(xi_hat, std, clamped=clamped)
 
 
 def replication_study(

@@ -20,6 +20,7 @@ deliberately independent of the elementwise fast path and limited to N <= 3.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -173,20 +174,47 @@ def _class_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diffs, first, ternary
 
 
+# Rows per matmul block of ``_rate_form``: the (rows, N) product temporary
+# stays a few hundred KB instead of 25.5 MB for the 265,720 classes at N = 12.
+_RATE_BLOCK = 4096
+
+
 def _rate_form(family: DephasingFamily, matrix: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """(gamma/4) d^T Re(matrix) d for every row d of ``diffs``: one real matmul and a row-wise dot."""
+    """(gamma/4) d^T Re(matrix) d for every row d of ``diffs``: a real matmul and a row-wise dot per block of rows."""
     # Families store complex128, so np.real is a strided view and matmul takes
     # numpy's non-BLAS loop, which computes each row on its own: a one-row
-    # ``decay_rate`` and the class table agree bit for bit, as the spectrum
-    # test against the pair-by-pair oracle pins.  BLAS on float64 would not.
-    return (family.gamma / 4.0) * np.einsum("ij,ij->i", diffs @ np.real(matrix), diffs)
+    # ``decay_rate``, any block of rows and the class table agree bit for bit,
+    # as the spectrum test against the pair-by-pair oracle pins.  BLAS on
+    # float64 would not, so the view must not be copied.
+    real = np.real(matrix)
+    rates = np.empty(len(diffs))
+    for lo in range(0, len(diffs), _RATE_BLOCK):
+        block = diffs[lo : lo + _RATE_BLOCK]
+        np.einsum("ij,ij->i", block @ real, block, out=rates[lo : lo + _RATE_BLOCK])
+    rates *= family.gamma / 4.0
+    return rates
 
 
 def _decay_rates(family: DephasingFamily, xi: float, diffs: np.ndarray) -> np.ndarray:
     """Rate form at C(xi), clipped at 0 like ``rate_matrix``."""
     if not family.contains(xi):
         raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
-    return np.maximum(_rate_form(family, family.coefficient_matrix(xi), diffs), 0.0)
+    rates = _rate_form(family, family.coefficient_matrix(xi), diffs)
+    return np.maximum(rates, 0.0, out=rates)
+
+
+# The clipped class rates at C(xi), or their xi-derivative for xi = None,
+# memoized per (family content, xi).  Every reader of a full class table (the
+# dense matrices, the pair optimum, the time bracket, the spectrum) takes them
+# from here.  Four entries, 2 MB each at N = 12, hold the rates and
+# derivatives of two families: the pair optimum's two regimes share each
+# pass, and a family's derivative outlives a spectrum at the next xi.
+@lru_cache(maxsize=4)
+def _class_rates(family: DephasingFamily, xi: float | None) -> np.ndarray:
+    diffs = _class_table(family.n_qubits)[0]
+    rates = _rate_form(family, family.delta_c, diffs) if xi is None else _decay_rates(family, xi, diffs)
+    rates.setflags(write=False)
+    return rates
 
 
 def _pair_diff(family: DephasingFamily, pair: CoherencePair) -> np.ndarray:
@@ -211,12 +239,8 @@ def decay_rate_derivative(family: DephasingFamily, pair: CoherencePair) -> float
 # Two entries, 8 MB each at N = 10, hold what one search reuses: its rates and their derivative.
 @lru_cache(maxsize=2)
 def _dense_rates(family: DephasingFamily, xi: float | None) -> np.ndarray:
-    diffs, _, ternary = _class_table(family.n_qubits)
-    if xi is None:
-        rates = _rate_form(family, family.delta_c, diffs)
-    else:
-        rates = _decay_rates(family, xi, diffs)
-    dense = np.concatenate([[0.0], rates])[np.abs(ternary[:, None] - ternary[None, :])]
+    ternary = _class_table(family.n_qubits)[2]
+    dense = np.concatenate([[0.0], _class_rates(family, xi)])[np.abs(ternary[:, None] - ternary[None, :])]
     dense.setflags(write=False)
     return dense
 
@@ -243,8 +267,33 @@ def _decay(rho0, family: DephasingFamily, xi: float, t) -> tuple[np.ndarray, np.
     if rho0.shape[-2:] != rates.shape:
         raise ValueError(f"state has shape {rho0.shape}, expected {rates.shape}")
     t = t[..., None, None]
-    decay = -rates * t
+    # Past the float range rate * t is -inf, and its factor exp(-inf) = 0.
+    with np.errstate(over="ignore") if _past_float_range(family, t) else nullcontext():
+        decay = -rates * t
     return rho0, t, np.exp(decay, out=decay)
+
+
+def _past_float_range(family: DephasingFamily, t: np.ndarray) -> bool:
+    """Whether a rate or rate derivative times t can pass the float range.
+
+    Only then do ``_decay`` and ``_derivative`` enter ``np.errstate``, which slows every ufunc it covers.
+    """
+    return float(t.max(initial=0.0)) * family.rate_bound > 1e307
+
+
+def _derivative(rho0: np.ndarray, family: DephasingFamily, t: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """(-t) rate' rho0 exp(-rate t) from ``_decay``'s outputs: the xi-derivative of ``evolve``.
+
+    Where t rate' passes the float range and the decay factor has underflowed
+    to 0, the term is 0, not inf * 0 = nan; every finite term keeps its bits.
+    """
+    far = _past_float_range(family, t)
+    with np.errstate(over="ignore", invalid="ignore") if far else nullcontext():
+        deriv = (-t) * rate_derivative_matrix(family) * rho0
+    if far:
+        np.copyto(deriv, 0.0, where=(decay == 0.0) & ~np.isfinite(deriv))
+    deriv *= decay
+    return deriv
 
 
 def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
@@ -263,7 +312,7 @@ def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarra
 def drho_dxi(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
     """Exact xi-derivative (-t) rate' rho0 exp(-rate t) of ``evolve``, same shapes and decay; Hermitian, traceless."""
     rho0, t, decay = _decay(rho0, family, xi, t)
-    return (-t) * rate_derivative_matrix(family) * rho0 * decay
+    return _derivative(rho0, family, t, decay)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,9 +366,8 @@ def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
         raise ResourceLimitError(
             f"coherence_spectrum enumerates ~4^N/2 pairs; n_qubits={n} exceeds the guard {SPECTRUM_MAX_QUBITS}"
         )
-    diffs, _, ternary = _class_table(n)
-    ternary = ternary.astype(np.int32)
-    class_rates = _decay_rates(family, xi, diffs)
+    ternary = _class_table(n)[2].astype(np.int32)
+    class_rates = _class_rates(family, float(xi))
     # Equal rates (0.0 and -0.0 too) share a rank, as they tie in a float sort.
     _, rank = np.unique(class_rates, return_inverse=True)
     rank = rank.astype(np.min_scalar_type(rank.max()))

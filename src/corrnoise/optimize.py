@@ -40,8 +40,8 @@ from .evolution import (
     CoherencePair,
     ProductState,
     ResourceLimitError,
+    _class_rates,
     _class_table,
-    _decay_rates,
     _product_vectors,
     plus_product,
 )
@@ -183,7 +183,7 @@ def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, fl
 
 def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, float]:
     """[1e-3, 1e2] in units of the slowest nonzero decay rate at xi."""
-    rates = _decay_rates(family, xi, _class_table(family.n_qubits)[0])
+    rates = _class_rates(family, float(xi))
     positive = rates[rates > 1e-12 * rates.max()]
     if positive.size == 0:
         raise ValueError("family has no nonzero decay rate; no finite time scale")
@@ -256,7 +256,7 @@ def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> Q
             f"pair enumeration is guarded at N <= {PAIR_ENUM_MAX_QUBITS}, got {n}"
         )
     diffs, first, _ = _class_table(n)
-    values, times = _pair_optimum(family, xi, diffs, regime)
+    values, times = _pair_optimum(_class_rates(family, float(xi)), _class_rates(family, None), diffs, regime)
     top = np.flatnonzero(values == values.max())
     k = top[np.lexsort((first[top, 1], first[top, 0]))[0]]
     pair = CoherencePair.from_indices(*map(int, first[k]), n)

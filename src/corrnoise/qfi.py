@@ -69,12 +69,11 @@ from .evolution import (
     ProductState,
     _decay,
     _decay_rates,
+    _derivative,
     _pair_diff,
     _rate_form,
     _spin_table,
-    decay_rate,
     evolve,
-    rate_derivative_matrix,
     rate_matrix,
     validate_density_matrix,
 )
@@ -190,8 +189,7 @@ def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> 
     """
     _check_qfi_inputs(family, xi, t)
     rho0, t, decay = _decay(rho0, family, xi, t)
-    deriv = (-t) * rate_derivative_matrix(family) * rho0
-    deriv *= decay
+    deriv = _derivative(rho0, family, t, decay)
     # Fresh pages cost more than this arithmetic: the state reuses the decay buffer, inputs go before eigh.
     state = np.multiply(rho0, decay, out=decay if decay.shape == rho0.shape and decay.dtype == rho0.dtype else None)
     del rho0, decay
@@ -321,7 +319,7 @@ def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: Dephasin
         s = np.sin(np.array(probe.thetas))
         s = np.where(s * s > KERNEL_RTOL, s, 0.0)
         scale = np.outer(s, s)
-        return QfiResult(_sld_rate(a * scale, b * scale), "time", 0.0, probe)
+        return QfiResult(_limit_rate(a * scale, b * scale), "time", 0.0, probe)
     rho0 = np.asarray(probe)
     validate_density_matrix(rho0)
     if rho0.shape != (2**n, 2**n):
@@ -336,16 +334,25 @@ def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: Dephasin
     g, w = np.linalg.eigh(v.conj().T @ v)
     k = w * np.sqrt(np.where(g > KERNEL_RTOL, g, 0.0))
     eye = np.eye(r)
-    value = _sld_rate(k.conj().T @ np.kron(eye, a) @ k, k.conj().T @ np.kron(eye, b) @ k)
+    value = _limit_rate(k.conj().T @ np.kron(eye, a) @ k, k.conj().T @ np.kron(eye, b) @ k)
     return QfiResult(value, "time", 0.0, state_hash(rho0))
 
 
-def _pair_optimum(family: DephasingFamily, xi: float, diffs: np.ndarray, regime: str) -> tuple:
-    """(values, times) of the coherence classes ``diffs`` optimised over t; a dark class raises.
+def _limit_rate(weight: np.ndarray, weight_prime: np.ndarray) -> float:
+    """``_sld_rate`` of a compressed O(t) weight pair.
 
-    "time": G'^2 / (2G) at t -> 0+; "shot": (G'/G)^2 x* e^{-2x*} at t = x*/G; G' = 0 scores 0.
+    The weights scale with gamma, so from about gamma = 1e154 the squared derivative weight overflows:
+    the value is then inf, which QfiResult rejects with its own error.
     """
-    g, gp = _decay_rates(family, xi, diffs), _rate_form(family, family.delta_c, diffs)
+    with np.errstate(over="ignore"):
+        return _sld_rate(weight, weight_prime)
+
+
+def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str) -> tuple:
+    """(values, times) of the coherence classes ``diffs`` with rates g and derivatives gp, optimised over t.
+
+    "time": G'^2 / (2G) at t -> 0+; "shot": (G'/G)^2 x* e^{-2x*} at t = x*/G; G' = 0 scores 0; a dark class raises.
+    """
     dark = (g == 0.0) & (gp != 0.0)
     if np.any(dark):
         k = int(np.argmax(dark))
@@ -359,19 +366,34 @@ def _pair_optimum(family: DephasingFamily, xi: float, diffs: np.ndarray, regime:
         return ratio * ratio * shot_optimum_value(), np.where(blind, 0.0, shot_optimum_x() / g)
 
 
+def _pair_rates(family: DephasingFamily, xi: float, pair: CoherencePair) -> tuple:
+    """(G, G', d) of one pair: its rate and rate derivative as length-1 arrays, and its one-row difference d."""
+    d = _pair_diff(family, pair)
+    return _decay_rates(family, xi, d), _rate_form(family, family.delta_c, d), d
+
+
+def _pair_result(rates: tuple, pair: CoherencePair, regime: str) -> QfiResult:
+    value, time = _pair_optimum(*rates, regime)
+    return QfiResult(float(value[0]), regime, float(time[0]), pair)
+
+
 def coherence_pair_qfi_timeavg(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Closed-form optimal time-averaged QFI G'^2 / (2 G) for one coherence pair."""
-    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), "time")
-    return QfiResult(float(value[0]), "time", float(time[0]), pair)
+    return _pair_result(_pair_rates(family, xi, pair), pair, "time")
 
 
 def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherencePair, t: float) -> QfiResult:
     """Per-shot pair QFI t^2 G'^2 e^{-2Gt} / (1 - e^{-2Gt}) = t (G'^2 / 2G) 2x e^{-2x} / (1 - e^{-2x}), x = Gt."""
+    return _pair_qfi_shot(_pair_rates(family, xi, pair), pair, t)
+
+
+def _pair_qfi_shot(rates: tuple, pair: CoherencePair, t: float) -> QfiResult:
+    """``coherence_pair_qfi_shot`` from the pair's ``_pair_rates``: the one copy of its arithmetic."""
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    per_time = coherence_pair_qfi_timeavg(family, xi, pair).value
-    x2 = 2.0 * decay_rate(family, xi, pair) * t
+    per_time = _pair_result(rates, pair, "time").value
+    x2 = 2.0 * float(rates[0][0]) * t
     decay = math.exp(-x2)
     if per_time == 0.0 or decay == 0.0:  # blind, or decayed where t * per_time * x2 may overflow to inf
         return QfiResult(0.0, "shot", t, pair)
@@ -396,5 +418,4 @@ def shot_optimum_value() -> float:
 
 def coherence_pair_qfi_shot_peak(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Per-shot pair QFI maximized over t: value (G'/G)^2 x* e^{-2x*} at t = x*/G."""
-    value, time = _pair_optimum(family, xi, _pair_diff(family, pair), "shot")
-    return QfiResult(float(value[0]), "shot", float(time[0]), pair)
+    return _pair_result(_pair_rates(family, xi, pair), pair, "shot")

@@ -66,12 +66,16 @@ class TestFig1a:
         sel = ts >= 20.0
         assert np.all(prod[sel] <= ghz[sel] / 16.0 + 1e-30)
 
-    def test_huge_times_score_zero(self, capsys):
-        # Both QFIs have decayed to 0 at t = 1e300; the pair formula used to give NaN there.
-        code, out = run_cli(["fig1a", "--n", "3", "--t-points", "3", "--t-lo", "1e-300", "--t-hi", "1e300"], capsys)
+    @pytest.mark.parametrize("gamma, t_lo", [("1", "1e-300"), ("1e10", "1")])
+    def test_huge_times_score_zero(self, gamma, t_lo, capsys):
+        # Both QFIs have decayed to 0 at t = 1e300; the pair formula used to give NaN there, and so did the
+        # product state where t rate' passes the float range (gamma = 1e10).
+        args = ["fig1a", "--n", "3", "--gamma", gamma, "--t-points", "3", "--t-lo", t_lo, "--t-hi", "1e300"]
+        code, out = run_cli(args, capsys)
         assert code == EXIT_OK
         _, _, rows = parse_csv(out)
         assert rows[-1][1:] == ["0", "0"]
+        assert "nan" not in out
 
     @pytest.mark.parametrize("args, name", [(["--t-hi", "1e400"], "t_hi"), (["--t-hi", "inf"], "t_hi"), (None, "t_lo")])
     def test_infinite_time_bound_exits_config(self, args, name, tmp_path, capsys):
@@ -332,8 +336,9 @@ class TestAdvantageScenario:
             ["advantage", "--n", "2", "--regime", "time", "--gamma", "1e160"],
             ["advantage", "--n", "3", "--regime", "shot", "--gamma", "1e-310"],  # t = x*/G overflows
             ["estimate", "--gamma", "1e-310", "--seeds", "3", "--shots", "100"],  # used to print "# t: inf"
+            ["closed-forms", "--gamma", "1e300"],  # the squared derivative weight of the t -> 0+ limit overflows
         ],
-        ids=["fig1b-gamma-1e300", "time-gamma-1e160", "shot-gamma-1e-310", "estimate-gamma-1e-310"],
+        ids=["fig1b-gamma-1e300", "time-gamma-1e160", "shot-gamma-1e-310", "estimate-gamma-1e-310", "closed-forms-gamma-1e300"],
     )
     def test_qfi_overflow_exits_config(self, args, tmp_path, capsys):
         # The pair optimum overflows to inf; no row may carry it, and under the

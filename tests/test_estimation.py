@@ -16,6 +16,7 @@ from corrnoise.estimation import (
     splitmix64,
     uniform_stream,
 )
+from corrnoise.estimation import _crb_std
 from corrnoise.evolution import CoherencePair, decay_rate, ghz_pair
 from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
 from corrnoise.qfi import coherence_pair_qfi_shot
@@ -303,6 +304,18 @@ class TestReplicationStudy:
         ]
         assert 0 < study.n_clamped == sum(clamped) < 40
         assert study.n_failed == 0
+
+    def test_plug_in_crb_equals_the_one_pair_formula_bitwise(self):
+        # Each replicate reuses its pair's G(0), G' and d and forms one rate at
+        # xi_hat; its plug-in scale keeps the bits of the standalone formula.
+        fam = build_n_qubit(4, (1e-4, 0.02))
+        pair, t, shots = ghz_pair(4), 3.0, 200
+        study = replication_study(fam, 0.019, pair, t, shots=shots, n_seeds=60, base_seed=3)
+        assert 0 < study.n_clamped < 60
+        for report in study.reports:
+            assert report.std_error_crb == _crb_std(fam, report.xi_hat, pair, t, shots)
+            plug_in = coherence_pair_qfi_shot(fam, report.xi_hat, pair, t).value
+            assert report.std_error_crb == 1.0 / math.sqrt(shots * plug_in)
 
     def test_seed_xor_convention(self):
         fam = build_n_qubit(4, DOMAIN)

@@ -26,7 +26,7 @@ from corrnoise.evolution import (
     superoperator_spectrum,
     validate_density_matrix,
 )
-from corrnoise.evolution import _class_table, _decay_rates, _dense_rates
+from corrnoise.evolution import _RATE_BLOCK, _class_rates, _class_table, _decay_rates, _dense_rates
 from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import optimal_product_state
 
@@ -142,6 +142,27 @@ class TestDecayRate:
             evolve(ghz_density(3), nqb(3), float(xi), 1.0)
         assert _dense_rates.cache_info().currsize == 2
 
+    def test_class_rates_across_row_blocks_equal_one_row_rates(self, random_real_family):
+        # 265,720 classes at N = 12 span 65 row blocks; the classes on both
+        # sides of every block boundary carry their one-row rates bit for bit.
+        fam, n = random_real_family(12, 12), 12
+        diffs, first, _ = _class_table(n)
+        assert len(diffs) > 2 * _RATE_BLOCK
+        edges = np.arange(_RATE_BLOCK, len(diffs), _RATE_BLOCK)
+        sampled = np.unique(np.concatenate([[0, len(diffs) - 1], edges - 1, edges]))
+        for xi in (0.0, 0.31):
+            rates, slopes = _class_rates(fam, xi), _class_rates(fam, None)
+            for k in sampled:
+                pair = CoherencePair.from_indices(*map(int, first[k]), n)
+                assert rates[k].tobytes() == np.float64(decay_rate(fam, xi, pair)).tobytes()
+                assert slopes[k].tobytes() == np.float64(decay_rate_derivative(fam, pair)).tobytes()
+
+    def test_rate_bound_covers_every_class_rate(self, random_real_family):
+        # The overflow guard of propagation relies on it for rates and their derivatives.
+        for fam in (single(), two(), nqb(5), random_real_family(6, 3), build_n_qubit(4, DOMAIN, gamma=1e300)):
+            for xi in (None, fam.xi_domain[0], 0.5, fam.xi_domain[1]):
+                assert np.abs(_class_rates(fam, xi)).max() <= fam.rate_bound
+
     def test_nonnegative_over_families_and_pairs(self):
         for fam in (single(), two(), nqb(3)):
             for xi in (1e-4, 0.1, 0.9):
@@ -242,6 +263,20 @@ class TestDrhoDxi:
             exact = drho_dxi(rho, fam, xi, t)
             fd = (evolve(rho, fam, xi + h, t) - evolve(rho, fam, xi - h, t)) / (2 * h)
             assert np.max(np.abs(exact - fd)) < 1e-8
+
+
+    def test_decayed_terms_past_the_float_range_are_zero(self):
+        # t rate' overflows where exp(-rate t) is 0: the term is 0, not inf * 0 = nan,
+        # and no numpy warning fires (an error under the test filter).
+        fam = build_n_qubit(3, DOMAIN, gamma=1e10)
+        rho = plus_product(3).density()
+        out = drho_dxi(rho, fam, 0.01, 1e300)
+        assert np.all(out == 0.0)
+        # A stack keeps the bits of a state whose terms stay finite.
+        stacked = drho_dxi(np.stack([rho, rho]), fam, 0.01, np.array([1e300, 1e-10]))
+        assert np.all(stacked[0] == 0.0)
+        assert np.any(stacked[1] != 0.0)
+        assert stacked[1].tobytes() == drho_dxi(rho, fam, 0.01, 1e-10).tobytes()
 
 
 class TestGeneratorRoute:

@@ -6,6 +6,7 @@ import pytest
 from corrnoise import optimize
 from corrnoise import qfi
 from corrnoise.evolution import CoherencePair, ProductState, ghz_pair, pair_density, plus_product, random_pure_density
+from corrnoise.evolution import _class_rates
 from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import (
     GRID_POINTS,
@@ -157,6 +158,20 @@ class TestOptimalCoherencePair:
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
             optimal_coherence_pair(build_two_qubit(DOMAIN), 0.1, "weird")
+
+    def test_both_regimes_share_one_pass_per_class_table(self, random_real_family):
+        # The time and shot optima at one (family, xi) read the class rates and
+        # their derivative from one memo: two passes, and the same results as
+        # from a cleared memo.
+        fam, xi = random_real_family(8, 8), 0.31
+        _class_rates.cache_clear()
+        first = [optimal_coherence_pair(fam, xi, regime) for regime in ("time", "shot")]
+        assert _class_rates.cache_info().misses == 2
+        again = []
+        for regime in ("time", "shot"):
+            _class_rates.cache_clear()
+            again.append(optimal_coherence_pair(fam, xi, regime))
+        assert first == again
 
 
 class TestOptimalProductState:
