@@ -48,10 +48,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolution import CoherencePair, _decay_rates, _pair_diff, _rate_form, decay_rate, ghz_pair
+from .evolution import CoherencePair, _pair_line, decay_rate, decay_rate_derivative, ghz_pair
 from .model import DephasingFamily
 from .optimize import dynamical_range_threshold
-from .qfi import DivergentQfiError, QfiResult, _pair_qfi_shot, _pair_rates, coherence_pair_qfi_shot_peak
+from .qfi import DivergentQfiError, QfiResult, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -252,7 +252,7 @@ def promise_check(
 
 
 # The replicates of a study share (family, xi_true, pair): the rate behind
-# p_plus and the pair's inversion line are looked up, not recomputed.
+# p_plus is looked up, not recomputed, as are the pair's G(0) and G'.
 _true_rate = lru_cache(maxsize=8)(decay_rate)
 
 
@@ -275,29 +275,10 @@ def simulate_parity_counts(
     return ExperimentRecord(pair, float(xi_true), t, int(shots), plus, int(seed))
 
 
-@lru_cache(maxsize=8)
-def _inversion_line(family: DephasingFamily, pair: CoherencePair) -> tuple:
-    """(G(0), G', d) of one pair: intercept and slope of its rate, linear in xi, and its one-row difference d.
-
-    G(0) is the rate extrapolated to xi = 0, which may sit outside the admissible domain.  G' is a
-    length-1 array, as in ``_pair_rates``.
-    """
-    d = _pair_diff(family, pair)
-    gp = _rate_form(family, family.delta_c, d)
-    for arr in (d, gp):
-        arr.setflags(write=False)
-    return float(_rate_form(family, family.c0, d)[0]), gp, d
-
-
 def _crb_std(family: DephasingFamily, xi: float, pair: CoherencePair, t: float, shots: int) -> float:
     """Cramer-Rao std [M F_Q(t)]^{-1/2} of M shots of one pair probed for time t; 0 on a dark coherence."""
-    return _crb_std_from_rates(_pair_rates(family, xi, pair), pair, t, shots)
-
-
-def _crb_std_from_rates(rates: tuple, pair: CoherencePair, t: float, shots: int) -> float:
-    """``_crb_std`` from the pair's ``_pair_rates`` at xi."""
     try:
-        qfi = _pair_qfi_shot(rates, pair, t).value
+        qfi = coherence_pair_qfi_shot(family, xi, pair, t).value
     except DivergentQfiError:
         return 0.0
     return 1.0 / math.sqrt(shots * qfi) if qfi > 0.0 else math.inf
@@ -306,18 +287,19 @@ def _crb_std_from_rates(rates: tuple, pair: CoherencePair, t: float, shots: int)
 def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateReport:
     """Closed-form maximum-likelihood inversion of the parity counts, with the plug-in CRB at xi_hat."""
     pair = record.pair
-    g0, gp, d = _inversion_line(family, pair)
-    if gp[0] == 0.0:
+    # G(0) and G': intercept and slope of the pair's rate, linear in xi.
+    g0 = _pair_line(family, pair)[2]
+    gp = decay_rate_derivative(family, pair)
+    if gp == 0.0:
         raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
     p_hat = record.plus_count / record.shots
     if p_hat <= 0.5:
         return EstimateReport(None, math.inf)
     rate_hat = -math.log(2.0 * p_hat - 1.0) / record.t
-    xi_hat = (rate_hat - g0) / float(gp[0])
+    xi_hat = (rate_hat - g0) / gp
     clamped = not family.contains(xi_hat)
     xi_hat = float(np.clip(xi_hat, *family.xi_domain))
-    std = _crb_std_from_rates((_decay_rates(family, xi_hat, d), gp, d), pair, record.t, record.shots)
-    return EstimateReport(xi_hat, std, clamped=clamped)
+    return EstimateReport(xi_hat, _crb_std(family, xi_hat, pair, record.t, record.shots), clamped=clamped)
 
 
 def replication_study(

@@ -20,7 +20,6 @@ deliberately independent of the elementwise fast path and limited to N <= 3.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -223,6 +222,21 @@ def _pair_diff(family: DephasingFamily, pair: CoherencePair) -> np.ndarray:
     return np.array([pair.alpha], dtype=np.float64) - np.array([pair.beta], dtype=np.float64)
 
 
+# What one pair has at every xi, memoized per (family content, pair): the
+# replicates of an estimation study and its plug-in Cramer-Rao scale share it.
+@lru_cache(maxsize=8)
+def _pair_line(family: DephasingFamily, pair: CoherencePair) -> tuple[np.ndarray, np.ndarray, float]:
+    """(d, G', G(0)) of one pair: its one-row difference, its rate derivative (length 1) and its rate at xi = 0.
+
+    The rate is the line G(0) + xi G'; G(0), its intercept, may lie outside the admissible domain.
+    """
+    d = _pair_diff(family, pair)
+    slope = _rate_form(family, family.delta_c, d)
+    for arr in (d, slope):
+        arr.setflags(write=False)
+    return d, slope, float(_rate_form(family, family.c0, d)[0])
+
+
 def decay_rate(family: DephasingFamily, xi: float, pair: CoherencePair) -> float:
     """Coherence decay rate (gamma/4)(alpha-beta)^dag C(xi) (alpha-beta)."""
     return float(_decay_rates(family, xi, _pair_diff(family, pair))[0])
@@ -230,7 +244,7 @@ def decay_rate(family: DephasingFamily, xi: float, pair: CoherencePair) -> float
 
 def decay_rate_derivative(family: DephasingFamily, pair: CoherencePair) -> float:
     """d(rate)/d(xi) = (gamma/4)(alpha-beta)^dag dC (alpha-beta); xi-independent."""
-    return float(_rate_form(family, family.delta_c, _pair_diff(family, pair))[0])
+    return float(_pair_line(family, pair)[1][0])
 
 
 # Rate matrices are the hot loop of propagation and the QFI; memoize per
@@ -268,31 +282,21 @@ def _decay(rho0, family: DephasingFamily, xi: float, t) -> tuple[np.ndarray, np.
         raise ValueError(f"state has shape {rho0.shape}, expected {rates.shape}")
     t = t[..., None, None]
     # Past the float range rate * t is -inf, and its factor exp(-inf) = 0.
-    with np.errstate(over="ignore") if _past_float_range(family, t) else nullcontext():
+    with np.errstate(over="ignore"):
         decay = -rates * t
     return rho0, t, np.exp(decay, out=decay)
-
-
-def _past_float_range(family: DephasingFamily, t: np.ndarray) -> bool:
-    """Whether a rate or rate derivative times t can pass the float range.
-
-    Only then do ``_decay`` and ``_derivative`` enter ``np.errstate``, which slows every ufunc it covers.
-    """
-    return float(t.max(initial=0.0)) * family.rate_bound > 1e307
 
 
 def _derivative(rho0: np.ndarray, family: DephasingFamily, t: np.ndarray, decay: np.ndarray) -> np.ndarray:
     """(-t) rate' rho0 exp(-rate t) from ``_decay``'s outputs: the xi-derivative of ``evolve``.
 
-    Where t rate' passes the float range and the decay factor has underflowed
-    to 0, the term is 0, not inf * 0 = nan; every finite term keeps its bits.
+    Where t rate' passes the float range, the decay factor has underflowed to
+    0 and the term is 0, not inf * 0 = nan; every other term keeps its bits.
     """
-    far = _past_float_range(family, t)
-    with np.errstate(over="ignore", invalid="ignore") if far else nullcontext():
+    with np.errstate(over="ignore", invalid="ignore"):
         deriv = (-t) * rate_derivative_matrix(family) * rho0
-    if far:
-        np.copyto(deriv, 0.0, where=(decay == 0.0) & ~np.isfinite(deriv))
-    deriv *= decay
+        deriv *= decay
+    np.copyto(deriv, 0.0, where=np.isnan(deriv))
     return deriv
 
 

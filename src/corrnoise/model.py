@@ -84,9 +84,8 @@ class DephasingFamily:
 
     Families compare and hash by content through ``fingerprint``, so equal
     families share the memoized class rates and rate matrices.
-    A rate (gamma/4) d^T C d, |d_j| <= 2, or its xi-derivative is at most ``rate_bound`` = gamma N^2 max|C| in size,
-    max|C| over C(lo), C(hi) and dC; a family where twice that (2G, in the time-regime pair optimum) overflows is
-    rejected.
+    A rate (gamma/4) d^T C d, |d_j| <= 2, or its xi-derivative is at most gamma N^2 max|C| in size, max|C| over
+    C(lo), C(hi) and dC; a family where twice that (2G, in the time-regime pair optimum) overflows is rejected.
     """
 
     n_qubits: int
@@ -95,7 +94,6 @@ class DephasingFamily:
     delta_c: np.ndarray = field(compare=False)
     xi_domain: tuple[float, float]
     fingerprint: tuple = field(init=False, repr=False)
-    rate_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n_qubits)
@@ -118,10 +116,8 @@ class DephasingFamily:
                     f"C(xi) not positive semidefinite at xi={xi:.6g}: min eigenvalue {lam:.3e} < {PSD_EIG_FLOOR:g}"
                 )
         ends = (self.coefficient_matrix(lo), self.coefficient_matrix(hi), self.delta_c)
-        size = max(float(np.abs(m).max()) for m in ends)
-        if not np.isfinite(2.0 * gamma * n * n * size):
+        if not np.isfinite(2.0 * gamma * n * n * max(float(np.abs(m).max()) for m in ends)):
             raise FamilyValidationError(f"gamma={gamma:g} is too large: 2 gamma N^2 max|C| overflows the float range")
-        object.__setattr__(self, "rate_bound", gamma * n * n * size)
 
     def coefficient_matrix(self, xi: float) -> np.ndarray:
         """C(xi) = c0 + xi*delta_c as a fresh complex array."""

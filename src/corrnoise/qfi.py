@@ -70,8 +70,7 @@ from .evolution import (
     _decay,
     _decay_rates,
     _derivative,
-    _pair_diff,
-    _rate_form,
+    _pair_line,
     _spin_table,
     evolve,
     rate_matrix,
@@ -366,34 +365,27 @@ def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str)
         return ratio * ratio * shot_optimum_value(), np.where(blind, 0.0, shot_optimum_x() / g)
 
 
-def _pair_rates(family: DephasingFamily, xi: float, pair: CoherencePair) -> tuple:
-    """(G, G', d) of one pair: its rate and rate derivative as length-1 arrays, and its one-row difference d."""
-    d = _pair_diff(family, pair)
-    return _decay_rates(family, xi, d), _rate_form(family, family.delta_c, d), d
-
-
-def _pair_result(rates: tuple, pair: CoherencePair, regime: str) -> QfiResult:
-    value, time = _pair_optimum(*rates, regime)
-    return QfiResult(float(value[0]), regime, float(time[0]), pair)
+def _pair_qfi(family: DephasingFamily, xi: float, pair: CoherencePair, regime: str) -> tuple[QfiResult, float]:
+    """One pair's optimum over t in ``regime``, and its rate G at xi: one rate form, G' from ``_pair_line``."""
+    d, slope, _ = _pair_line(family, pair)
+    rate = _decay_rates(family, xi, d)
+    value, time = _pair_optimum(rate, slope, d, regime)
+    return QfiResult(float(value[0]), regime, float(time[0]), pair), float(rate[0])
 
 
 def coherence_pair_qfi_timeavg(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Closed-form optimal time-averaged QFI G'^2 / (2 G) for one coherence pair."""
-    return _pair_result(_pair_rates(family, xi, pair), pair, "time")
+    return _pair_qfi(family, xi, pair, "time")[0]
 
 
 def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherencePair, t: float) -> QfiResult:
     """Per-shot pair QFI t^2 G'^2 e^{-2Gt} / (1 - e^{-2Gt}) = t (G'^2 / 2G) 2x e^{-2x} / (1 - e^{-2x}), x = Gt."""
-    return _pair_qfi_shot(_pair_rates(family, xi, pair), pair, t)
-
-
-def _pair_qfi_shot(rates: tuple, pair: CoherencePair, t: float) -> QfiResult:
-    """``coherence_pair_qfi_shot`` from the pair's ``_pair_rates``: the one copy of its arithmetic."""
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    per_time = _pair_result(rates, pair, "time").value
-    x2 = 2.0 * float(rates[0][0]) * t
+    timeavg, rate = _pair_qfi(family, xi, pair, "time")
+    per_time = timeavg.value
+    x2 = 2.0 * rate * t
     decay = math.exp(-x2)
     if per_time == 0.0 or decay == 0.0:  # blind, or decayed where t * per_time * x2 may overflow to inf
         return QfiResult(0.0, "shot", t, pair)
@@ -418,4 +410,4 @@ def shot_optimum_value() -> float:
 
 def coherence_pair_qfi_shot_peak(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
     """Per-shot pair QFI maximized over t: value (G'/G)^2 x* e^{-2x*} at t = x*/G."""
-    return _pair_result(_pair_rates(family, xi, pair), pair, "shot")
+    return _pair_qfi(family, xi, pair, "shot")[0]

@@ -17,7 +17,7 @@ from corrnoise.estimation import (
     uniform_stream,
 )
 from corrnoise.estimation import _crb_std
-from corrnoise.evolution import CoherencePair, decay_rate, ghz_pair
+from corrnoise.evolution import CoherencePair, _pair_line, decay_rate, ghz_pair
 from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
 from corrnoise.qfi import coherence_pair_qfi_shot
 
@@ -310,7 +310,9 @@ class TestReplicationStudy:
         # xi_hat; its plug-in scale keeps the bits of the standalone formula.
         fam = build_n_qubit(4, (1e-4, 0.02))
         pair, t, shots = ghz_pair(4), 3.0, 200
+        _pair_line.cache_clear()
         study = replication_study(fam, 0.019, pair, t, shots=shots, n_seeds=60, base_seed=3)
+        assert _pair_line.cache_info().misses == 1
         assert 0 < study.n_clamped < 60
         for report in study.reports:
             assert report.std_error_crb == _crb_std(fam, report.xi_hat, pair, t, shots)
