@@ -258,7 +258,6 @@ class TestDrhoDxi:
             fd = (evolve(rho, fam, xi + h, t) - evolve(rho, fam, xi - h, t)) / (2 * h)
             assert np.max(np.abs(exact - fd)) < 1e-8
 
-
     def test_decayed_terms_past_the_float_range_are_zero(self):
         # t rate' overflows where exp(-rate t) is 0: the term is 0, not inf * 0 = nan,
         # and no numpy warning fires (an error under the test filter).
