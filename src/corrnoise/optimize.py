@@ -17,17 +17,18 @@ is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81 (1996)).
 So K = 1, the probe |+>^N, is optimal for every family.  Only the shot
 regime searches over product probes.
 
-The searches are written once, as ask/tell generators: ``_nelder_mead`` (its
-simplex one array) and ``_time_scan`` yield the points they need and are sent
-back their values.  ``nelder_mead_max`` and ``maximize_over_time`` each drive
-one of them on a scalar function.  ``_lockstep`` drives many: every round, the
-pending points of all of them go to one evaluation.  The shot-regime product
-search uses it to score every multistart's points in one stacked
-``qfi_exact_value`` call, split so that a stack holds at most
-``_BATCH_ELEMENTS`` matrix elements, with one product vector per distinct
-angle row; candidates with byte-equal angles share one time scan.  Stacked
-values equal single-state values bit for bit, so the order and grouping of
-evaluations never changes a result.
+The searches run over every start at once, in plain array code.
+``_nelder_mead`` keeps one (starts, dim + 1, dim) simplex array, and each
+iteration makes at most three ``evaluate`` calls: every reflection, then every
+expansion and contraction, then every shrink.  ``_time_scan`` scans the
+64-point grid of many functions of t in one call and runs their golden-section
+rounds together.  Each start or function makes exactly the moves it makes
+alone; ``nelder_mead_max`` and ``maximize_over_time`` are the one-start
+calls.  The shot-regime product search scores each call's points in stacked
+``qfi_exact_value`` calls of at most ``_BATCH_ELEMENTS`` matrix elements, and
+candidates with byte-equal angles share one time scan.  Stacked values equal
+single-state values bit for bit, so the grouping of evaluations never changes
+a result.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizationReport:
+    """Best probe of a search; ``unresolved`` counts the points scored -inf because their QFI raised."""
+
     best: QfiResult
     starts: int
     converged_fraction: float
+    unresolved: int
 
 
 @dataclass(frozen=True)
@@ -107,67 +111,42 @@ class AdvantageRatio:
     ratio: float
 
 
-def _lockstep(generators, evaluate) -> list:
-    """Drive ask/tell generators together and return their results in order.
+def _time_scan(bracket: tuple[float, float], evaluate, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``maximize_over_time`` for ``count`` functions at once: returns arrays (t_star, value).
 
-    Each generator yields a list of points and is sent back a list of their
-    values.  Every round passes the pending points of all live generators to
-    one ``evaluate`` call, which returns their values in the same order.
+    ``evaluate(ks, ts)`` returns the values of functions ks at times ts.  One
+    call scans every grid, then each golden-section round is one call over
+    the functions still refining.
     """
-    results = [None] * len(generators)
-    asks = {k: next(gen) for k, gen in enumerate(generators)}
-    while asks:
-        values = evaluate([x for points in asks.values() for x in points])
-        pending, pos = {}, 0
-        for k, points in asks.items():
-            try:
-                pending[k] = generators[k].send(values[pos : pos + len(points)])
-            except StopIteration as stop:
-                results[k] = stop.value
-            pos += len(points)
-        asks = pending
-    return results
-
-
-def _asking(gen, point):
-    """Wrap an ask/tell generator so that it asks for point(x) wherever ``gen`` asks for x."""
-    values = None
-    while True:
-        try:
-            xs = gen.send(values)
-        except StopIteration as stop:
-            return stop.value
-        values = yield [point(x) for x in xs]
-
-
-def _time_scan(bracket: tuple[float, float]):
-    """Ask/tell form of ``maximize_over_time``: yields lists of times, returns (t_star, value)."""
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < t_lo < t_hi):
         raise ValueError(f"bracket must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
     ts = np.geomspace(t_lo, t_hi, GRID_POINTS)
-    vals = [float(v) for v in (yield list(ts))]
-    i = int(np.argmax(vals))
-    best_t, best_v = float(ts[i]), vals[i]
+    funcs = np.arange(count)
+    vals = evaluate(np.repeat(funcs, GRID_POINTS), np.tile(ts, count)).reshape(count, GRID_POINTS)
+    i = vals.argmax(axis=1)
+    best_t, best_v = ts[i], vals[funcs, i]
 
-    a = float(ts[max(i - 1, 0)])
-    b = float(ts[min(i + 1, GRID_POINTS - 1)])
+    a = ts[np.maximum(i - 1, 0)]
+    b = ts[np.minimum(i + 1, GRID_POINTS - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = (float(v) for v in (yield [c, d]))
-    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float((yield [c])[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float((yield [d])[0])
-        t_cand, v_cand = (c, fc) if fc >= fd else (d, fd)
-        if v_cand > best_v:
-            best_t, best_v = float(t_cand), v_cand
+    fc, fd = evaluate(np.concatenate([funcs, funcs]), np.concatenate([c, d])).reshape(2, count)
+    while (live := np.flatnonzero((b - a) > GOLDEN_REL_TOL * np.maximum(np.abs(a), np.abs(b)))).size:
+        left = fc[live] >= fd[live]
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
+        fresh = evaluate(np.concatenate([lo, hi]), np.concatenate([c[lo], d[hi]]))
+        fc[lo], fd[hi] = fresh[: lo.size], fresh[lo.size :]
+        pick_c = fc[live] >= fd[live]
+        t_cand = np.where(pick_c, c[live], d[live])
+        v_cand = np.where(pick_c, fc[live], fd[live])
+        up = v_cand > best_v[live]
+        best_t[live[up]], best_v[live[up]] = t_cand[up], v_cand[up]
     return best_t, best_v
 
 
@@ -178,7 +157,8 @@ def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, fl
     golden-section search to a relative t tolerance of 1e-6; returns the
     better of grid and refined maxima as (t_star, value).
     """
-    return _lockstep([_time_scan(bracket)], lambda ts: [eval_fn(t) for t in ts])[0]
+    t_star, value = _time_scan(bracket, lambda _, ts: np.array([eval_fn(t) for t in ts], dtype=np.float64), 1)
+    return float(t_star[0]), float(value[0])
 
 
 def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, float]:
@@ -193,45 +173,55 @@ def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, flo
     return TIME_BRACKET_SPAN[0] / slow, TIME_BRACKET_SPAN[1] / slow
 
 
-def _nelder_mead(x0: np.ndarray, step: float):
-    """Ask/tell ``nelder_mead_max`` on one (dim + 1, dim) simplex array: yields lists of points, returns its result."""
+def _nelder_mead(x0s: np.ndarray, step: float, evaluate) -> tuple[np.ndarray, ...]:
+    """``nelder_mead_max`` from every row of x0s at once: returns arrays (x_best, f_best, converged, n_eval).
+
+    ``evaluate`` maps a (k, dim) array of points to their k values.  The
+    simplices are one (starts, dim + 1, dim) array; each iteration of the
+    starts still running makes at most three calls: every reflection, then
+    every expansion and contraction, then every shrink.
+    """
     alpha, gamma_e, rho_c, sigma_s = 1.0, 2.0, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=np.float64)
-    dim = x0.size
-    simplex = np.tile(x0, (dim + 1, 1))
-    simplex[np.arange(1, dim + 1), np.arange(dim)] += step
-    values = np.array((yield list(simplex)), dtype=np.float64)
-    n_eval = dim + 1
-    converged = False
+    x0s = np.asarray(x0s, dtype=np.float64)
+    m, dim = x0s.shape
+    simplex = np.repeat(x0s[:, None, :], dim + 1, axis=1)
+    simplex[:, np.arange(1, dim + 1), np.arange(dim)] += step
+    values = evaluate(simplex.reshape(-1, dim)).reshape(m, dim + 1)
+    n_eval = np.full(m, dim + 1)
+    converged = np.zeros(m, dtype=bool)
+    live = np.arange(m)
     for _ in range(NM_MAX_ITER):
-        order = values.argsort()[::-1]
-        simplex, values = simplex[order], values[order]
-        if np.abs(simplex[1:] - simplex[0]).max() <= NM_XATOL or abs(values[0] - values[-1]) <= NM_FATOL:
-            converged = True
+        order = values[live].argsort(axis=1)[:, ::-1]
+        s = np.take_along_axis(simplex[live], order[:, :, None], axis=1)
+        v = np.take_along_axis(values[live], order, axis=1)
+        simplex[live], values[live] = s, v
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= NM_XATOL) | (np.abs(v[:, 0] - v[:, -1]) <= NM_FATOL)
+        converged[live[done]] = True
+        live, s, v = live[~done], s[~done], v[~done]
+        if not live.size:
             break
-        centroid = simplex[:-1].sum(axis=0) / dim
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = float((yield [xr])[0])
-        n_eval += 1
-        if fr > values[0]:
-            xe = centroid + gamma_e * (centroid - simplex[-1])
-            fe = float((yield [xe])[0])
-            n_eval += 1
-            simplex[-1], values[-1] = (xe, fe) if fe > fr else (xr, fr)
-        elif fr > values[-2]:
-            simplex[-1], values[-1] = xr, fr
-        else:
-            xc = centroid + rho_c * (simplex[-1] - centroid)
-            fc = float((yield [xc])[0])
-            n_eval += 1
-            if fc > values[-1]:
-                simplex[-1], values[-1] = xc, fc
-            else:
-                simplex[1:] = simplex[0] + sigma_s * (simplex[1:] - simplex[0])
-                values[1:] = (yield list(simplex[1:]))
-                n_eval += dim
-    best = values.argsort()[-1]
-    return simplex[best].copy(), float(values[best]), converged, n_eval
+        centroid = s[:, :-1].sum(axis=1) / dim
+        worst = s[:, -1]
+        xr = centroid + alpha * (centroid - worst)
+        fr = evaluate(xr)
+        grow = fr > v[:, 0]
+        second = grow | ~(fr > v[:, -2])  # expand, or contract
+        x2 = np.where(grow[:, None], centroid + gamma_e * (centroid - worst), centroid + rho_c * (worst - centroid))
+        f2 = np.full_like(fr, np.nan)
+        if second.any():
+            f2[second] = evaluate(x2[second])
+        take_2 = second & (f2 > np.where(grow, fr, v[:, -1]))
+        shrink = second & ~grow & ~take_2
+        s[~shrink, -1] = np.where(take_2[:, None], x2, xr)[~shrink]
+        v[~shrink, -1] = np.where(take_2, f2, fr)[~shrink]
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + sigma_s * (s[shrink, 1:] - best)
+            v[shrink, 1:] = evaluate(s[shrink, 1:].reshape(-1, dim)).reshape(-1, dim)
+        simplex[live], values[live] = s, v
+        n_eval[live] += 1 + second + dim * shrink
+    best = values.argsort(axis=1)[:, -1]
+    return simplex[np.arange(m), best], values[np.arange(m), best], converged, n_eval
 
 
 def nelder_mead_max(fn, x0: np.ndarray, step: float = _NM_STEP) -> tuple[np.ndarray, float, bool, int]:
@@ -241,7 +231,9 @@ def nelder_mead_max(fn, x0: np.ndarray, step: float = _NM_STEP) -> tuple[np.ndar
     the simplex diameter falls below 1e-8 or the value spread below 1e-10,
     with a 2000-iteration cap.  Returns (x_best, f_best, converged, n_eval).
     """
-    return _lockstep([_nelder_mead(x0, step)], lambda xs: [fn(x) for x in xs])[0]
+    x0s = np.asarray(x0, dtype=np.float64)[None]
+    x, f, converged, n_eval = _nelder_mead(x0s, step, lambda xs: np.array([fn(z) for z in xs], dtype=np.float64))
+    return x[0], float(f[0]), bool(converged[0]), int(n_eval[0])
 
 
 def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> QfiResult:
@@ -286,8 +278,8 @@ def optimal_product_state(
     The map X -> K X K (+) K' X K' with K'^2 = 1 - K^2 is CPTP, and the SLD
     metric is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81
     (1996)), so K = 1, i.e. |+>^N, is optimal for every family.  The report
-    holds its exact limit with starts = 0 and converged_fraction = 1.0;
-    ``seed`` is not used.
+    holds its exact limit with starts = 0, converged_fraction = 1.0 and
+    unresolved = 0; ``seed`` is not used.
 
     Shot regime: runs 8 + 2N Nelder-Mead multistarts, joint over the polar
     angles and log t (the all-pi/2 probe at t = x* / slowest rate, plus
@@ -306,67 +298,70 @@ def optimal_product_state(
     symmetry, so |+>^N is the shot optimum; for correlated C it is open, so
     the search runs.
 
-    The multistarts run in lockstep, then all time scans do: each round is
-    one stacked QFI evaluation of every pending point, in stacks of at most
-    ``_BATCH_ELEMENTS`` matrix elements (32 states at N = 5, one at N >= 8),
-    building each distinct angle row's vector once and no ProductState.
-    Candidates with byte-equal folded angles (|+>^N and start 0 on the
-    collective family) share one scan.  Stacked values equal single-state
-    values bit for bit, and the merge is a deterministic reduction, so a
-    fixed seed implies a bit-identical report, the same as running the
-    starts one after another.
+    The multistarts run together in ``_nelder_mead``, then every candidate's
+    time scan in ``_time_scan``.  Their points are scored in stacked QFI calls
+    of at most ``_BATCH_ELEMENTS`` matrix elements (32 states at N = 5, one at
+    N >= 8), with no ProductState.  Candidates with byte-equal folded angles
+    (|+>^N and start 0 on the collective family) share one scan.  A point
+    whose QFI raises ``DivergentQfiError`` (derivative weight in the numerical
+    kernel of ``_sld_rate``) scores -inf, so the search moves away from it,
+    and is counted in ``unresolved``.  Stacked values equal single-state
+    values bit for bit, and the merge is a deterministic reduction, so a fixed
+    seed implies a bit-identical report, the same as running the starts one
+    after another.
     """
     _check_regime(regime)
     n = family.n_qubits
     if regime == "time":
-        return OptimizationReport(time_averaged_qfi_limit(plus_product(n), family, xi), 0, 1.0)
+        return OptimizationReport(time_averaged_qfi_limit(plus_product(n), family, xi), 0, 1.0, 0)
     if n > PRODUCT_MAX_QUBITS:
         raise ResourceLimitError(f"product-state search is guarded at N <= {PRODUCT_MAX_QUBITS}, got {n}")
     rng = np.random.default_rng(seed)
     n_starts = 8 + 2 * n
-    starts = [np.full(n, np.pi / 2.0)]
-    starts.extend(rng.uniform(0.0, np.pi, size=n) for _ in range(n_starts - 1))
+    starts = np.vstack([np.full(n, np.pi / 2.0), rng.uniform(0.0, np.pi, size=(n_starts - 1, n))])
     bracket = default_time_bracket(family, xi)
     log_lo, log_hi = np.log(bracket[0]), np.log(bracket[1])
-    start_logts = [np.log(shot_optimum_x() * bracket[0] / TIME_BRACKET_SPAN[0])]
-    start_logts.extend(rng.uniform(log_lo, log_hi) for _ in range(n_starts - 1))
+    start_t = shot_optimum_x() * bracket[0] / TIME_BRACKET_SPAN[0]
+    start_logts = np.append(np.log(start_t), rng.uniform(log_lo, log_hi, size=n_starts - 1))
 
     chunk = max(1, _BATCH_ELEMENTS // 4**n)
+    unresolved = 0
 
-    def evaluate(points: list) -> list:
-        """QFI at (theta, t) points, in stacks of at most ``chunk`` states."""
-        thetas = _fold_theta(np.array([theta for theta, _ in points]))
-        ts = np.array([t for _, t in points])
-        rows: dict = {}  # distinct angle rows: a time scan asks for one row at many t
-        inverse = [rows.setdefault(row.tobytes(), len(rows)) for row in thetas]
-        vecs = _product_vectors(np.frombuffer(b"".join(rows), dtype=np.float64).reshape(len(rows), n))[inverse]
-        values = []
-        for lo in range(0, len(points), chunk):
-            vec = vecs[lo : lo + chunk]
-            values.extend(qfi_exact_value(vec[:, :, None] * vec[:, None, :], family, xi, ts[lo : lo + chunk]))
+    def scores(vecs: np.ndarray, ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """QFI of product vectors vecs[ks] at times ts, in stacks of at most ``chunk`` states; -inf where it raises."""
+        nonlocal unresolved
+        values = np.empty(len(ts))
+        for lo in range(0, len(ts), chunk):
+            vec, t = vecs[ks[lo : lo + chunk]], ts[lo : lo + chunk]
+            try:  # the states are an argument only, so qfi_exact_value frees them before eigh
+                values[lo : lo + chunk] = qfi_exact_value(vec[:, :, None] * vec[:, None, :], family, xi, t)
+            except DivergentQfiError:
+                # A probe the kernel policy rejects scores -inf, so the search moves away from it.
+                for k in range(len(t)):
+                    try:
+                        values[lo + k] = qfi_exact_value(np.outer(vec[k], vec[k]), family, xi, t[k])
+                    except DivergentQfiError:
+                        values[lo + k] = -np.inf
+                        unresolved += 1
         return values
 
-    def nm_point(z: np.ndarray) -> tuple:
-        return z[:-1], np.exp(min(max(z[-1], log_lo), log_hi))
+    def nm_scores(z: np.ndarray) -> np.ndarray:
+        ts = np.exp(np.clip(z[:, -1], log_lo, log_hi))
+        return scores(_product_vectors(_fold_theta(z[:, :-1])), np.arange(len(z)), ts)
 
-    searches = [
-        _asking(_nelder_mead(np.concatenate([starts[k], [start_logts[k]]]), _NM_STEP), nm_point)
-        for k in range(n_starts)
-    ]
-    found = _lockstep(searches, evaluate)
+    found, _, converged, _ = _nelder_mead(np.column_stack([starts, start_logts]), _NM_STEP, nm_scores)
     # Every candidate, |+>^N last, finishes with a time scan, shared by byte-equal angles.
-    thetas = [_fold_theta(x[:n]) for x, _, _, _ in found] + [np.full(n, np.pi / 2.0)]
-    distinct = {th.tobytes(): th for th in thetas}
-    scanners = [_asking(_time_scan(bracket), lambda t, th=th: (th, t)) for th in distinct.values()]
-    scanned = dict(zip(distinct, _lockstep(scanners, evaluate)))
-    scans = [scanned[th.tobytes()] for th in thetas]
-    candidates = [(val, _theta_key(th), th, t_star) for th, (t_star, val) in zip(thetas, scans)]
+    thetas = np.vstack([_fold_theta(found[:, :n]), np.full(n, np.pi / 2.0)])
+    rows: dict = {}
+    inverse = np.array([rows.setdefault(th.tobytes(), len(rows)) for th in thetas])
+    vecs = _product_vectors(thetas[np.unique(inverse, return_index=True)[1]])
+    t_stars, values = _time_scan(bracket, lambda ks, ts: scores(vecs, ks, ts), len(rows))
+    candidates = [(float(values[k]), _theta_key(th), th, float(t_stars[k])) for th, k in zip(thetas, inverse)]
 
     # Deterministic merge: maximize value, break ties on the angle encoding.
     best = max(candidates, key=lambda r: (r[0], tuple(-x for x in r[1])))
-    converged_fraction = sum(c for _, _, c, _ in found) / n_starts
     result = QfiResult(best[0], "shot", best[3], ProductState(best[2]))
-    return OptimizationReport(result, n_starts, converged_fraction)
+    return OptimizationReport(result, n_starts, int(converged.sum()) / n_starts, unresolved)
 
 
 def dynamical_range_threshold(n: int) -> float:
