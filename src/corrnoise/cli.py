@@ -42,7 +42,7 @@ from .model import (
     from_spectral_density,
     load_spectral_csv,
 )
-from .optimize import PRODUCT_MAX_QUBITS, REGIMES, advantage_ratio, family_for_ratio
+from .optimize import PRODUCT_MAX_QUBITS, REGIMES, AdvantageRatio, advantage_ratio, family_for_ratio
 from .qfi import (
     DivergentQfiError,
     coherence_pair_qfi_shot,
@@ -139,13 +139,27 @@ def run_fig1a(config: RunConfig) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
+def _warn_unresolved(results: list[AdvantageRatio]) -> None:
+    """One stderr warning line when a product search scored points -inf; the CSV and exit code do not change."""
+    unresolved = sum(r.unresolved for r in results)
+    if unresolved:
+        print(
+            f"warning: the product search scored {unresolved} point(s) -inf: their QFI is past the kernel policy"
+            " (derivative weight in the numerical kernel), so the search stepped away from them",
+            file=sys.stderr,
+        )
+
+
 def run_fig1b(config: RunConfig) -> tuple[list[str], int]:
     """Advantage ratios for n = 2..config.n in both resource regimes."""
     lines = [config.config_line(), "n,ratio_time,ratio_shot,pred_time,pred_shot"]
+    results = []
     for n in range(2, config.n + 1):
-        time_ratio = advantage_ratio(n, config.xi, "time", seed=config.seed, gamma=config.gamma).ratio
-        shot_ratio = advantage_ratio(n, config.xi, "shot", seed=config.seed, gamma=config.gamma).ratio
+        for regime in ("time", "shot"):
+            results.append(advantage_ratio(n, config.xi, regime, seed=config.seed, gamma=config.gamma))
+        time_ratio, shot_ratio = results[-2].ratio, results[-1].ratio
         lines.append(f"{n},{_fmt(time_ratio)},{_fmt(shot_ratio)},{_fmt(n)},{_fmt(2 ** (n - 1))}")
+    _warn_unresolved(results)
     return lines, EXIT_OK
 
 
@@ -161,6 +175,7 @@ def run_closed_forms(config: RunConfig) -> tuple[list[str], int]:
 
 def run_advantage(config: RunConfig) -> tuple[list[str], int]:
     result = advantage_ratio(config.n, config.xi, config.regime, seed=config.seed, gamma=config.gamma)
+    _warn_unresolved([result])
     lines = [
         config.config_line(),
         "n,xi,regime,entangled,separable,ratio,entangled_probe,separable_thetas",

@@ -71,6 +71,7 @@ from .evolution import (
     _decay_rates,
     _derivative,
     _pair_line,
+    _product_vectors,
     _spin_table,
     evolve,
     rate_matrix,
@@ -94,6 +95,7 @@ __all__ = [
     "fidelity",
     "bures_distance_sq",
     "qfi_exact_value",
+    "product_qfi_value_grad",
     "qfi_fidelity_check",
     "time_averaged_qfi_limit",
     "richardson_limit",
@@ -193,6 +195,59 @@ def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> 
     state = np.multiply(rho0, decay, out=decay if decay.shape == rho0.shape and decay.dtype == rho0.dtype else None)
     del rho0, decay
     return _sld_rate(state, deriv)
+
+
+def product_qfi_value_grad(
+    thetas: np.ndarray, family: DephasingFamily, xi: float, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-shot QFI of product probes and its gradient in (theta_1, ..., theta_N, log t).
+
+    thetas is a (k, N) array of polar angles, any real values, and t holds k
+    times.  Returns the k values and the (k, N + 1) gradients.  One stacked
+    ``eigh`` of the states rho = rho0 o E (E = exp(-R t), o the Schur product)
+    gives F = Tr(L d_xi rho) and, with the SLD L, its differential
+
+        dF = 2 Tr(L d(d_xi rho)) - Tr(L^2 d rho).
+
+    With d_xi rho = rho0 o M, M = -t R' o E, and G = 2 L o M - L^2 o E, this is
+    dF/d theta_j = 2 psi_j'^T G psi, where psi_j' = psi(theta + pi e_j) / 2, and
+    dF/d log t = 2 F - t psi^T (R o G) psi.  The kernel policy is
+    ``_sld_rate``'s: eigenvalues at or below KERNEL_RTOL of the largest count
+    as zero, and L is 0 between two of them.  A row whose derivative weight
+    there exceeds DARK_RTOL of its total, where ``qfi_exact_value`` raises
+    DivergentQfiError, scores -inf with a zero gradient.  Each row of a stack
+    equals its single-row call bit for bit; the values agree with
+    ``qfi_exact_value`` to roundoff, not bit for bit.
+    """
+    _check_qfi_inputs(family, xi, t)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    k, n = thetas.shape
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))
+    psi = _product_vectors(thetas)
+    rho0, t, decay = _decay(psi[:, :, None] * psi[:, None, :], family, xi, t)
+    m = _derivative(1.0, family, t, decay)
+    lam, u = np.linalg.eigh(rho0 * decay)
+    a = np.swapaxes(u, -1, -2) @ (rho0 * m) @ u
+    del rho0
+    lam = np.where(lam > KERNEL_RTOL * lam[:, -1:], lam, 0.0)
+    denom = lam[:, :, None] + lam[:, None, :]
+    dark = denom == 0.0
+    weight = (a * a).reshape(k, -1)
+    bad = np.where(dark.reshape(k, -1), weight, 0.0).sum(axis=1) > DARK_RTOL * weight.sum(axis=1)
+    sld = np.divide(2.0 * a, denom, out=np.zeros_like(a), where=~dark)
+    values = (a * sld).reshape(k, -1).sum(axis=1)
+    sld = u @ sld @ np.swapaxes(u, -1, -2)
+    del u, a
+    g = 2.0 * sld * m - (sld @ sld) * decay
+    del sld, m, decay
+    g_psi = (g @ psi[:, :, None])[:, :, 0]
+    grads = np.empty((k, n + 1))
+    dpsi = _product_vectors(thetas[:, None, :] + np.pi * np.eye(n)) / 2.0
+    grads[:, :n] = 2.0 * (dpsi @ g_psi[:, :, None])[:, :, 0]
+    r_g_psi = ((rate_matrix(family, xi) * g) @ psi[:, :, None])[:, :, 0]
+    grads[:, n] = 2.0 * values - t[:, 0, 0] * (psi * r_g_psi).sum(axis=1)
+    values[bad], grads[bad] = -np.inf, 0.0
+    return values, grads
 
 
 def qfi_fidelity_check(

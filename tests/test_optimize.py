@@ -255,7 +255,7 @@ class TestOptimalProductState:
 
     @pytest.mark.parametrize("regime", ["time", "shot"])
     def test_reported_value_is_the_probe_value_bitwise(self, regime):
-        # The search keeps each candidate's value, so the report needs no re-evaluation.
+        # The report is its probe's exact QFI: the |+>^N scan's value, or a winning challenger's re-score.
         fam, xi = build_n_qubit(3, DOMAIN), 0.03
         best = optimal_product_state(fam, xi, regime, seed=2).best
         probe = ProductState(best.probe.thetas)
@@ -343,7 +343,7 @@ def sequential_shot_search(family, xi, seed):
     one ProductState and one QFI call per point (-inf where it raises), then
     the merge with |+>^N as its last candidate.
 
-    Returns (value, t, thetas, converged_fraction) and the number of shrink steps.
+    Returns (value, t, thetas) and the number of shrink steps.
     """
     n = family.n_qubits
     rng = np.random.default_rng(seed)
@@ -362,21 +362,21 @@ def sequential_shot_search(family, xi, seed):
         except DivergentQfiError:
             return -np.inf
 
-    def finish(theta, converged):
+    def finish(theta):
         t_star, val = textbook_time_scan(lambda t: value_at(theta, t), bracket)
-        return val, tuple(float(x) for x in np.round(theta, 12)), theta, t_star, converged
+        return val, tuple(float(x) for x in np.round(theta, 12)), theta, t_star
 
     results, shrinks = [], 0
     for k in range(n_starts):
         z0 = np.concatenate([starts[k], [start_logts[k]]])
-        x, _, converged, _, shrunk = textbook_nelder_mead(
+        x, _, _, _, shrunk = textbook_nelder_mead(
             lambda z: value_at(z[:-1], float(np.exp(np.clip(z[-1], log_lo, log_hi)))), z0
         )
-        results.append(finish(_fold_theta(x[:n]), converged))
+        results.append(finish(_fold_theta(x[:n])))
         shrinks += shrunk
-    plus = finish(np.full(n, np.pi / 2.0), True)
+    plus = finish(np.full(n, np.pi / 2.0))
     best = max(results + [plus], key=lambda r: (r[0], tuple(-x for x in r[1])))
-    return (best[0], best[3], tuple(float(x) for x in best[2]), sum(r[4] for r in results) / n_starts), shrinks
+    return (best[0], best[3], tuple(float(x) for x in best[2])), shrinks
 
 
 def recorded_search(monkeypatch, family, xi, seed):
@@ -402,10 +402,11 @@ class TestShotRegimeProductSearch:
         [(2, 9, 0.6, 5), (3, 4, 0.01, 1), (3, 11, 0.881, 2), (4, None, 4.7e-3, 3), (5, 6, 0.7, 0)],
     )
     def test_lockstep_matches_sequential_loop_bitwise(self, n, fam_seed, xi, seed, random_real_family, monkeypatch):
+        # The gradient search and the Nelder-Mead oracle find the same optimum, row for row.
         fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
         report, largest_stack = recorded_search(monkeypatch, fam, xi, seed)
         best = report.best
-        got = (best.value, best.time, best.probe.thetas, report.converged_fraction)
+        got = (best.value, best.time, best.probe.thetas)
         expected, shrinks = sequential_shot_search(fam, xi, seed)
         assert got == expected
         if n == 5:
@@ -414,9 +415,10 @@ class TestShotRegimeProductSearch:
             assert shrinks > 0
 
     def test_probe_past_the_kernel_policy_scores_minus_inf(self, monkeypatch, capsys):
-        # At this seed the search evaluates a near-pole angle row at t ~ 41.6,
-        # where _sld_rate raises DivergentQfiError.  That point scores -inf and
-        # is counted; the search goes on and still finds |+>^N.
+        # At this seed the gradient search tries a point past the kernel policy
+        # of _sld_rate, where qfi_exact_value would raise DivergentQfiError.
+        # That point scores -inf and is counted; the search goes on and still
+        # finds |+>^N.
         reports = []
 
         def recording(*args, **kwargs):
@@ -424,15 +426,43 @@ class TestShotRegimeProductSearch:
             return reports[-1]
 
         monkeypatch.setattr(optimize, "optimal_product_state", recording)
-        code = main(["advantage", "--n", "5", "--xi", "0.0010106411747219032", "--regime", "shot", "--seed", "98697564"])
+        args = ["advantage", "--n", "5", "--xi", "0.0018170356474311764", "--regime", "shot", "--seed", "1884653449"]
+        code = main(args)
         assert code == 0
         assert float(capsys.readouterr().out.splitlines()[-1].split(",")[5]) == pytest.approx(16.0, rel=0.05)
         assert reports[0].unresolved > 0
+        assert reports[0].best.probe == plus_product(5)
+
+    def test_winning_challenger_is_rescored_exactly(self, monkeypatch, random_real_family):
+        # With a margin of -1 any end point wins; it is reported with its exact QFI.
+        fam, xi, margin = random_real_family(3, 4), 0.05, optimize.SHOT_MARGIN
+        monkeypatch.setattr(optimize, "SHOT_MARGIN", -1.0)
+        report = optimal_product_state(fam, xi, "shot", seed=1)
+        best = report.best
+        assert best.probe != plus_product(3)
+        assert best.value == qfi_exact_value(best.probe.density(), fam, xi, best.time)
+        plus = plus_product(3).density()
+        _, plus_value = textbook_time_scan(lambda t: qfi_exact_value(plus, fam, xi, t), default_time_bracket(fam, xi))
+        assert report.challenger_gap == (best.value - plus_value) / plus_value
+        assert abs(report.challenger_gap) <= margin
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_collective_report_is_the_plus_state_scan(self, n):
+        # No search end point beats |+>^N by more than SHOT_MARGIN on the
+        # collective family, so the report is the |+>^N scan's row, bit for bit.
+        for xi in (1e-3, 0.01, 0.2):
+            fam = build_n_qubit(n, DOMAIN)
+            report = optimal_product_state(fam, xi, "shot", seed=n)
+            assert report.challenger_gap <= optimize.SHOT_MARGIN
+            plus = plus_product(n).density()
+            scan = textbook_time_scan(lambda t: qfi_exact_value(plus, fam, xi, t), default_time_bracket(fam, xi))
+            assert (report.best.time, report.best.value) == scan
+            assert report.best.probe == plus_product(n)
 
     @pytest.mark.parametrize("n, fam_seed, xi, seed", [(3, None, 4.7e-3, 0), (4, None, 0.03, 1), (3, 4, 0.01, 1)])
     def test_no_angle_row_is_time_scanned_twice(self, n, fam_seed, xi, seed, random_real_family, monkeypatch):
-        # On the collective family start 0 ends at exactly pi/2, the angles of
-        # |+>^N: the two candidates share one scan.
+        # Only |+>^N is scanned over time (a search candidate is its end
+        # point), and each of its grid points is scored once.
         fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
         grid = set(np.geomspace(*default_time_bracket(fam, xi), GRID_POINTS).tolist())
         scanned = []
@@ -523,7 +553,7 @@ class TestTimeRegimeProductOptimum:
         report = optimal_product_state(fam, 0.01, "time")
         assert report.best.value == pytest.approx(50.0, rel=1e-12)
         assert report.best.probe == plus_product(16)
-        assert (report.starts, report.converged_fraction, report.unresolved) == (0, 1.0, 0)
+        assert (report.starts, report.converged_fraction, report.unresolved, report.challenger_gap) == (0, 1.0, 0, 0.0)
 
 
 class TestAdvantageRatio:

@@ -24,6 +24,7 @@ from corrnoise.model import (
     build_two_qubit,
     with_perturbation,
 )
+from corrnoise.optimize import _fold_theta, default_time_bracket
 from corrnoise.qfi import (
     KERNEL_RTOL,
     QfiResult,
@@ -34,6 +35,7 @@ from corrnoise.qfi import (
     coherence_pair_qfi_shot_peak,
     coherence_pair_qfi_timeavg,
     fidelity,
+    product_qfi_value_grad,
     qfi_exact_value,
     qfi_fidelity_check,
     richardson_limit,
@@ -485,6 +487,70 @@ class TestSldKernel:
             qfi_exact_value(probe, fam, self.XI, t_unresolved)
         with pytest.raises(DivergentQfiError, match="too small"):
             _sld_rate(evolve(probe, fam, self.XI, t_unresolved), drho_dxi(probe, fam, self.XI, t_unresolved))
+
+
+class TestProductValueGrad:
+    """The shot search's kernel: F and its gradient in (theta, log t) from one stacked eigh."""
+
+    CASES = [(None, 3, 0.01), (None, 4, 0.2), (3, 4, 0.3), (8, 3, 0.05)]
+
+    @staticmethod
+    def inputs(fam_seed, n, xi, random_real_family):
+        fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
+        rng = np.random.default_rng(n + 7 * (fam_seed or 0))
+        # Angles outside [0, pi] too: the kernel takes any real angle.  Times are
+        # 0.2 to 5 over the slowest decay rate, where the search looks.
+        slowest = 1e-3 / default_time_bracket(fam, xi)[0]
+        return fam, rng.uniform(-1.0, 4.0, size=(5, n)), np.exp(rng.uniform(-1.6, 1.6, size=5)) / slowest
+
+    @pytest.mark.parametrize("fam_seed, n, xi", CASES)
+    def test_values_match_the_exact_qfi(self, fam_seed, n, xi, random_real_family):
+        fam, thetas, ts = self.inputs(fam_seed, n, xi, random_real_family)
+        values, _ = product_qfi_value_grad(thetas, fam, xi, ts)
+        for theta, t, value in zip(thetas, ts, values):
+            exact = qfi_exact_value(ProductState(_fold_theta(theta)).density(), fam, xi, t)
+            assert value == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("fam_seed, n, xi", CASES)
+    def test_gradient_matches_central_differences(self, fam_seed, n, xi, random_real_family):
+        # The central-difference error is O(h^2): from h = 1e-3 to 1e-4 it falls about 100-fold.
+        fam, thetas, ts = self.inputs(fam_seed, n, xi, random_real_family)
+        z = np.column_stack([thetas, np.log(ts)])
+        _, grads = product_qfi_value_grad(thetas, fam, xi, ts)
+
+        def value(w):
+            return product_qfi_value_grad(w[:, :n], fam, xi, np.exp(w[:, n]))[0]
+
+        errors = []
+        for h in (1e-3, 1e-4):
+            step = h * np.eye(n + 1)
+            central = np.column_stack([(value(z + e) - value(z - e)) / (2.0 * h) for e in step])
+            errors.append(np.abs(central - grads).max() / np.abs(grads).max())
+        assert errors[0] < 1e-4
+        assert 50.0 < errors[0] / errors[1] < 200.0
+
+    @pytest.mark.parametrize("fam_seed, n, xi", CASES)
+    def test_stack_matches_single_rows_bitwise(self, fam_seed, n, xi, random_real_family):
+        fam, thetas, ts = self.inputs(fam_seed, n, xi, random_real_family)
+        values, grads = product_qfi_value_grad(thetas, fam, xi, ts)
+        for k in range(len(ts)):
+            value, grad = product_qfi_value_grad(thetas[k : k + 1], fam, xi, ts[k : k + 1])
+            assert value.tobytes() == values[k : k + 1].tobytes()
+            assert grad.tobytes() == grads[k : k + 1].tobytes()
+
+    def test_row_past_the_kernel_policy_scores_minus_inf(self, random_real_family):
+        # Row 0 is the N = 3 probe of TestSldKernel at t = 1e-12, where qfi_exact_value raises.
+        fam, xi = random_real_family(3, 8), 1e-3
+        thetas = np.array([[0.3, 2.9, 1.1], [0.4, 1.2, 2.0], [np.pi / 2.0] * 3])
+        ts = np.array([1e-12, 1.0, 3.0])
+        with pytest.raises(DivergentQfiError, match="too small"):
+            qfi_exact_value(ProductState(thetas[0]).density(), fam, xi, ts[0])
+        values, grads = product_qfi_value_grad(thetas, fam, xi, ts)
+        assert values[0] == -np.inf and not grads[0].any()
+        assert np.all(np.isfinite(values[1:])) and grads[1:].any(axis=1).all()
+        for k in (1, 2):
+            value, grad = product_qfi_value_grad(thetas[k : k + 1], fam, xi, ts[k : k + 1])
+            assert (value[0], grad[0].tolist()) == (values[k], grads[k].tolist())
 
 
 class TestCoherencePairQfi:
