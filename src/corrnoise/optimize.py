@@ -17,18 +17,16 @@ is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81 (1996)).
 So K = 1, the probe |+>^N, is optimal for every family.  Only the shot
 regime searches over product probes.
 
-The searches run over every start at once, in plain array code.  The shot
-regime's product search is ``_ascent``, a projected BFGS ascent with Armijo
-backtracking on the analytic gradient of ``qfi.product_qfi_value_grad``
+The shot regime's product search is ``_ascent``, a projected BFGS ascent with
+Armijo backtracking on the analytic gradient of ``qfi.product_qfi_value_grad``
 (gradient-based QFI optimisation: Koczor et al., New J. Phys. 22, 083038
-(2020); Meyer et al., npj Quantum Inf. 7, 89 (2021)); each backtracking round
-is one call over the starts still searching.  ``_time_scan`` scans the
-64-point grid of many functions of t in one call and runs their
-golden-section rounds together, each function making exactly the moves it
-makes alone; ``maximize_over_time`` is its one-function call, and the shot
-search scans |+>^N with it.  ``_nelder_mead`` and its one-start call
-``nelder_mead_max`` are the derivative-free simplex search, kept for
-searches without a gradient.  Points are scored in stacks of at most
+(2020); Meyer et al., npj Quantum Inf. 7, 89 (2021)).  It runs every start at
+once, in plain array code; each backtracking round is one call over the
+starts still searching.  ``_time_scan`` maximizes one function of t: one call
+scores its 64-point grid, then each golden-section round one point.  The
+shot search scans |+>^N with it, and ``maximize_over_time`` is its scalar
+wrapper.  ``nelder_mead_max`` is a one-start derivative-free simplex search
+that no scenario runs.  Points are scored in stacks of at most
 ``_BATCH_ELEMENTS`` matrix elements; stacked values equal single-state values
 bit for bit, so the grouping of evaluations never changes a result.
 """
@@ -50,6 +48,7 @@ from .evolution import (
 )
 from .model import DephasingFamily, build_n_qubit, build_two_qubit
 from .qfi import (
+    KERNEL_RTOL,
     REGIMES,
     DivergentQfiError,
     QfiResult,
@@ -113,9 +112,15 @@ __all__ = [
 class OptimizationReport:
     """Best probe of a search.
 
-    ``unresolved`` counts the points scored -inf because they are past the
-    QFI kernel policy.  ``challenger_gap`` is the relative gap of the best
-    search end point to |+>^N in the shot regime (0.0 in the time regime).
+    ``converged_fraction`` is the share of starts that met a stopping test
+    of ``_ascent`` (small projected gradient, or a flat step).  A start whose
+    gradient line search fails, which roundoff in the Armijo test can cause
+    right next to the optimum, counts as unconverged: on the tests'
+    ``random_real_family(3, 11)`` at xi = 0.6, seed 1, it reads 0.786 while
+    the report is |+>^N.  ``unresolved`` counts the search points scored -inf
+    because they are past the QFI kernel policy.  ``challenger_gap`` is the
+    relative gap of the best search end point to |+>^N in the shot regime
+    (0.0 in the time regime).
     """
 
     best: QfiResult
@@ -138,43 +143,37 @@ class AdvantageRatio:
     unresolved: int
 
 
-def _time_scan(bracket: tuple[float, float], evaluate, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``maximize_over_time`` for ``count`` functions at once: returns arrays (t_star, value).
+def _time_scan(bracket: tuple[float, float], evaluate) -> tuple[float, float]:
+    """``maximize_over_time`` with ``evaluate(ts)`` returning the values at an array of times ts.
 
-    ``evaluate(ks, ts)`` returns the values of functions ks at times ts.  One
-    call scans every grid, then each golden-section round is one call over
-    the functions still refining.
+    One call scores the grid and one the first two golden-section points;
+    then each round scores one point.
     """
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < t_lo < t_hi):
         raise ValueError(f"bracket must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
     ts = np.geomspace(t_lo, t_hi, GRID_POINTS)
-    funcs = np.arange(count)
-    vals = evaluate(np.repeat(funcs, GRID_POINTS), np.tile(ts, count)).reshape(count, GRID_POINTS)
-    i = vals.argmax(axis=1)
-    best_t, best_v = ts[i], vals[funcs, i]
+    vals = evaluate(ts)
+    i = int(vals.argmax())
+    best_t, best_v = ts[i], vals[i]
 
-    a = ts[np.maximum(i - 1, 0)]
-    b = ts[np.minimum(i + 1, GRID_POINTS - 1)]
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, GRID_POINTS - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = evaluate(np.concatenate([funcs, funcs]), np.concatenate([c, d])).reshape(2, count)
-    while (live := np.flatnonzero((b - a) > GOLDEN_REL_TOL * np.maximum(np.abs(a), np.abs(b)))).size:
-        left = fc[live] >= fd[live]
-        lo, hi = live[left], live[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
-        fresh = evaluate(np.concatenate([lo, hi]), np.concatenate([c[lo], d[hi]]))
-        fc[lo], fd[hi] = fresh[: lo.size], fresh[lo.size :]
-        pick_c = fc[live] >= fd[live]
-        t_cand = np.where(pick_c, c[live], d[live])
-        v_cand = np.where(pick_c, fc[live], fd[live])
-        up = v_cand > best_v[live]
-        best_t[live[up]], best_v[live[up]] = t_cand[up], v_cand[up]
-    return best_t, best_v
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = evaluate(np.array([c, d]))
+    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = evaluate(np.array([c]))[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = evaluate(np.array([d]))[0]
+        t_cand, v_cand = (c, fc) if fc >= fd else (d, fd)
+        if v_cand > best_v:
+            best_t, best_v = t_cand, v_cand
+    return float(best_t), float(best_v)
 
 
 def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, float]:
@@ -184,8 +183,7 @@ def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, fl
     golden-section search to a relative t tolerance of 1e-6; returns the
     better of grid and refined maxima as (t_star, value).
     """
-    t_star, value = _time_scan(bracket, lambda _, ts: np.array([eval_fn(t) for t in ts], dtype=np.float64), 1)
-    return float(t_star[0]), float(value[0])
+    return _time_scan(bracket, lambda ts: np.array([eval_fn(t) for t in ts], dtype=np.float64))
 
 
 def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, float]:
@@ -200,67 +198,50 @@ def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, flo
     return TIME_BRACKET_SPAN[0] / slow, TIME_BRACKET_SPAN[1] / slow
 
 
-def _nelder_mead(x0s: np.ndarray, step: float, evaluate) -> tuple[np.ndarray, ...]:
-    """``nelder_mead_max`` from every row of x0s at once: returns arrays (x_best, f_best, converged, n_eval).
-
-    ``evaluate`` maps a (k, dim) array of points to their k values.  The
-    simplices are one (starts, dim + 1, dim) array; each iteration of the
-    starts still running makes at most three calls: every reflection, then
-    every expansion and contraction, then every shrink.
-    """
-    alpha, gamma_e, rho_c, sigma_s = 1.0, 2.0, 0.5, 0.5
-    x0s = np.asarray(x0s, dtype=np.float64)
-    m, dim = x0s.shape
-    simplex = np.repeat(x0s[:, None, :], dim + 1, axis=1)
-    simplex[:, np.arange(1, dim + 1), np.arange(dim)] += step
-    values = evaluate(simplex.reshape(-1, dim)).reshape(m, dim + 1)
-    n_eval = np.full(m, dim + 1)
-    converged = np.zeros(m, dtype=bool)
-    live = np.arange(m)
-    for _ in range(NM_MAX_ITER):
-        order = values[live].argsort(axis=1)[:, ::-1]
-        s = np.take_along_axis(simplex[live], order[:, :, None], axis=1)
-        v = np.take_along_axis(values[live], order, axis=1)
-        simplex[live], values[live] = s, v
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= NM_XATOL) | (np.abs(v[:, 0] - v[:, -1]) <= NM_FATOL)
-        converged[live[done]] = True
-        live, s, v = live[~done], s[~done], v[~done]
-        if not live.size:
-            break
-        centroid = s[:, :-1].sum(axis=1) / dim
-        worst = s[:, -1]
-        xr = centroid + alpha * (centroid - worst)
-        fr = evaluate(xr)
-        grow = fr > v[:, 0]
-        second = grow | ~(fr > v[:, -2])  # expand, or contract
-        x2 = np.where(grow[:, None], centroid + gamma_e * (centroid - worst), centroid + rho_c * (worst - centroid))
-        f2 = np.full_like(fr, np.nan)
-        if second.any():
-            f2[second] = evaluate(x2[second])
-        take_2 = second & (f2 > np.where(grow, fr, v[:, -1]))
-        shrink = second & ~grow & ~take_2
-        s[~shrink, -1] = np.where(take_2[:, None], x2, xr)[~shrink]
-        v[~shrink, -1] = np.where(take_2, f2, fr)[~shrink]
-        if shrink.any():
-            best = s[shrink, :1]
-            s[shrink, 1:] = best + sigma_s * (s[shrink, 1:] - best)
-            v[shrink, 1:] = evaluate(s[shrink, 1:].reshape(-1, dim)).reshape(-1, dim)
-        simplex[live], values[live] = s, v
-        n_eval[live] += 1 + second + dim * shrink
-    best = values.argsort(axis=1)[:, -1]
-    return simplex[np.arange(m), best], values[np.arange(m), best], converged, n_eval
-
-
 def nelder_mead_max(fn, x0: np.ndarray, step: float = _NM_STEP) -> tuple[np.ndarray, float, bool, int]:
-    """Derivative-free simplex maximization of fn.
+    """Derivative-free simplex maximization of fn from one start.
 
     Classic reflection/expansion/contraction/shrink moves.  Terminates when
     the simplex diameter falls below 1e-8 or the value spread below 1e-10,
     with a 2000-iteration cap.  Returns (x_best, f_best, converged, n_eval).
     """
-    x0s = np.asarray(x0, dtype=np.float64)[None]
-    x, f, converged, n_eval = _nelder_mead(x0s, step, lambda xs: np.array([fn(z) for z in xs], dtype=np.float64))
-    return x[0], float(f[0]), bool(converged[0]), int(n_eval[0])
+    alpha, gamma_e, rho_c, sigma_s = 1.0, 2.0, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=np.float64)
+    dim = x0.size
+    simplex = np.tile(x0, (dim + 1, 1))
+    simplex[np.arange(1, dim + 1), np.arange(dim)] += step
+    values = np.array([fn(x) for x in simplex], dtype=np.float64)
+    n_eval, converged = dim + 1, False
+    for _ in range(NM_MAX_ITER):
+        order = values.argsort()[::-1]
+        simplex, values = simplex[order], values[order]
+        if np.abs(simplex[1:] - simplex[0]).max() <= NM_XATOL or abs(values[0] - values[-1]) <= NM_FATOL:
+            converged = True
+            break
+        centroid = simplex[:-1].sum(axis=0) / dim
+        worst = simplex[-1]
+        xr = centroid + alpha * (centroid - worst)
+        fr = fn(xr)
+        n_eval += 1
+        if fr > values[0]:
+            xe = centroid + gamma_e * (centroid - worst)
+            fe = fn(xe)
+            n_eval += 1
+            simplex[-1], values[-1] = (xe, fe) if fe > fr else (xr, fr)
+        elif fr > values[-2]:
+            simplex[-1], values[-1] = xr, fr
+        else:
+            xc = centroid + rho_c * (worst - centroid)
+            fc = fn(xc)
+            n_eval += 1
+            if fc > values[-1]:
+                simplex[-1], values[-1] = xc, fc
+            else:
+                simplex[1:] = simplex[0] + sigma_s * (simplex[1:] - simplex[0])
+                values[1:] = [fn(x) for x in simplex[1:]]
+                n_eval += dim
+    best = values.argsort()[-1]
+    return simplex[best], float(values[best]), converged, n_eval
 
 
 def _ascent(x0s: np.ndarray, evaluate, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -371,7 +352,7 @@ def optimal_product_state(
     holds its exact limit with starts = 0, converged_fraction = 1.0,
     unresolved = 0 and challenger_gap = 0.0; ``seed`` is not used.
 
-    Shot regime: |+>^N gets its own ``maximize_over_time`` scan, and 8 + 2N
+    Shot regime: |+>^N gets its own time scan (``_time_scan``), and 8 + 2N
     starts (the all-pi/2 probe at t = x* / slowest rate, plus uniform-random
     starts) climb jointly in the polar angles and log t, log t kept in
     ``default_time_bracket``, by the projected BFGS ascent ``_ascent`` on the
@@ -397,6 +378,8 @@ def optimal_product_state(
     one at N >= 8), with no ProductState.  A point past the kernel policy of
     ``_sld_rate`` (``qfi_exact_value`` raises DivergentQfiError there) scores
     -inf, so the search moves away from it, and is counted in ``unresolved``.
+    A |+>^N scan point past it raises DivergentQfiError instead, as no
+    report can then be trusted (below xi of about 1e-12).
     Stacked values equal single-state values bit for bit and the merge is a
     deterministic reduction, so a fixed seed implies a bit-identical report.
     """
@@ -417,19 +400,21 @@ def optimal_product_state(
     chunk = max(1, _BATCH_ELEMENTS // 4**n)
     unresolved = 0
 
-    def scores(vecs: np.ndarray, ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """QFI of product vectors vecs[ks] at times ts, in stacks of at most ``chunk`` states; -inf where it raises."""
+    def scores(theta: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """QFI of the product probe theta at times ts, in stacks of at most ``chunk`` states; -inf where it raises."""
         nonlocal unresolved
+        vec = _product_vectors(theta)
+        rho = np.outer(vec, vec)
         values = np.empty(len(ts))
         for lo in range(0, len(ts), chunk):
-            vec, t = vecs[ks[lo : lo + chunk]], ts[lo : lo + chunk]
-            try:  # the states are an argument only, so qfi_exact_value frees them before eigh
-                values[lo : lo + chunk] = qfi_exact_value(vec[:, :, None] * vec[:, None, :], family, xi, t)
+            t = ts[lo : lo + chunk]
+            try:  # the stack is a view of one state, so it costs no memory
+                values[lo : lo + chunk] = qfi_exact_value(np.broadcast_to(rho, (len(t), *rho.shape)), family, xi, t)
             except DivergentQfiError:
                 # A probe the kernel policy rejects scores -inf, so the search moves away from it.
-                for k in range(len(t)):
+                for k, t_k in enumerate(t):
                     try:
-                        values[lo + k] = qfi_exact_value(np.outer(vec[k], vec[k]), family, xi, t[k])
+                        values[lo + k] = qfi_exact_value(rho, family, xi, t_k)
                     except DivergentQfiError:
                         values[lo + k] = -np.inf
                         unresolved += 1
@@ -444,17 +429,21 @@ def optimal_product_state(
         unresolved += int(np.isneginf(values).sum())
         return values, np.concatenate([g for _, g in parts])
 
-    plus = np.full((1, n), np.pi / 2.0)
-    plus_vec = _product_vectors(plus)
-    plus_t, plus_value = _time_scan(bracket, lambda ks, ts: scores(plus_vec, ks, ts), 1)
+    plus = np.full(n, np.pi / 2.0)
+    plus_t, plus_value = _time_scan(bracket, lambda ts: scores(plus, ts))
+    if unresolved:
+        raise DivergentQfiError(
+            f"the |+>^{n} time scan at xi = {float(xi)} scored {unresolved} point(s) -inf, past the QFI kernel policy"
+            f" (derivative weight between eigenvalues <= {KERNEL_RTOL:g} of the largest): no product optimum resolved"
+        )
     box_lo, box_hi = np.append(np.full(n, -np.inf), log_lo), np.append(np.full(n, np.inf), log_hi)
     found, values, converged = _ascent(np.column_stack([starts, start_logts]), gradient_scores, box_lo, box_hi)
     k = int(np.argmax(values))
     theta, t = _fold_theta(found[k, :n]), float(np.exp(found[k, n]))
-    value = scores(_product_vectors(theta[None]), np.zeros(1, dtype=int), np.array([t]))[0]
-    gap = (value - plus_value[0]) / plus_value[0] if plus_value[0] > 0.0 else (np.inf if value > 0.0 else 0.0)
+    value = scores(theta, np.array([t]))[0]
+    gap = (value - plus_value) / plus_value if plus_value > 0.0 else (np.inf if value > 0.0 else 0.0)
     if not gap > SHOT_MARGIN:
-        theta, t, value = plus[0], float(plus_t[0]), plus_value[0]
+        theta, t, value = plus, plus_t, plus_value
     result = QfiResult(float(value), "shot", t, ProductState(theta))
     return OptimizationReport(result, n_starts, int(converged.sum()) / n_starts, unresolved, float(gap))
 

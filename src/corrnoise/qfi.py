@@ -11,14 +11,14 @@ purely dissipative dynamics.
   on the exactly propagated state, using the exact parameter derivative of
   the state (no finite differences in xi).
 
-  Every SLD sum in this module, per shot and in the t -> 0+ limit, is the one
-  kernel ``_sld_rate``.  Eigenvalues at or below KERNEL_RTOL of the largest
-  form the numerical kernel.  Derivative weight that falls between two kernel
-  eigenvalues is a diverging term, not a droppable one: above DARK_RTOL of the
-  total it raises DivergentQfiError.  That weight means a dark coherence, or a
-  t so small that the O(t) eigenvalues sink below the relative floor.  Rank
-  changes make the QFI discontinuous (Safranek, PRA 95, 052320 (2017)), so the
-  kernel is never cut silently.
+  Every SLD sum in this module, per shot and in the t -> 0+ limit, keeps one
+  kernel policy, ``_kernel_policy``.  Eigenvalues at or below KERNEL_RTOL of
+  the largest form the numerical kernel.  Derivative weight that falls between
+  two kernel eigenvalues is a diverging term, not a droppable one: above
+  DARK_RTOL of the total it raises DivergentQfiError.  That weight means a
+  dark coherence, or a t so small that the O(t) eigenvalues sink below the
+  relative floor.  Rank changes make the QFI discontinuous (Safranek, PRA 95,
+  052320 (2017)), so the kernel is never cut silently.
 
 * ``qfi_fidelity_check`` estimates the same quantity from the Uhlmann
   fidelity between states propagated at xi - dxi and xi + dxi,
@@ -212,9 +212,8 @@ def product_qfi_value_grad(
     With d_xi rho = rho0 o M, M = -t R' o E, and G = 2 L o M - L^2 o E, this is
     dF/d theta_j = 2 psi_j'^T G psi, where psi_j' = psi(theta + pi e_j) / 2, and
     dF/d log t = 2 F - t psi^T (R o G) psi.  The kernel policy is
-    ``_sld_rate``'s: eigenvalues at or below KERNEL_RTOL of the largest count
-    as zero, and L is 0 between two of them.  A row whose derivative weight
-    there exceeds DARK_RTOL of its total, where ``qfi_exact_value`` raises
+    ``_kernel_policy``, as in ``qfi_exact_value``: L is 0 between two kernel
+    eigenvalues, and a diverging row, where ``qfi_exact_value`` raises
     DivergentQfiError, scores -inf with a zero gradient.  Each row of a stack
     equals its single-row call bit for bit; the values agree with
     ``qfi_exact_value`` to roundoff, not bit for bit.
@@ -229,11 +228,7 @@ def product_qfi_value_grad(
     lam, u = np.linalg.eigh(rho0 * decay)
     a = np.swapaxes(u, -1, -2) @ (rho0 * m) @ u
     del rho0
-    lam = np.where(lam > KERNEL_RTOL * lam[:, -1:], lam, 0.0)
-    denom = lam[:, :, None] + lam[:, None, :]
-    dark = denom == 0.0
-    weight = (a * a).reshape(k, -1)
-    bad = np.where(dark.reshape(k, -1), weight, 0.0).sum(axis=1) > DARK_RTOL * weight.sum(axis=1)
+    denom, dark, bad = _kernel_policy(lam, a * a)
     sld = np.divide(2.0 * a, denom, out=np.zeros_like(a), where=~dark)
     values = (a * sld).reshape(k, -1).sum(axis=1)
     sld = u @ sld @ np.swapaxes(u, -1, -2)
@@ -313,11 +308,8 @@ def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> "float | np.ndarray":
 
     m is a propagated state (per-shot F_Q) or the compressed O(t) weight
     matrix of a probe (the t -> 0+ rate); lambda_j are its eigenvalues and a
-    is m_prime in its eigenbasis.  Eigenvalues at or below
-    KERNEL_RTOL * lambda_max count as zero.  A term with one such index keeps
-    the other's eigenvalue; a term with both diverges, so derivative weight
-    there above DARK_RTOL of the total raises DivergentQfiError instead of
-    being dropped.
+    is m_prime in its eigenbasis.  Items with an eigenvalue in the kernel
+    follow ``_kernel_policy``, and a diverging one raises DivergentQfiError.
 
     One d x d pair gives a float.  Stacks (..., d, d) give an array of the
     leading shape, each item bit for bit its single-pair value: the stack
@@ -330,18 +322,14 @@ def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> "float | np.ndarray":
     del u
     # In place, and a * a is |a|^2 bit for bit for real a; no mask copies unless an item hits the floor.
     weight = np.multiply(a, a, out=a) if a.dtype.kind == "f" else np.abs(a) ** 2
-    floor = KERNEL_RTOL * lam[:, -1]
-    clean = lam[:, 0] > floor
+    clean = lam[:, 0] > KERNEL_RTOL * lam[:, -1]
     lc, wc = (lam, weight) if clean.all() else (lam[clean], weight[clean])
     denom = lc[:, :, None] + lc[:, None, :]
     rates = np.empty(len(lam))
     rates[clean] = 2.0 * np.divide(wc, denom, out=denom).reshape(len(lc), d * d).sum(axis=1)
     for k in np.flatnonzero(~clean):
-        lk = np.where(lam[k] > floor[k], lam[k], 0.0)
-        denom = lk[:, None] + lk[None, :]
-        dark = denom == 0.0
-        wk = weight[k]
-        if wk[dark].sum() > DARK_RTOL * wk.sum():
+        (denom, dark, diverges), wk = _kernel_policy(lam[k], weight[k]), weight[k]
+        if diverges:
             raise DivergentQfiError(
                 f"{wk[dark].sum() / wk.sum():.3e} of the derivative weight sits in the numerical kernel"
                 f" (eigenvalues <= {KERNEL_RTOL:g} of the largest): the probe senses a dark coherence,"
@@ -349,6 +337,21 @@ def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> "float | np.ndarray":
             )
         rates[k] = 2.0 * (wk[~dark] / denom[~dark]).sum()
     return float(rates[0]) if not shape else rates.reshape(shape)
+
+
+def _kernel_policy(lam: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, "bool | np.ndarray"]:
+    """The kernel policy (module docstring) on eigenvalues lam (..., d) and derivative weights |a|^2 (..., d, d).
+
+    Returns the denominators lambda_j + lambda_k with kernel eigenvalues as 0,
+    the dark terms (both eigenvalues in the kernel), and whether each item
+    diverges: its dark weight exceeds DARK_RTOL of its total.
+    """
+    lam = np.where(lam > KERNEL_RTOL * lam[..., -1:], lam, 0.0)
+    denom = lam[..., :, None] + lam[..., None, :]
+    dark = denom == 0.0
+    flat = lam.shape[:-1] + (-1,)
+    dark_weight = np.where(dark, weight, 0.0).reshape(flat).sum(axis=-1)
+    return denom, dark, dark_weight > DARK_RTOL * weight.reshape(flat).sum(axis=-1)
 
 
 def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: DephasingFamily, xi: float) -> QfiResult:

@@ -329,6 +329,22 @@ class TestAdvantageScenario:
         assert rows[0] == rows[1]
         assert rows[0][1].endswith(",000|111," + ";".join(["1.5707963267948966"] * 3))
 
+    @pytest.mark.parametrize("n, xi, ratio", [(3, "1e-13", None), (2, "1e-12", None), (3, "1e-12", 4.0), (2, "1e-11", 2.0)])
+    def test_unresolved_plus_state_scan_exits_config(self, n, xi, ratio, capsys):
+        # Below xi of about 1e-12 some |+>^N scan points are past the kernel
+        # policy, and a ratio built on that scan is off by orders of magnitude
+        # (3e9 to 3e11 against 2^(N-1)), so the command must stop instead.
+        code = main(["advantage", "--n", str(n), "--xi", xi, "--regime", "shot"])
+        captured = capsys.readouterr()
+        if ratio is None:
+            assert code == EXIT_CONFIG and captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "kernel policy" in captured.err and f"xi = {xi}" in captured.err
+        else:
+            assert code == EXIT_OK and captured.err == ""
+            _, header, body = parse_csv(captured.out)
+            assert float(dict(zip(header, body[0]))["ratio"]) == pytest.approx(ratio, rel=0.05)
+
     @pytest.mark.parametrize("args", [["advantage", "--n", "3", "--regime", "shot"], ["fig1b", "--n", "3"]])
     def test_points_scored_minus_inf_warn_once(self, args, capsys, monkeypatch):
         # The first point of every gradient call scores -inf; |+>^N still wins,

@@ -74,8 +74,8 @@ class TestNelderMead:
         assert val == pytest.approx(0.0, abs=1e-9)
 
 
-class TestBatchedSearches:
-    """Many starts or functions at once make exactly the moves each makes alone."""
+class TestSearchesMatchTheirLoopOracles:
+    """Each one-start search makes exactly the moves of its textbook loop."""
 
     @pytest.mark.parametrize("fn, x0s, shrinks, capped", [
         # Under a 100-iteration cap, start 0 takes a shrink step and start 4 stops unconverged.
@@ -87,20 +87,18 @@ class TestBatchedSearches:
         ),
         # A staircase: ties between simplex values, a shrink from start 0, and start 1 converges at once on a tread.
         (lambda x: -np.floor(np.abs(x)).sum(), [[-1.46, 0.886], [3.2, 3.2], [0.101, -0.759], [1.736, -0.569]], 0, None),
-    ])
-    def test_nelder_mead_starts_equal_one_start_searches(self, fn, x0s, shrinks, capped, monkeypatch):
+    ], ids=["rosenbrock-staircase", "staircase"])
+    def test_nelder_mead_equals_textbook_loop(self, fn, x0s, shrinks, capped, monkeypatch):
         monkeypatch.setattr(optimize, "NM_MAX_ITER", 100)
-        x0s = np.array(x0s)
-        xs, fs, converged, n_evals = optimize._nelder_mead(x0s, 0.35, lambda pts: np.array([fn(x) for x in pts]))
         oracle = [textbook_nelder_mead(fn, x0) for x0 in x0s]
-        for k, x0 in enumerate(x0s):
-            x, f, conv, n_eval = nelder_mead_max(fn, x0)
-            assert (xs[k].tobytes(), fs[k], converged[k], n_evals[k]) == (x.tobytes(), f, conv, n_eval)
-            assert (x.tobytes(), f, conv, n_eval) == (oracle[k][0].tobytes(), *oracle[k][1:4])
+        for x0, (x_o, f_o, conv_o, n_eval_o, _) in zip(x0s, oracle):
+            x, f, conv, n_eval = nelder_mead_max(fn, np.array(x0))
+            assert (x.tobytes(), f, conv, n_eval) == (x_o.tobytes(), f_o, conv_o, n_eval_o)
+            assert (type(f), type(conv), type(n_eval)) == (float, bool, int)
         assert oracle[shrinks][4] > 0 and oracle[shrinks][2]
         assert [k for k, o in enumerate(oracle) if not o[2]] == ([] if capped is None else [capped])
 
-    def test_time_scan_functions_equal_one_function_scans(self):
+    def test_time_scan_equals_textbook_loop(self):
         bracket = (1e-2, 1e3)
         fns = [
             lambda t: 1.0 / t,
@@ -110,10 +108,16 @@ class TestBatchedSearches:
             lambda t: min(t, 1.0),
             lambda t: 0.0,
         ]
-        evaluate = lambda ks, ts: np.array([fns[k](t) for k, t in zip(ks, ts)])
-        t_stars, values = optimize._time_scan(bracket, evaluate, len(fns))
-        for k, fn in enumerate(fns):
-            assert (t_stars[k], values[k]) == maximize_over_time(fn, bracket) == textbook_time_scan(fn, bracket)
+        for fn in fns:
+            sizes = []
+
+            def evaluate(ts):
+                sizes.append(len(ts))
+                return np.array([fn(t) for t in ts])
+
+            assert optimize._time_scan(bracket, evaluate) == maximize_over_time(fn, bracket) == textbook_time_scan(fn, bracket)
+            # One call scores the grid, one the first two golden-section points, then one point a round.
+            assert sizes[:2] == [GRID_POINTS, 2] and set(sizes[2:]) == {1}
         grid = np.geomspace(*bracket, GRID_POINTS)
         assert [int(np.argmax([fns[k](t) for t in grid])) for k in (0, 1)] == [0, GRID_POINTS - 1]
 
