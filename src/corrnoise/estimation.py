@@ -35,13 +35,15 @@ CLI's ``estimate`` prints it), gives replicate r the stream base_seed XOR r.
 
 Counts never form the float stream: u_i < p holds exactly when out_i < T,
 with T the smallest integer whose float64 rounding is >= p * 2^64, so
-``count_uniforms_below`` compares ``splitmix64`` outputs, 2^14 at a time,
-with T.
+``count_uniforms_below`` compares the SplitMix64 outputs with T in chunks
+of ``_CHUNK`` = 2^15 draws, through per-thread buffers that it keeps from
+call to call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +59,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
-_CHUNK = 1 << 14
+_CHUNK = 1 << 15
 
 __all__ = [
     "NoInformationError",
@@ -80,12 +82,12 @@ class NoInformationError(ValueError):
     """The channel carries no dependence on xi at the requested probe."""
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 output rounds, applied in place to the state words z."""
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output rounds, applied in place to the state words z; tmp is scratch of z's shape."""
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        z ^= z >> np.uint64(shift)
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
         z *= mix
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -96,7 +98,7 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     z *= _GOLDEN
     z += np.uint64(seed & _MASK)
-    return _mix(z)
+    return _mix(z, np.empty_like(z))
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -122,11 +124,30 @@ def _float_threshold(p: float) -> int:
     return t if float(t) >= target else t + 1
 
 
+# count_uniforms_below's buffers, one set per thread, kept between calls: a
+# fresh 256 KB buffer per call would be mapped and faulted in anew each time.
+_buffers = threading.local()
+
+
+def _count_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(scaled index, state words, shift scratch, comparison), ``_CHUNK`` entries each.
+
+    Draw start + i has state seed + (start + i) * golden: the scaled index
+    (i + 1) * golden is built once, and each chunk adds its own start word.
+    """
+    if not hasattr(_buffers, "arrays"):
+        scaled = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+        scaled *= _GOLDEN
+        _buffers.arrays = scaled, np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, bool)
+    return _buffers.arrays
+
+
 def count_uniforms_below(seed: int, count: int, p: float) -> int:
     """``count_nonzero(uniform_stream(seed, count) < p)``, without the float stream.
 
-    Compares the SplitMix64 outputs, in fixed-size chunks, with the integer
-    threshold of ``p``.
+    Compares the SplitMix64 outputs, in chunks of ``_CHUNK`` draws, with the
+    integer threshold of ``p``; every chunk writes into the same state,
+    scratch and comparison buffers.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -136,14 +157,12 @@ def count_uniforms_below(seed: int, count: int, p: float) -> int:
     if p > 1.0:
         return count
     threshold = np.uint64(_float_threshold(p))
-    # Draw start + i has state seed + (start + i) * golden: the scaled index
-    # i * golden is built once, and each chunk adds its own start word.
-    scaled = np.arange(1, min(_CHUNK, count) + 1, dtype=np.uint64)
-    scaled *= _GOLDEN
+    scaled, z, tmp, below = _count_buffers()
     total = 0
     for start in range(0, count, _CHUNK):
-        z = scaled[: count - start] + np.uint64((seed + start * int(_GOLDEN)) & _MASK)
-        total += int(np.count_nonzero(_mix(z) < threshold))
+        m = min(_CHUNK, count - start)
+        np.add(scaled[:m], np.uint64((seed + start * int(_GOLDEN)) & _MASK), out=z[:m])
+        total += int(np.count_nonzero(np.less(_mix(z[:m], tmp[:m]), threshold, out=below[:m])))
     return total
 
 

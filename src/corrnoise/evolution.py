@@ -161,13 +161,34 @@ def _class_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``diffs`` can be twice the balanced-ternary digits of k.  With ternary[i]
     the bits of i read in base 3, pair (ia, ib) is then in class
     ternary[ib] - ternary[ia] - 1.  ``first`` holds each class's smallest
-    pair (ia, ib), whose shared bits are 0.
+    pair (ia, ib), whose shared bits are 0: ia has the -2 entries of d as
+    bits, ib the +2 entries.  ``diffs`` is int8 (3.2 MB at N = 12), ``first``
+    and ``ternary`` are int64.
+
+    Built a leading entry at a time, place 2^m, in lexicographic order:
+    all(m + 1) = [-2 | all(m)] ++ [0 | all(m)] ++ [+2 | all(m)] holds every d,
+    and classes(m + 1) = [0 | classes(m)] ++ [+2 | all(m)] its canonical half.
     """
-    place = np.arange(n_qubits - 1, -1, -1)
-    # k + (3^N - 1)/2 = k + 11...1 (base 3) has k's balanced digits plus 1.
-    diffs = 2.0 * (np.arange((3**n_qubits + 1) // 2, 3**n_qubits)[:, None] // 3**place % 3 - 1)
-    first = np.stack([(diffs < 0.0) @ 2**place, (diffs > 0.0) @ 2**place], axis=1)
-    ternary = ((np.arange(2**n_qubits)[:, None] >> place) & 1) @ 3**place
+    digits = np.array([-2, 0, 2], dtype=np.int8)
+    # (d, ia, ib) of all(m) and of classes(m), and ternary for m bits.
+    every = (np.zeros((1, 0), np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    classes = (np.zeros((0, 0), np.int8), np.zeros(0, np.int64), np.zeros(0, np.int64))
+    ternary = np.zeros(1, np.int64)
+    for m in range(n_qubits):
+        (d, ia, ib), (cd, cia, cib), bit = every, classes, 1 << m
+        classes = (
+            np.column_stack((np.repeat(digits[1:], (len(cd), len(d))), np.concatenate((cd, d)))),
+            np.concatenate((cia, ia)),
+            np.concatenate((cib, ib + bit)),
+        )
+        if m + 1 < n_qubits:
+            every = (
+                np.column_stack((np.repeat(digits, len(d)), np.tile(d, (3, 1)))),
+                np.tile(ia, 3) + np.repeat([bit, 0, 0], len(d)),
+                np.tile(ib, 3) + np.repeat([0, 0, bit], len(d)),
+            )
+        ternary = np.concatenate((ternary, ternary + 3**m))
+    diffs, first = classes[0], np.column_stack(classes[1:])
     for arr in (diffs, first, ternary):
         arr.setflags(write=False)
     return diffs, first, ternary
@@ -184,11 +205,12 @@ def _rate_form(family: DephasingFamily, matrix: np.ndarray, diffs: np.ndarray) -
     # numpy's non-BLAS loop, which computes each row on its own: a one-row
     # ``decay_rate``, any block of rows and the class table agree bit for bit,
     # as the spectrum test against the pair-by-pair oracle pins.  BLAS on
-    # float64 would not, so the view must not be copied.
+    # float64 would not, so the view must not be copied.  Each block of
+    # differences (int8 in the class table) is cast to float64: equal values, equal bits.
     real = np.real(matrix)
     rates = np.empty(len(diffs))
     for lo in range(0, len(diffs), _RATE_BLOCK):
-        block = diffs[lo : lo + _RATE_BLOCK]
+        block = diffs[lo : lo + _RATE_BLOCK].astype(np.float64)
         np.einsum("ij,ij->i", block @ real, block, out=rates[lo : lo + _RATE_BLOCK])
     rates *= family.gamma / 4.0
     return rates
@@ -344,26 +366,36 @@ class CoherenceSpectrum(Sequence):
         return pair, float(self.rate[k])
 
 
-def _pair_classes(ternary: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Class row ternary[ib] - ternary[ia] - 1 of each pair, as int32 (3^12 < 2^31)."""
-    classes = ternary[ib]
-    classes -= ternary[ia]
-    classes -= 1
-    return classes
+# Pairs per block of ``_class_gather``: its int32 class rows stay 4 MB.
+_GATHER_BLOCK = 1 << 20
+
+
+def _class_gather(table: np.ndarray, ternary: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """table[ternary[ib] - ternary[ia] - 1] for each pair (ia, ib): its class's entry, a block of pairs at a time."""
+    out = np.empty(len(ia), table.dtype)
+    for lo in range(0, len(ia), _GATHER_BLOCK):
+        block = slice(lo, lo + _GATHER_BLOCK)
+        classes = ternary[ib[block]]
+        classes -= ternary[ia[block]]
+        classes -= 1
+        # Every class row is in range, so "clip" gathers as "raise" would, without buffering the output.
+        np.take(table, classes, out=out[block], mode="clip")
+    return out
 
 
 def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
     """All canonical coherence pairs with decay rates, ascending by rate.
 
     Pairs of one difference class tie exactly, and ties (within a class or
-    across classes of equal rate) break in lexicographic pair order.  The
-    sort key is each pair's class-rate rank, not its float rate: an unsigned
-    integer of 8 or 16 bits, which numpy sorts stably by radix, or of 32 bits
-    past 65,536 distinct rates, sorted in two stable 16-bit radix passes.
-    The order is the one a stable sort of the rates gives.  The result holds
-    index and rate arrays (see ``CoherenceSpectrum`` for their dtypes); pair
-    objects are built only when an entry is read.  Guarded at N <= 12: the
-    enumeration holds 2^N(2^N - 1)/2 pairs.
+    across classes of equal rate) break in lexicographic pair order: the
+    order a stable sort of the rates gives.  Each pair is sorted as one
+    unsigned word rank << 2N | ia << N | ib, with rank its class rate's rank
+    among the distinct rates; the words are distinct, so one in-place sort
+    of any kind gives that order, and ia and ib are read back from the
+    sorted words.  The result holds index and rate arrays (see
+    ``CoherenceSpectrum`` for their dtypes); pair objects are built only
+    when an entry is read.  Guarded at N <= 12: the enumeration holds
+    2^N(2^N - 1)/2 pairs, in words of 8 bytes at N = 12.
     """
     n = family.n_qubits
     if n > SPECTRUM_MAX_QUBITS:
@@ -374,28 +406,27 @@ def coherence_spectrum(family: DephasingFamily, xi: float) -> CoherenceSpectrum:
     class_rates = _class_rates(family, float(xi))
     # Equal rates (0.0 and -0.0 too) share a rank, as they tie in a float sort.
     _, rank = np.unique(class_rates, return_inverse=True)
-    rank = rank.astype(np.min_scalar_type(rank.max()))
+    word = np.min_scalar_type(int(rank.max()) << 2 * n | (1 << 2 * n) - 1)
+    index = np.min_scalar_type(2**n - 1)
     # The strict upper triangle of a 2^N x 2^N grid, read row by row: every
-    # pair (ia, ib), ia < ib, in lexicographic order, which the stable sort keeps for ties.
-    grid = np.broadcast_to(np.arange(2**n, dtype=np.min_scalar_type(2**n - 1)), (2**n, 2**n))
+    # pair (ia, ib), ia < ib.
+    grid = np.broadcast_to(np.arange(2**n, dtype=index), (2**n, 2**n))
     upper = ~np.tri(2**n, dtype=bool)
     ia, ib = grid.T[upper], grid[upper]
-    # Freeing each large temporary early keeps the N = 12 peak near 250 MB.
+    # Freeing each large temporary early keeps the N = 12 peak near 180 MB.
     del upper
-    keys = rank[_pair_classes(ternary, ia, ib)]
-    if keys.itemsize > 2:
-        # numpy sorts 32-bit keys by comparison, not by radix: sort in two
-        # stable 16-bit passes instead, the low half first.
-        high = (keys >> 16).astype(np.uint16)
-        keys = keys.astype(np.uint16)
-        order = np.argsort(keys, kind="stable")
-        ia, ib, keys = ia[order], ib[order], high[order]
-        del high, order
-    order = np.argsort(keys, kind="stable")
-    del keys
-    ia, ib = ia[order], ib[order]
-    del order
-    arrays = ia, ib, class_rates[_pair_classes(ternary, ia, ib)]
+    words = _class_gather(rank.astype(word), ternary, ia, ib)
+    for bits in (ia, ib):
+        words <<= word.type(n)
+        words |= bits
+    del ia, ib
+    words.sort()
+    mask = word.type(2**n - 1)
+    ib = np.bitwise_and(words, mask, out=np.empty(len(words), index), casting="unsafe")
+    words >>= word.type(n)
+    ia = np.bitwise_and(words, mask, out=np.empty(len(words), index), casting="unsafe")
+    del words
+    arrays = ia, ib, _class_gather(class_rates, ternary, ia, ib)
     for arr in arrays:
         arr.setflags(write=False)
     return CoherenceSpectrum(n, *arrays)

@@ -415,12 +415,23 @@ def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str)
         k = int(np.argmax(dark))
         raise DivergentQfiError(f"dark coherence class d = {diffs[k].astype(int)}: rate 0, sensitivity {gp[k]:g}")
     blind = gp == 0.0
-    g = np.where(blind, 1.0, g)
+    # In place, in the operation order of the formulas above, so that a call
+    # makes two class-sized arrays (2 MB each at N = 12) and no temporaries.
+    den = np.where(blind, 1.0, g)
     with np.errstate(over="ignore", invalid="ignore"):  # rates near the float limits: QfiResult rejects inf and nan
         if regime == "time":
-            return np.where(blind, 0.0, gp * gp / (2.0 * g)), np.zeros_like(g)
-        ratio = np.where(blind, 0.0, gp / g)
-        return ratio * ratio * shot_optimum_value(), np.where(blind, 0.0, shot_optimum_x() / g)
+            values = np.multiply(gp, gp)
+            values /= np.multiply(den, 2.0, out=den)
+            np.copyto(values, 0.0, where=blind)
+            den.fill(0.0)
+            return values, den
+        values = np.divide(gp, den)
+        np.copyto(values, 0.0, where=blind)
+        values *= values
+        values *= shot_optimum_value()
+        times = np.divide(shot_optimum_x(), den, out=den)
+    np.copyto(times, 0.0, where=blind)
+    return values, times
 
 
 def _pair_qfi(family: DephasingFamily, xi: float, pair: CoherencePair, regime: str) -> tuple[QfiResult, float]:

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from corrnoise.estimation import (
     splitmix64,
     uniform_stream,
 )
-from corrnoise.estimation import _crb_std
+from corrnoise.estimation import _CHUNK, _crb_std
 from corrnoise.evolution import CoherencePair, _pair_line, decay_rate, ghz_pair
 from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
 from corrnoise.qfi import coherence_pair_qfi_shot
@@ -86,10 +88,31 @@ class TestCountUniformsBelow:
 
     @pytest.mark.parametrize("p", [0.5, 1.0, math.nextafter(1.0, 0.0), 0.0, 0.75, 1e-300])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 - 2, 2**64 - 2**10])
-    def test_matches_float_stream(self, seed, p):
-        # 40_000 draws span several 2^14-draw chunks; the others sit at a chunk boundary.
-        for count in (40_000, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14):
-            assert count_uniforms_below(seed, count, p) == self.reference(seed, count, p)
+    @pytest.mark.parametrize("count", [40_000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+    def test_matches_float_stream(self, seed, p, count):
+        # 40_000 draws span a chunk boundary; the others sit at one.
+        assert count_uniforms_below(seed, count, p) == self.reference(seed, count, p)
+
+    def test_back_to_back_calls_share_no_state(self):
+        # The chunk buffers outlive a call: a short call after a long one, and
+        # a long one after it, count only their own draws.
+        calls = [(5, 3 * _CHUNK + 7, 0.3), (11, 17, 0.9), (5, 3 * _CHUNK + 7, 0.3), (2**64 - 1, _CHUNK + 1, 0.6)]
+        got = [count_uniforms_below(*call) for call in calls]
+        assert got == [self.reference(*call) for call in calls]
+        assert got[0] == got[2]
+
+    def test_threads_count_with_their_own_buffers(self):
+        # More threads than cores and a short switch interval, so that calls
+        # interleave: a buffer shared across threads would lose draws.
+        calls = [(seed, 10 * _CHUNK + 1000 * seed, 0.4) for seed in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda call: count_uniforms_below(*call), calls, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [self.reference(*call) for call in calls]
 
     def test_random_points(self):
         rng = np.random.default_rng(20)

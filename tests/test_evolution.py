@@ -97,6 +97,27 @@ class TestPatternsAndPairs:
         assert ghz_pair(3).label == "000|111"
 
 
+class TestClassTable:
+    @staticmethod
+    def digit_oracle(n):
+        """The arithmetic construction: row k - 1 of diffs is twice k's balanced-ternary digits by int64 // and %."""
+        place = np.arange(n - 1, -1, -1)
+        # k + (3^N - 1)/2 = k + 11...1 (base 3) has k's balanced digits plus 1.
+        diffs = 2.0 * (np.arange((3**n + 1) // 2, 3**n)[:, None] // 3**place % 3 - 1)
+        first = np.stack([(diffs < 0.0) @ 2**place, (diffs > 0.0) @ 2**place], axis=1)
+        ternary = ((np.arange(2**n)[:, None] >> place) & 1) @ 3**place
+        return diffs, first, ternary
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_digit_oracle(self, n):
+        table = _class_table(n)
+        assert [arr.dtype for arr in table] == [np.int8, np.int64, np.int64]
+        assert not any(arr.flags.writeable for arr in table)
+        for got, want in zip(table, self.digit_oracle(n)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 class TestDecayRate:
     def test_two_qubit_antisymmetric_pair(self):
         # alpha=(+1,-1) is |01>, beta=(-1,+1) is |10>
