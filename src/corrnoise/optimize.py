@@ -20,13 +20,17 @@ regime searches over product probes.
 The shot regime's product search is ``_ascent``, a projected BFGS ascent with
 Armijo backtracking on the analytic gradient of ``qfi.product_qfi_value_grad``
 (gradient-based QFI optimisation: Koczor et al., New J. Phys. 22, 083038
-(2020); Meyer et al., npj Quantum Inf. 7, 89 (2021)).  It runs every start at
-once, in plain array code; each backtracking round is one call over the
-starts still searching.  ``_time_scan`` maximizes one function of t: one call
-scores its 64-point grid, then each golden-section round one point.  The
-shot search scans |+>^N with it, and ``maximize_over_time`` is its scalar
-wrapper.  ``nelder_mead_max`` is a one-start derivative-free simplex search
-that no scenario runs.  Points are scored in stacks of at most
+(2020); Meyer et al., npj Quantum Inf. 7, 89 (2021)).  A failed trial's next
+step comes from ``_backtrack``, a safeguarded cubic interpolation of the
+values and slopes at both ends of the trial, the trial's slope from the
+gradient each call already returns (Nocedal & Wright, Numerical Optimization,
+2nd ed., sec. 3.5).  It runs every start at once, in plain array code; each
+backtracking round is one call over the starts still searching.
+``_time_scan`` maximizes one function of t: one call scores its 64-point
+grid, then each golden-section round one point.  The shot search scans |+>^N
+with it, and ``maximize_over_time`` is its scalar wrapper.
+``nelder_mead_max`` is a one-start derivative-free simplex search that no
+scenario runs.  Points are scored in stacks of at most
 ``_BATCH_ELEMENTS`` matrix elements; stacked values equal single-state values
 bit for bit, so the grouping of evaluations never changes a result.
 """
@@ -69,10 +73,10 @@ NM_FATOL = 1e-10
 NM_MAX_ITER = 2000
 _NM_STEP = 0.35
 
-# The shot-regime product search: a projected BFGS ascent with Armijo backtracking.
+# The shot-regime product search: a projected BFGS ascent with interpolating Armijo backtracking.
 ASCENT_GTOL = 1e-9
 ASCENT_FTOL = 1e-14
-ASCENT_HALVINGS = 12
+ASCENT_BACKTRACKS = 12
 ASCENT_MAX_ITER = 200
 ARMIJO_C1 = 1e-4
 _ASCENT_STEP = 0.35
@@ -113,11 +117,12 @@ class OptimizationReport:
     """Best probe of a search.
 
     ``converged_fraction`` is the share of starts that met a stopping test
-    of ``_ascent`` (small projected gradient, or a flat step).  A start whose
-    gradient line search fails, which roundoff in the Armijo test can cause
-    right next to the optimum, counts as unconverged: on the tests'
-    ``random_real_family(3, 11)`` at xi = 0.6, seed 1, it reads 0.786 while
-    the report is |+>^N.  ``unresolved`` counts the search points scored -inf
+    of ``_ascent``: a small projected gradient, a flat step, or a trial that
+    could gain at most ``ASCENT_FTOL`` |f| to first order.  Right next to an
+    optimum, where roundoff decides the Armijo test, the last of these stops
+    a start, so a start counts as unconverged only when it runs out of
+    iterations or its line search along the gradient fails far from an
+    optimum.  ``unresolved`` counts the search points scored -inf
     because they are past the QFI kernel policy.  ``challenger_gap`` is the
     relative gap of the best search end point to |+>^N in the shot regime
     (0.0 in the time regime).
@@ -244,6 +249,26 @@ def nelder_mead_max(fn, x0: np.ndarray, step: float = _NM_STEP) -> tuple[np.ndar
     return simplex[best], float(values[best]), converged, n_eval
 
 
+def _backtrack(a, f0, d0, fa, da, reach) -> np.ndarray:
+    """Next trial steps along p after Armijo trials at steps a failed; each argument has one entry per trial.
+
+    With phi(s) = f(x + s p), phi(0) = f0, phi'(0) = d0, phi(a) = fa and
+    phi'(a) = da, the step is the maximizer of the cubic through these four
+    values (Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 3.59), kept
+    in [0.1 a, 0.5 a].  A trial clipped to the box, whose path meets a face at
+    step ``reach`` (inf for a trial inside the box), steps to that face or to
+    a / 2, whichever is shorter.  A trial scored -inf, a cubic with no
+    maximizer and a path that starts on a face halve the step.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = -d0 - da - 3.0 * (f0 - fa) / a
+        d2 = np.sqrt(d1 * d1 - d0 * da)
+        s = a - a * (d2 - d1 - da) / (d0 - da + 2.0 * d2)
+    s = np.where(np.isfinite(s), np.clip(s, 0.1 * a, 0.5 * a), 0.5 * a)
+    face = np.where(reach > 0.0, np.minimum(0.5 * a, reach), 0.5 * a)
+    return np.where(np.isinf(reach), s, face)
+
+
 def _ascent(x0s: np.ndarray, evaluate, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Projected BFGS ascent from every row of x0s at once: returns arrays (x_end, f_end, converged).
 
@@ -251,11 +276,14 @@ def _ascent(x0s: np.ndarray, evaluate, lo: np.ndarray, hi: np.ndarray) -> tuple[
     gradients; a value of -inf marks a point to step away from.  Points are
     clipped to the box [lo, hi], and a gradient component pushing out of the
     box at its face counts as 0.  Each iteration makes one ``evaluate`` call per
-    Armijo backtracking round (step 1, then halved up to ``ASCENT_HALVINGS``
-    times) over the starts still running.  A start converges when its
-    projected gradient is at most ``ASCENT_GTOL`` |f| or a step gains at most
-    ``ASCENT_FTOL`` |f|; it stops unconverged when its line search along the
-    gradient fails or after ``ASCENT_MAX_ITER`` iterations.  The first step of
+    Armijo backtracking round over the starts still running: step 1, then up
+    to ``ASCENT_BACKTRACKS`` shorter steps from ``_backtrack``, which
+    interpolates the values and slopes at 0 and at the failed trial.  A start
+    converges when its projected gradient is at most ``ASCENT_GTOL`` |f|, a
+    step gains at most ``ASCENT_FTOL`` |f|, or its next trial would gain at
+    most ``ASCENT_FTOL`` |f| to first order (that trial is not scored); it
+    stops unconverged when its line search along the gradient fails or after
+    ``ASCENT_MAX_ITER`` iterations.  The first step of
     a start, and any step after a non-ascent direction or a failed
     quasi-Newton line search, is along the gradient with its largest component
     ``_ASCENT_STEP``.
@@ -280,20 +308,31 @@ def _ascent(x0s: np.ndarray, evaluate, lo: np.ndarray, hi: np.ndarray) -> tuple[
         p[restart] = gl[restart] * (_ASCENT_STEP / np.abs(gl[restart]).max(axis=1))[:, None]
         h[live[restart]] = 0.0
         # Armijo backtracking, one evaluate call per round over the starts still searching.
+        slope = (p * gl).sum(axis=1)
         x_new, f_new, g_new = xl.copy(), np.full(live.size, -np.inf), np.zeros_like(gl)
-        step, pending = 1.0, np.arange(live.size)
-        for _ in range(ASCENT_HALVINGS + 1):
-            trial = np.clip(xl[pending] + step * p[pending], lo, hi)
-            ft, gt = evaluate(trial)
-            ok = ft >= fl[pending] + ARMIJO_C1 * ((trial - xl[pending]) * gl[pending]).sum(axis=1)
-            took = pending[ok]
-            x_new[took], f_new[took], g_new[took] = trial[ok], ft[ok], gt[ok]
-            pending, step = pending[~ok], step / 2.0
+        step, pending, stalled = np.ones(live.size), np.arange(live.size), np.zeros(live.size, dtype=bool)
+        for _ in range(ASCENT_BACKTRACKS + 1):
+            unclipped = xl[pending] + step[pending, None] * p[pending]
+            trial = np.clip(unclipped, lo, hi)
+            gain = ((trial - xl[pending]) * gl[pending]).sum(axis=1)
+            # A trial that would gain at most ASCENT_FTOL |f| to first order is not scored: no step along p gains more.
+            stall = gain <= ASCENT_FTOL * np.abs(fl[pending])
+            stalled[pending[stall]] = True
+            pending, unclipped, trial, gain = pending[~stall], unclipped[~stall], trial[~stall], gain[~stall]
             if not pending.size:
                 break
+            ft, gt = evaluate(trial)
+            ok = ft >= fl[pending] + ARMIJO_C1 * gain
+            took = pending[ok]
+            x_new[took], f_new[took], g_new[took] = trial[ok], ft[ok], gt[ok]
+            pp = p[pending]
+            reach = np.divide(trial - xl[pending], pp, out=np.full_like(pp, np.inf), where=trial != unclipped)
+            reach = reach.min(axis=1)
+            step[pending] = _backtrack(step[pending], fl[pending], slope[pending], ft, (gt * pp).sum(axis=1), reach)
+            pending = pending[~ok]
         moved = np.isfinite(f_new)
         flat = moved & (f_new - fl <= ASCENT_FTOL * np.abs(f_new))
-        converged[live[flat]] = True
+        converged[live[flat | stalled]] = True
         # BFGS update of the inverse Hessian of -f, where the curvature condition holds.
         s, y = x_new - xl, g[live] - g_new
         sy = (s * y).sum(axis=1)
@@ -305,7 +344,7 @@ def _ascent(x0s: np.ndarray, evaluate, lo: np.ndarray, hi: np.ndarray) -> tuple[
         h[live[upd]] = left @ h[live[upd]] @ np.swapaxes(left, 1, 2) + rho * su * np.swapaxes(su, 1, 2)
         x[live[moved]], f[live[moved]], g[live[moved]] = x_new[moved], f_new[moved], g_new[moved]
         # A failed quasi-Newton step retries along the gradient; a failed gradient step ends the start.
-        retry = ~moved & ~restart
+        retry = ~moved & ~restart & ~stalled
         h[live[retry]] = 0.0
         live = live[(moved & ~flat) | retry]
     return x, f, converged

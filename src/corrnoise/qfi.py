@@ -228,8 +228,12 @@ def product_qfi_value_grad(
     lam, u = np.linalg.eigh(rho0 * decay)
     a = np.swapaxes(u, -1, -2) @ (rho0 * m) @ u
     del rho0
-    denom, dark, bad = _kernel_policy(lam, a * a)
-    sld = np.divide(2.0 * a, denom, out=np.zeros_like(a), where=~dark)
+    clean = lam[:, 0] > KERNEL_RTOL * lam[:, -1]
+    if clean.all():  # no eigenvalue at the floor, so the kernel policy changes nothing: no mask copies
+        sld, bad = 2.0 * a / (lam[:, :, None] + lam[:, None, :]), ~clean
+    else:
+        denom, dark, bad = _kernel_policy(lam, a * a)
+        sld = np.divide(2.0 * a, denom, out=np.zeros_like(a), where=~dark)
     values = (a * sld).reshape(k, -1).sum(axis=1)
     sld = u @ sld @ np.swapaxes(u, -1, -2)
     del u, a

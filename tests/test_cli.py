@@ -309,6 +309,9 @@ class TestAdvantageScenario:
         "000|111,1.5707963267948966;1.5707963267948966;1.5707963267948966",
         ("0.2", "1", 4): "4,0.20000000000000001,shot,4.0475639868244677,0.78141189665557953,5.1798085032336019,"
         "0000|1111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966",
+        ("4.7e-3", "3", 6): "6,0.0047000000000000002,shot,7329.2240594374325,229.03825185741789,32.000000000000263,"
+        "000000|111111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966;"
+        "1.5707963267948966;1.5707963267948966",
     }
 
     @pytest.mark.parametrize("xi, seed, n", list(GOLDEN_SHOT_ROWS))

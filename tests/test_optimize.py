@@ -430,12 +430,44 @@ class TestShotRegimeProductSearch:
             return reports[-1]
 
         monkeypatch.setattr(optimize, "optimal_product_state", recording)
-        args = ["advantage", "--n", "5", "--xi", "0.0018170356474311764", "--regime", "shot", "--seed", "1884653449"]
+        args = ["advantage", "--n", "5", "--xi", "4.670629962287817e-06", "--regime", "shot", "--seed", "1298115868"]
         code = main(args)
         assert code == 0
         assert float(capsys.readouterr().out.splitlines()[-1].split(",")[5]) == pytest.approx(16.0, rel=0.05)
         assert reports[0].unresolved > 0
         assert reports[0].best.probe == plus_product(5)
+
+    def test_every_start_converges_next_to_the_optimum(self, random_real_family):
+        # Starts that end within roundoff of |+>^N count as converged: the line
+        # search stops where a trial's first-order gain is at most ASCENT_FTOL
+        # |f| instead of failing on roundoff in the Armijo test.
+        report = optimal_product_state(random_real_family(3, 11), 0.6, "shot", seed=1)
+        assert report.converged_fraction == 1.0
+        assert report.best.probe == plus_product(3)
+
+    # (N, xi, seed) -> value-and-gradient calls and states scored by one
+    # collective-family search; both are deterministic.
+    SEARCH_WORK = {
+        (5, 0.002, 1): (61, 414),
+        (5, 0.01, 2): (84, 448),
+        (4, 0.005, 3): (53, 308),
+        (3, 0.02, 4): (63, 306),
+        (2, 0.01, 5): (39, 175),
+    }
+
+    @pytest.mark.parametrize("n, xi, seed", list(SEARCH_WORK))
+    def test_search_work_is_pinned(self, n, xi, seed, monkeypatch):
+        work = [0, 0]
+        scorer = optimize.product_qfi_value_grad
+
+        def counting(thetas, *args):
+            work[0] += 1
+            work[1] += len(thetas)
+            return scorer(thetas, *args)
+
+        monkeypatch.setattr(optimize, "product_qfi_value_grad", counting)
+        optimal_product_state(optimize.family_for_ratio(n, xi), xi, "shot", seed=seed)
+        assert tuple(work) == self.SEARCH_WORK[n, xi, seed]
 
     def test_winning_challenger_is_rescored_exactly(self, monkeypatch, random_real_family):
         # With a margin of -1 any end point wins; it is reported with its exact QFI.
