@@ -25,12 +25,12 @@ step comes from ``_backtrack``, a safeguarded cubic interpolation of the
 values and slopes at both ends of the trial, the trial's slope from the
 gradient each call already returns (Nocedal & Wright, Numerical Optimization,
 2nd ed., sec. 3.5).  It runs every start at once, in plain array code; each
-backtracking round is one call over the starts still searching.
-``_time_scan`` maximizes one function of t: one call scores its 64-point
-grid, then each golden-section round one point.  The shot search scans |+>^N
-with it, and ``maximize_over_time`` is its scalar wrapper.
-``nelder_mead_max`` is a one-start derivative-free simplex search that no
-scenario runs.  Points are scored in stacks of at most
+backtracking round is one call over the starts still searching.  |+>^N's
+time is maximized by the same kernel and optimizer: one call scores its
+64-point log-t grid, and ``_ascent`` climbs in log t alone from the best grid
+point.  ``maximize_over_time`` (a log grid, then golden-section rounds) and
+``nelder_mead_max`` (a one-start derivative-free simplex search) are scalar
+routines that no scenario runs.  Points are scored in stacks of at most
 ``_BATCH_ELEMENTS`` matrix elements; stacked values equal single-state values
 bit for bit, so the grouping of evaluations never changes a result.
 """
@@ -47,7 +47,6 @@ from .evolution import (
     ResourceLimitError,
     _class_rates,
     _class_table,
-    _product_vectors,
     plus_product,
 )
 from .model import DephasingFamily, build_n_qubit, build_two_qubit
@@ -81,10 +80,10 @@ ASCENT_MAX_ITER = 200
 ARMIJO_C1 = 1e-4
 _ASCENT_STEP = 0.35
 
-# A challenger replaces |+>^N as the shot-regime report only when it beats
-# the |+>^N scan by more than this relative margin: far above what an end
-# point next to pi/2 gains from roundoff and from the scan stopping about
-# 9e-15 below its maximum over t (up to 1.1e-14 seen), far below the gap to
+# A challenger replaces |+>^N as the shot-regime report only when its end
+# value beats the |+>^N end value by more than this relative margin: far
+# above what an end point next to pi/2 gains from roundoff (|challenger_gap|
+# at most 2.9e-15 on the collective family at N = 2..5), far below the gap to
 # any other product probe seen (4e-7).
 SHOT_MARGIN = 1e-12
 
@@ -124,8 +123,9 @@ class OptimizationReport:
     iterations or its line search along the gradient fails far from an
     optimum.  ``unresolved`` counts the search points scored -inf
     because they are past the QFI kernel policy.  ``challenger_gap`` is the
-    relative gap of the best search end point to |+>^N in the shot regime
-    (0.0 in the time regime).
+    relative gap of the best search end point's value to the end value of
+    |+>^N's time ascent in the shot regime, both from
+    ``product_qfi_value_grad`` (0.0 in the time regime).
     """
 
     best: QfiResult
@@ -148,39 +148,6 @@ class AdvantageRatio:
     unresolved: int
 
 
-def _time_scan(bracket: tuple[float, float], evaluate) -> tuple[float, float]:
-    """``maximize_over_time`` with ``evaluate(ts)`` returning the values at an array of times ts.
-
-    One call scores the grid and one the first two golden-section points;
-    then each round scores one point.
-    """
-    t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < t_lo < t_hi):
-        raise ValueError(f"bracket must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
-    ts = np.geomspace(t_lo, t_hi, GRID_POINTS)
-    vals = evaluate(ts)
-    i = int(vals.argmax())
-    best_t, best_v = ts[i], vals[i]
-
-    a, b = ts[max(i - 1, 0)], ts[min(i + 1, GRID_POINTS - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = evaluate(np.array([c, d]))
-    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = evaluate(np.array([c]))[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = evaluate(np.array([d]))[0]
-        t_cand, v_cand = (c, fc) if fc >= fd else (d, fd)
-        if v_cand > best_v:
-            best_t, best_v = t_cand, v_cand
-    return float(best_t), float(best_v)
-
-
 def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, float]:
     """Maximize eval_fn(t) on a positive bracket.
 
@@ -188,7 +155,31 @@ def maximize_over_time(eval_fn, bracket: tuple[float, float]) -> tuple[float, fl
     golden-section search to a relative t tolerance of 1e-6; returns the
     better of grid and refined maxima as (t_star, value).
     """
-    return _time_scan(bracket, lambda ts: np.array([eval_fn(t) for t in ts], dtype=np.float64))
+    t_lo, t_hi = float(bracket[0]), float(bracket[1])
+    if not (0.0 < t_lo < t_hi):
+        raise ValueError(f"bracket must satisfy 0 < t_lo < t_hi, got ({t_lo}, {t_hi})")
+    ts = np.geomspace(t_lo, t_hi, GRID_POINTS)
+    vals = np.array([eval_fn(t) for t in ts], dtype=np.float64)
+    i = int(vals.argmax())
+    best_t, best_v = ts[i], vals[i]
+
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, GRID_POINTS - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = eval_fn(c), eval_fn(d)
+    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = eval_fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = eval_fn(d)
+        t_cand, v_cand = (c, fc) if fc >= fd else (d, fd)
+        if v_cand > best_v:
+            best_t, best_v = t_cand, v_cand
+    return float(best_t), float(best_v)
 
 
 def default_time_bracket(family: DephasingFamily, xi: float) -> tuple[float, float]:
@@ -391,16 +382,18 @@ def optimal_product_state(
     holds its exact limit with starts = 0, converged_fraction = 1.0,
     unresolved = 0 and challenger_gap = 0.0; ``seed`` is not used.
 
-    Shot regime: |+>^N gets its own time scan (``_time_scan``), and 8 + 2N
-    starts (the all-pi/2 probe at t = x* / slowest rate, plus uniform-random
-    starts) climb jointly in the polar angles and log t, log t kept in
-    ``default_time_bracket``, by the projected BFGS ascent ``_ascent`` on the
-    analytic gradient of ``product_qfi_value_grad``.  A start's candidate is
-    its end point.  The best challenger is re-scored with ``qfi_exact_value``
-    and is the report only if it beats |+>^N by more than ``SHOT_MARGIN``
-    relative; ``challenger_gap`` is its relative gap to |+>^N either way.  So
-    the report is never below |+>^N, and a report that |+>^N wins is its scan's
-    row, whatever the seed.
+    Shot regime: every point is scored by ``product_qfi_value_grad`` and
+    climbed by the projected BFGS ascent ``_ascent``, log t kept in
+    ``default_time_bracket``.  |+>^N is scored on a 64-point log-t grid, and
+    its time climbs from the best grid point in log t alone.  8 + 2N starts
+    (the all-pi/2 probe at t = x* / slowest rate, plus uniform-random starts)
+    climb jointly in the polar angles and log t.  A start's candidate is its
+    end point.  The best challenger is the report only if its end value beats
+    |+>^N's by more than ``SHOT_MARGIN`` relative; ``challenger_gap`` is its
+    relative gap to |+>^N either way.  The reported row is one
+    ``qfi_exact_value`` call on the winner's density at its time.  So the
+    report is never below |+>^N by more than roundoff, and a report that
+    |+>^N wins is its ascent's row, whatever the seed.
 
     Only part of the time-regime argument carries over to finite t.  The
     instrument with Kraus operators (x)_j diag(cos(theta_j/2), sin(theta_j/2))
@@ -414,10 +407,11 @@ def optimal_product_state(
 
     Every start climbs at once, and the points of each call are scored in
     stacks of at most ``_BATCH_ELEMENTS`` matrix elements (32 states at N = 5,
-    one at N >= 8), with no ProductState.  A point past the kernel policy of
-    ``_sld_rate`` (``qfi_exact_value`` raises DivergentQfiError there) scores
-    -inf, so the search moves away from it, and is counted in ``unresolved``.
-    A |+>^N scan point past it raises DivergentQfiError instead, as no
+    one at N >= 8); only the reported row builds a ProductState.  A point
+    past the kernel policy of ``_sld_rate`` (``qfi_exact_value`` raises
+    DivergentQfiError there) scores -inf, so the search moves away from it,
+    and is counted in ``unresolved``.
+    A |+>^N grid point past it raises DivergentQfiError instead, as no
     report can then be trusted (below xi of about 1e-12).
     Stacked values equal single-state values bit for bit and the merge is a
     deterministic reduction, so a fixed seed implies a bit-identical report.
@@ -439,26 +433,6 @@ def optimal_product_state(
     chunk = max(1, _BATCH_ELEMENTS // 4**n)
     unresolved = 0
 
-    def scores(theta: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """QFI of the product probe theta at times ts, in stacks of at most ``chunk`` states; -inf where it raises."""
-        nonlocal unresolved
-        vec = _product_vectors(theta)
-        rho = np.outer(vec, vec)
-        values = np.empty(len(ts))
-        for lo in range(0, len(ts), chunk):
-            t = ts[lo : lo + chunk]
-            try:  # the stack is a view of one state, so it costs no memory
-                values[lo : lo + chunk] = qfi_exact_value(np.broadcast_to(rho, (len(t), *rho.shape)), family, xi, t)
-            except DivergentQfiError:
-                # A probe the kernel policy rejects scores -inf, so the search moves away from it.
-                for k, t_k in enumerate(t):
-                    try:
-                        values[lo + k] = qfi_exact_value(rho, family, xi, t_k)
-                    except DivergentQfiError:
-                        values[lo + k] = -np.inf
-                        unresolved += 1
-        return values
-
     def gradient_scores(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and gradients at points (theta, log t), in stacks of at most ``chunk`` states."""
         nonlocal unresolved
@@ -469,21 +443,28 @@ def optimal_product_state(
         return values, np.concatenate([g for _, g in parts])
 
     plus = np.full(n, np.pi / 2.0)
-    plus_t, plus_value = _time_scan(bracket, lambda ts: scores(plus, ts))
+
+    def plus_scores(log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and log-t gradients of |+>^N at the times exp(log_t[:, 0])."""
+        values, grads = gradient_scores(np.column_stack([np.tile(plus, (len(log_t), 1)), log_t]))
+        return values, grads[:, n:]
+
+    grid = np.linspace(log_lo, log_hi, GRID_POINTS)[:, None]
+    grid_values, _ = plus_scores(grid)
     if unresolved:
         raise DivergentQfiError(
             f"the |+>^{n} time scan at xi = {float(xi)} scored {unresolved} point(s) -inf, past the QFI kernel policy"
             f" (derivative weight between eigenvalues <= {KERNEL_RTOL:g} of the largest): no product optimum resolved"
         )
+    i = int(grid_values.argmax())
+    plus_end, (plus_value,), _ = _ascent(grid[i : i + 1], plus_scores, np.array([log_lo]), np.array([log_hi]))
     box_lo, box_hi = np.append(np.full(n, -np.inf), log_lo), np.append(np.full(n, np.inf), log_hi)
     found, values, converged = _ascent(np.column_stack([starts, start_logts]), gradient_scores, box_lo, box_hi)
     k = int(np.argmax(values))
-    theta, t = _fold_theta(found[k, :n]), float(np.exp(found[k, n]))
-    value = scores(theta, np.array([t]))[0]
-    gap = (value - plus_value) / plus_value if plus_value > 0.0 else (np.inf if value > 0.0 else 0.0)
-    if not gap > SHOT_MARGIN:
-        theta, t, value = plus, plus_t, plus_value
-    result = QfiResult(float(value), "shot", t, ProductState(theta))
+    gap = (values[k] - plus_value) / plus_value if plus_value > 0.0 else (np.inf if values[k] > 0.0 else 0.0)
+    theta, log_t = (_fold_theta(found[k, :n]), found[k, n]) if gap > SHOT_MARGIN else (plus, plus_end[0, 0])
+    probe, t = ProductState(theta), float(np.exp(log_t))
+    result = QfiResult(qfi_exact_value(probe.density(), family, xi, t), "shot", t, probe)
     return OptimizationReport(result, n_starts, int(converged.sum()) / n_starts, unresolved, float(gap))
 
 
