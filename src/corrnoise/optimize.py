@@ -19,18 +19,14 @@ regime searches over product probes.
 
 The shot regime's product search is ``_ascent``, a projected BFGS ascent with
 Armijo backtracking on the analytic gradient of ``qfi.product_qfi_value_grad``
-(gradient-based QFI optimisation: Koczor et al., New J. Phys. 22, 083038
-(2020); Meyer et al., npj Quantum Inf. 7, 89 (2021)).  A failed trial's next
-step comes from ``_backtrack``, a safeguarded cubic interpolation of the
-values and slopes at both ends of the trial, the trial's slope from the
-gradient each call already returns (Nocedal & Wright, Numerical Optimization,
-2nd ed., sec. 3.5).  It runs every start at once, in plain array code; each
-backtracking round is one call over the starts still searching.  |+>^N's
-time is maximized by the same kernel and optimizer: one call scores its
-64-point log-t grid, and ``_ascent`` climbs in log t alone from the best grid
-point.  ``maximize_over_time`` (a log grid, then golden-section rounds) and
-``nelder_mead_max`` (a one-start derivative-free simplex search) are scalar
-routines that no scenario runs.  Points are scored in stacks of at most
+(Koczor et al., New J. Phys. 22, 083038 (2020); Meyer et al., npj Quantum Inf.
+7, 89 (2021)); ``_backtrack`` interpolates the values and slopes at both ends
+of a failed trial (Nocedal & Wright, Numerical Optimization, 2nd ed., sec.
+3.5).  Every start climbs at once, and |+>^N's time climbs by the same kernel
+and optimizer from the best point of its 64-point log-t grid.  The kernel's
+values are ``qfi_exact_value``'s bit for bit, so the search reports its
+winner's own end value.  ``maximize_over_time`` and ``nelder_mead_max`` are
+scalar routines that no scenario runs.  Points are scored in stacks of at most
 ``_BATCH_ELEMENTS`` matrix elements; stacked values equal single-state values
 bit for bit, so the grouping of evaluations never changes a result.
 """
@@ -56,9 +52,10 @@ from .qfi import (
     DivergentQfiError,
     QfiResult,
     _check_regime,
+    _fold_theta,
     _pair_optimum,
+    _pair_time,
     product_qfi_value_grad,
-    qfi_exact_value,
     shot_optimum_x,
     time_averaged_qfi_limit,
 )
@@ -83,7 +80,7 @@ _ASCENT_STEP = 0.35
 # A challenger replaces |+>^N as the shot-regime report only when its end
 # value beats the |+>^N end value by more than this relative margin: far
 # above what an end point next to pi/2 gains from roundoff (|challenger_gap|
-# at most 2.9e-15 on the collective family at N = 2..5), far below the gap to
+# at most 6.3e-15 on the collective family at N = 2..5), far below the gap to
 # any other product probe seen (4e-7).
 SHOT_MARGIN = 1e-12
 
@@ -124,8 +121,9 @@ class OptimizationReport:
     optimum.  ``unresolved`` counts the search points scored -inf
     because they are past the QFI kernel policy.  ``challenger_gap`` is the
     relative gap of the best search end point's value to the end value of
-    |+>^N's time ascent in the shot regime, both from
-    ``product_qfi_value_grad`` (0.0 in the time regime).
+    |+>^N's time ascent in the shot regime (0.0 in the time regime).  Both
+    are ``product_qfi_value_grad`` values, which ``best.value`` is too: the
+    exact QFI of ``best.probe`` at ``best.time`` bit for bit.
     """
 
     best: QfiResult
@@ -260,28 +258,27 @@ def _backtrack(a, f0, d0, fa, da, reach) -> np.ndarray:
     return np.where(np.isinf(reach), s, face)
 
 
-def _ascent(x0s: np.ndarray, evaluate, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+def _ascent(x0s, f0s, g0s, evaluate, lo, hi) -> tuple[np.ndarray, ...]:
     """Projected BFGS ascent from every row of x0s at once: returns arrays (x_end, f_end, converged).
 
-    ``evaluate`` maps a (k, dim) array of points to their k values and (k, dim)
-    gradients; a value of -inf marks a point to step away from.  Points are
-    clipped to the box [lo, hi], and a gradient component pushing out of the
-    box at its face counts as 0.  Each iteration makes one ``evaluate`` call per
-    Armijo backtracking round over the starts still running: step 1, then up
-    to ``ASCENT_BACKTRACKS`` shorter steps from ``_backtrack``, which
+    The starts x0s lie in the box [lo, hi]; f0s and g0s are their values and
+    gradients.  ``evaluate`` maps a (k, dim) array of points to their k values
+    and (k, dim) gradients; a value of -inf marks a point to step away from.
+    Trial points are clipped to the box, and a gradient component pushing out
+    of the box at its face counts as 0.  Each iteration makes one ``evaluate``
+    call per Armijo backtracking round over the starts still running: step 1,
+    then up to ``ASCENT_BACKTRACKS`` shorter steps from ``_backtrack``, which
     interpolates the values and slopes at 0 and at the failed trial.  A start
     converges when its projected gradient is at most ``ASCENT_GTOL`` |f|, a
     step gains at most ``ASCENT_FTOL`` |f|, or its next trial would gain at
     most ``ASCENT_FTOL`` |f| to first order (that trial is not scored); it
     stops unconverged when its line search along the gradient fails or after
-    ``ASCENT_MAX_ITER`` iterations.  The first step of
-    a start, and any step after a non-ascent direction or a failed
-    quasi-Newton line search, is along the gradient with its largest component
-    ``_ASCENT_STEP``.
+    ``ASCENT_MAX_ITER`` iterations.  The first step of a start, and any step
+    after a non-ascent direction or a failed quasi-Newton line search, is
+    along the gradient with its largest component ``_ASCENT_STEP``.
     """
-    x = np.clip(np.asarray(x0s, dtype=np.float64), lo, hi)
+    x, f, g = (np.array(v, dtype=np.float64) for v in (x0s, f0s, g0s))
     m, dim = x.shape
-    f, g = evaluate(x)
     eye = np.eye(dim)
     h = np.zeros((m, dim, dim))
     converged = np.zeros(m, dtype=bool)
@@ -353,17 +350,12 @@ def optimal_coherence_pair(family: DephasingFamily, xi: float, regime: str) -> Q
             f"pair enumeration is guarded at N <= {PAIR_ENUM_MAX_QUBITS}, got {n}"
         )
     diffs, first, _ = _class_table(n)
-    values, times = _pair_optimum(_class_rates(family, float(xi)), _class_rates(family, None), diffs, regime)
+    rates, slopes = _class_rates(family, float(xi)), _class_rates(family, None)
+    values = _pair_optimum(rates, slopes, diffs, regime)
     top = np.flatnonzero(values == values.max())
     k = top[np.lexsort((first[top, 1], first[top, 0]))[0]]
     pair = CoherencePair.from_indices(*map(int, first[k]), n)
-    return QfiResult(float(values[k]), regime, float(times[k]), pair)
-
-
-def _fold_theta(theta: np.ndarray) -> np.ndarray:
-    """Map arbitrary real angles onto [0, pi] without changing the QFI."""
-    folded = np.mod(theta, 2.0 * np.pi)
-    return np.where(folded > np.pi, 2.0 * np.pi - folded, folded)
+    return QfiResult(float(values[k]), regime, _pair_time(rates[k], slopes[k], regime), pair)
 
 
 def optimal_product_state(
@@ -374,26 +366,25 @@ def optimal_product_state(
 ) -> OptimizationReport:
     """Maximize the regime's figure of merit over product probes.
 
-    Time regime: no search.  A product probe's t -> 0+ rate is the SLD QFI of
-    (K A K, K B K) with K = diag(sin theta_j) (``time_averaged_qfi_limit``).
-    The map X -> K X K (+) K' X K' with K'^2 = 1 - K^2 is CPTP, and the SLD
-    metric is monotone under CPTP maps (D. Petz, Linear Algebra Appl. 244, 81
-    (1996)), so K = 1, i.e. |+>^N, is optimal for every family.  The report
-    holds its exact limit with starts = 0, converged_fraction = 1.0,
-    unresolved = 0 and challenger_gap = 0.0; ``seed`` is not used.
+    Time regime: no search.  |+>^N is optimal for every family (module
+    docstring), and the report holds its exact ``time_averaged_qfi_limit``
+    with starts = 0, converged_fraction = 1.0, unresolved = 0 and
+    challenger_gap = 0.0; ``seed`` is not used.
 
     Shot regime: every point is scored by ``product_qfi_value_grad`` and
     climbed by the projected BFGS ascent ``_ascent``, log t kept in
     ``default_time_bracket``.  |+>^N is scored on a 64-point log-t grid, and
-    its time climbs from the best grid point in log t alone.  8 + 2N starts
-    (the all-pi/2 probe at t = x* / slowest rate, plus uniform-random starts)
-    climb jointly in the polar angles and log t.  A start's candidate is its
-    end point.  The best challenger is the report only if its end value beats
-    |+>^N's by more than ``SHOT_MARGIN`` relative; ``challenger_gap`` is its
-    relative gap to |+>^N either way.  The reported row is one
-    ``qfi_exact_value`` call on the winner's density at its time.  So the
-    report is never below |+>^N by more than roundoff, and a report that
-    |+>^N wins is its ascent's row, whatever the seed.
+    its time climbs from the best grid point, with the grid call's value and
+    gradient, in log t alone.  8 + 2N starts (the all-pi/2 probe at
+    t = x* / slowest rate, plus uniform-random starts) climb jointly in the
+    polar angles and log t.  A start's candidate is its end point.  The best
+    challenger is the report only if its end value beats |+>^N's by more than
+    ``SHOT_MARGIN`` relative; ``challenger_gap`` is its relative gap to |+>^N
+    either way.  The reported value is the winner's end value, which is
+    ``qfi_exact_value`` of the reported probe at its time bit for bit, so
+    nothing is scored twice.  So the report is never below |+>^N by more than
+    roundoff, and a report that |+>^N wins is its ascent's row, whatever the
+    seed.
 
     Only part of the time-regime argument carries over to finite t.  The
     instrument with Kraus operators (x)_j diag(cos(theta_j/2), sin(theta_j/2))
@@ -407,14 +398,14 @@ def optimal_product_state(
 
     Every start climbs at once, and the points of each call are scored in
     stacks of at most ``_BATCH_ELEMENTS`` matrix elements (32 states at N = 5,
-    one at N >= 8); only the reported row builds a ProductState.  A point
-    past the kernel policy of ``_sld_rate`` (``qfi_exact_value`` raises
+    one at N >= 8); only the reported row builds a ProductState, and no
+    density.  A point past the kernel policy (``qfi_exact_value`` raises
     DivergentQfiError there) scores -inf, so the search moves away from it,
-    and is counted in ``unresolved``.
-    A |+>^N grid point past it raises DivergentQfiError instead, as no
-    report can then be trusted (below xi of about 1e-12).
-    Stacked values equal single-state values bit for bit and the merge is a
-    deterministic reduction, so a fixed seed implies a bit-identical report.
+    and is counted in ``unresolved``.  A |+>^N grid point past it raises
+    DivergentQfiError instead, as no report can then be trusted (below xi of
+    about 1e-12).  Stacked values equal single-state values bit for bit and
+    the merge is a deterministic reduction, so a fixed seed implies a
+    bit-identical report.
     """
     _check_regime(regime)
     n = family.n_qubits
@@ -424,11 +415,12 @@ def optimal_product_state(
         raise ResourceLimitError(f"product-state search is guarded at N <= {PRODUCT_MAX_QUBITS}, got {n}")
     rng = np.random.default_rng(seed)
     n_starts = 8 + 2 * n
-    starts = np.vstack([np.full(n, np.pi / 2.0), rng.uniform(0.0, np.pi, size=(n_starts - 1, n))])
+    plus = np.full(n, np.pi / 2.0)
+    starts = np.vstack([plus, rng.uniform(0.0, np.pi, size=(n_starts - 1, n))])
     bracket = default_time_bracket(family, xi)
     log_lo, log_hi = np.log(bracket[0]), np.log(bracket[1])
     start_t = shot_optimum_x() * bracket[0] / TIME_BRACKET_SPAN[0]
-    start_logts = np.append(np.log(start_t), rng.uniform(log_lo, log_hi, size=n_starts - 1))
+    z0 = np.column_stack([starts, np.append(np.log(start_t), rng.uniform(log_lo, log_hi, size=n_starts - 1))])
 
     chunk = max(1, _BATCH_ELEMENTS // 4**n)
     unresolved = 0
@@ -442,29 +434,26 @@ def optimal_product_state(
         unresolved += int(np.isneginf(values).sum())
         return values, np.concatenate([g for _, g in parts])
 
-    plus = np.full(n, np.pi / 2.0)
-
     def plus_scores(log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and log-t gradients of |+>^N at the times exp(log_t[:, 0])."""
         values, grads = gradient_scores(np.column_stack([np.tile(plus, (len(log_t), 1)), log_t]))
         return values, grads[:, n:]
 
     grid = np.linspace(log_lo, log_hi, GRID_POINTS)[:, None]
-    grid_values, _ = plus_scores(grid)
+    grid_values, grid_grads = plus_scores(grid)
     if unresolved:
         raise DivergentQfiError(
             f"the |+>^{n} time scan at xi = {float(xi)} scored {unresolved} point(s) -inf, past the QFI kernel policy"
             f" (derivative weight between eigenvalues <= {KERNEL_RTOL:g} of the largest): no product optimum resolved"
         )
-    i = int(grid_values.argmax())
-    plus_end, (plus_value,), _ = _ascent(grid[i : i + 1], plus_scores, np.array([log_lo]), np.array([log_hi]))
+    i = [int(grid_values.argmax())]
+    plus_end, (plus_value,), _ = _ascent(grid[i], grid_values[i], grid_grads[i], plus_scores, grid[0], grid[-1])
     box_lo, box_hi = np.append(np.full(n, -np.inf), log_lo), np.append(np.full(n, np.inf), log_hi)
-    found, values, converged = _ascent(np.column_stack([starts, start_logts]), gradient_scores, box_lo, box_hi)
+    found, values, converged = _ascent(z0, *gradient_scores(z0), gradient_scores, box_lo, box_hi)
     k = int(np.argmax(values))
     gap = (values[k] - plus_value) / plus_value if plus_value > 0.0 else (np.inf if values[k] > 0.0 else 0.0)
-    theta, log_t = (_fold_theta(found[k, :n]), found[k, n]) if gap > SHOT_MARGIN else (plus, plus_end[0, 0])
-    probe, t = ProductState(theta), float(np.exp(log_t))
-    result = QfiResult(qfi_exact_value(probe.density(), family, xi, t), "shot", t, probe)
+    end, value = (found[k], values[k]) if gap > SHOT_MARGIN else (np.append(plus, plus_end[0]), plus_value)
+    result = QfiResult(float(value), "shot", float(np.exp(end[n])), ProductState(_fold_theta(end[:n])))
     return OptimizationReport(result, n_starts, int(converged.sum()) / n_starts, unresolved, float(gap))
 
 

@@ -11,11 +11,13 @@ purely dissipative dynamics.
   on the exactly propagated state, using the exact parameter derivative of
   the state (no finite differences in xi).
 
-  Every SLD sum in this module, per shot and in the t -> 0+ limit, keeps one
-  kernel policy, ``_kernel_policy``.  Eigenvalues at or below KERNEL_RTOL of
-  the largest form the numerical kernel.  Derivative weight that falls between
-  two kernel eigenvalues is a diverging term, not a droppable one: above
-  DARK_RTOL of the total it raises DivergentQfiError.  That weight means a
+  Every SLD sum in this module, per shot, in the t -> 0+ limit and in the
+  shot search's ``product_qfi_value_grad``, is one routine, ``_sld``, and
+  keeps one kernel policy, ``_kernel_policy``.  Eigenvalues at or below
+  KERNEL_RTOL of the largest form the numerical kernel.  Derivative weight
+  that falls between two kernel eigenvalues is a diverging term, not a
+  droppable one: above DARK_RTOL of the total it raises DivergentQfiError
+  (``product_qfi_value_grad`` scores that probe -inf).  That weight means a
   dark coherence, or a t so small that the O(t) eigenvalues sink below the
   relative floor.  Rank changes make the QFI discontinuous (Safranek, PRA 95,
   052320 (2017)), so the kernel is never cut silently.
@@ -79,7 +81,7 @@ from .evolution import (
 )
 from .model import DephasingFamily
 
-# The kernel policy of ``_sld_rate`` (module docstring).  KERNEL_RTOL also
+# The kernel policy of ``_sld`` (module docstring).  KERNEL_RTOL also
 # separates the support of rho0 from its kernel and floors the squared norm
 # of leakage directions in the t -> 0+ limit.
 KERNEL_RTOL = 1e-13
@@ -197,54 +199,54 @@ def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> 
     return _sld_rate(state, deriv)
 
 
+def _fold_theta(theta: np.ndarray) -> np.ndarray:
+    """Map real angles onto [0, pi]; the QFI stays, as theta_j -> -theta_j, 2 pi - theta_j are Z_j and -Z_j."""
+    folded = np.mod(theta, 2.0 * np.pi)
+    return np.minimum(folded, 2.0 * np.pi - folded)
+
+
 def product_qfi_value_grad(
     thetas: np.ndarray, family: DephasingFamily, xi: float, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-shot QFI of product probes and its gradient in (theta_1, ..., theta_N, log t).
 
     thetas is a (k, N) array of polar angles, any real values, and t holds k
-    times.  Returns the k values and the (k, N + 1) gradients.  One stacked
-    ``eigh`` of the states rho = rho0 o E (E = exp(-R t), o the Schur product)
-    gives F = Tr(L d_xi rho) and, with the SLD L, its differential
+    times.  Returns the k values and the (k, N + 1) gradients.  The angles
+    fold onto [0, pi] (``_fold_theta``).  The states rho = rho0 o E
+    (E = exp(-R t), o the Schur product) and their derivatives d_xi rho =
+    rho0 o M, M = -t R' o E, are formed as in ``qfi_exact_value``, and
+    ``_sld`` gives F = Tr(L d_xi rho) and the SLD L.  So each value, and each
+    -inf, is that of ``qfi_exact_value`` on the folded ``ProductState``'s
+    density bit for bit: a diverging row, where it raises DivergentQfiError,
+    scores -inf with a zero gradient.  The differential
 
-        dF = 2 Tr(L d(d_xi rho)) - Tr(L^2 d rho).
+        dF = 2 Tr(L d(d_xi rho)) - Tr(L^2 d rho),
 
-    With d_xi rho = rho0 o M, M = -t R' o E, and G = 2 L o M - L^2 o E, this is
-    dF/d theta_j = 2 psi_j'^T G psi, where psi_j' = psi(theta + pi e_j) / 2, and
-    dF/d log t = 2 F - t psi^T (R o G) psi.  The kernel policy is
-    ``_kernel_policy``, as in ``qfi_exact_value``: L is 0 between two kernel
-    eigenvalues, and a diverging row, where ``qfi_exact_value`` raises
-    DivergentQfiError, scores -inf with a zero gradient.  Each row of a stack
-    equals its single-row call bit for bit; the values agree with
-    ``qfi_exact_value`` to roundoff, not bit for bit.
+    with G = 2 L o M - L^2 o E, gives dF/d theta_j = 2 psi_j'^T G psi, where
+    psi_j' = psi(theta + pi e_j) / 2, and dF/d log t = 2 F - t psi^T (R o G) psi.
+    Each row of a stack equals its single-row call bit for bit.
     """
     _check_qfi_inputs(family, xi, t)
-    thetas = np.asarray(thetas, dtype=np.float64)
+    # The fold's slope is -1 where it reflects.
+    slope = np.where(np.mod(thetas, 2.0 * np.pi) > np.pi, -2.0, 2.0)
+    thetas = _fold_theta(np.asarray(thetas, dtype=np.float64))
     k, n = thetas.shape
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))
     psi = _product_vectors(thetas)
     rho0, t, decay = _decay(psi[:, :, None] * psi[:, None, :], family, xi, t)
-    m = _derivative(1.0, family, t, decay)
-    lam, u = np.linalg.eigh(rho0 * decay)
-    a = np.swapaxes(u, -1, -2) @ (rho0 * m) @ u
+    values, sld, u, share = _sld(rho0 * decay, _derivative(rho0, family, t, decay))
     del rho0
-    clean = lam[:, 0] > KERNEL_RTOL * lam[:, -1]
-    if clean.all():  # no eigenvalue at the floor, so the kernel policy changes nothing: no mask copies
-        sld, bad = 2.0 * a / (lam[:, :, None] + lam[:, None, :]), ~clean
-    else:
-        denom, dark, bad = _kernel_policy(lam, a * a)
-        sld = np.divide(2.0 * a, denom, out=np.zeros_like(a), where=~dark)
-    values = (a * sld).reshape(k, -1).sum(axis=1)
     sld = u @ sld @ np.swapaxes(u, -1, -2)
-    del u, a
-    g = 2.0 * sld * m - (sld @ sld) * decay
-    del sld, m, decay
+    del u
+    g = 2.0 * sld * _derivative(1.0, family, t, decay) - (sld @ sld) * decay
+    del sld, decay
     g_psi = (g @ psi[:, :, None])[:, :, 0]
     grads = np.empty((k, n + 1))
     dpsi = _product_vectors(thetas[:, None, :] + np.pi * np.eye(n)) / 2.0
-    grads[:, :n] = 2.0 * (dpsi @ g_psi[:, :, None])[:, :, 0]
+    grads[:, :n] = slope * (dpsi @ g_psi[:, :, None])[:, :, 0]
     r_g_psi = ((rate_matrix(family, xi) * g) @ psi[:, :, None])[:, :, 0]
     grads[:, n] = 2.0 * values - t[:, 0, 0] * (psi * r_g_psi).sum(axis=1)
+    bad = share > 0.0
     values[bad], grads[bad] = -np.inf, 0.0
     return values, grads
 
@@ -307,55 +309,66 @@ def richardson_limit(rho0: np.ndarray, family: DephasingFamily, xi: float, level
     )
 
 
+def _sld(m: np.ndarray, m_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """SLD of a stack (k, d, d) of PSD matrices m and their xi-derivatives m_prime, from one ``eigh`` call.
+
+    With lambda_j an item's eigenvalues, u its eigenvectors and a = u^dag
+    m_prime u, returns per item the SLD QFI 2 sum_jk |a_jk|^2 / (lambda_j +
+    lambda_k), the SLD 2 a / (lambda_j + lambda_k) in the eigenbasis, u, and
+    the dark share of ``_kernel_policy`` (nonzero where the item diverges),
+    which runs only on items with an eigenvalue at the floor.  Each item keeps
+    the bits of its single-item call.
+    """
+    lam, u = np.linalg.eigh(m)
+    a = (np.swapaxes(u.conj(), -1, -2) @ m_prime) @ u
+    # a * a is |a|^2 bit for bit for real a.
+    weight = a * a if a.dtype.kind == "f" else np.abs(a) ** 2
+    denom = lam[:, :, None] + lam[:, None, :]
+    kernel = np.flatnonzero(~(lam[:, 0] > KERNEL_RTOL * lam[:, -1]))
+    share, kernel_values = np.zeros(len(lam)), []
+    for j in kernel:
+        denom[j], share[j] = _kernel_policy(lam[j], weight[j])
+        live = denom[j] < np.inf
+        kernel_values.append(2.0 * (weight[j][live] / denom[j][live]).sum())
+    values = 2.0 * np.divide(weight, denom, out=weight).reshape(len(lam), lam.shape[1] ** 2).sum(axis=1)
+    # A kernel item sums its live terms alone: zeros among them would change its rounding.
+    values[kernel] = kernel_values
+    sld = np.multiply(a, 2.0, out=a)
+    return values, np.divide(sld, denom, out=sld), u, share
+
+
 def _sld_rate(m: np.ndarray, m_prime: np.ndarray) -> "float | np.ndarray":
-    """SLD QFI 2 sum_jk |a_jk|^2 / (lambda_j + lambda_k) of a PSD matrix m and its xi-derivative m_prime.
+    """SLD QFI of a PSD matrix m and its xi-derivative m_prime (``_sld``), raising DivergentQfiError where it diverges.
 
     m is a propagated state (per-shot F_Q) or the compressed O(t) weight
-    matrix of a probe (the t -> 0+ rate); lambda_j are its eigenvalues and a
-    is m_prime in its eigenbasis.  Items with an eigenvalue in the kernel
-    follow ``_kernel_policy``, and a diverging one raises DivergentQfiError.
-
-    One d x d pair gives a float.  Stacks (..., d, d) give an array of the
-    leading shape, each item bit for bit its single-pair value: the stack
-    goes through one ``eigh`` call, and the kernel policy applies per item.
+    matrix of a probe (the t -> 0+ rate).  One d x d pair gives a float.
+    Stacks (..., d, d) give an array of the leading shape, each item bit for
+    bit its single-pair value.
     """
     shape, d = m.shape[:-2], m.shape[-1]
-    lam, u = np.linalg.eigh(m.reshape(-1, d, d))
-    a = np.swapaxes(u.conj(), -1, -2) @ m_prime.reshape(-1, d, d)
-    a = a @ u
-    del u
-    # In place, and a * a is |a|^2 bit for bit for real a; no mask copies unless an item hits the floor.
-    weight = np.multiply(a, a, out=a) if a.dtype.kind == "f" else np.abs(a) ** 2
-    clean = lam[:, 0] > KERNEL_RTOL * lam[:, -1]
-    lc, wc = (lam, weight) if clean.all() else (lam[clean], weight[clean])
-    denom = lc[:, :, None] + lc[:, None, :]
-    rates = np.empty(len(lam))
-    rates[clean] = 2.0 * np.divide(wc, denom, out=denom).reshape(len(lc), d * d).sum(axis=1)
-    for k in np.flatnonzero(~clean):
-        (denom, dark, diverges), wk = _kernel_policy(lam[k], weight[k]), weight[k]
-        if diverges:
-            raise DivergentQfiError(
-                f"{wk[dark].sum() / wk.sum():.3e} of the derivative weight sits in the numerical kernel"
-                f" (eigenvalues <= {KERNEL_RTOL:g} of the largest): the probe senses a dark coherence,"
-                " or t is too small to resolve its decay"
-            )
-        rates[k] = 2.0 * (wk[~dark] / denom[~dark]).sum()
+    rates, _, _, share = _sld(m.reshape(-1, d, d), m_prime.reshape(-1, d, d))
+    if share.any():
+        raise DivergentQfiError(
+            f"{share[share > 0.0][0]:.3e} of the derivative weight sits in the numerical kernel"
+            f" (eigenvalues <= {KERNEL_RTOL:g} of the largest): the probe senses a dark coherence,"
+            " or t is too small to resolve its decay"
+        )
     return float(rates[0]) if not shape else rates.reshape(shape)
 
 
-def _kernel_policy(lam: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, "bool | np.ndarray"]:
-    """The kernel policy (module docstring) on eigenvalues lam (..., d) and derivative weights |a|^2 (..., d, d).
+def _kernel_policy(lam: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, float]:
+    """The kernel policy (module docstring) on one item's eigenvalues lam (d,) and derivative weights |a|^2 (d, d).
 
-    Returns the denominators lambda_j + lambda_k with kernel eigenvalues as 0,
-    the dark terms (both eigenvalues in the kernel), and whether each item
-    diverges: its dark weight exceeds DARK_RTOL of its total.
+    Returns the denominators lambda_j + lambda_k with kernel eigenvalues as 0
+    and inf for the dark terms (both eigenvalues in the kernel), where the SLD
+    is then 0; and the dark share of the weight if the item diverges, its dark
+    weight above DARK_RTOL of its total, else 0.
     """
-    lam = np.where(lam > KERNEL_RTOL * lam[..., -1:], lam, 0.0)
-    denom = lam[..., :, None] + lam[..., None, :]
+    lam = np.where(lam > KERNEL_RTOL * lam[-1], lam, 0.0)
+    denom = lam[:, None] + lam[None, :]
     dark = denom == 0.0
-    flat = lam.shape[:-1] + (-1,)
-    dark_weight = np.where(dark, weight, 0.0).reshape(flat).sum(axis=-1)
-    return denom, dark, dark_weight > DARK_RTOL * weight.reshape(flat).sum(axis=-1)
+    diverges = np.where(dark, weight, 0.0).sum() > DARK_RTOL * weight.sum()
+    return np.where(dark, np.inf, denom), weight[dark].sum() / weight.sum() if diverges else 0.0
 
 
 def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: DephasingFamily, xi: float) -> QfiResult:
@@ -380,37 +393,33 @@ def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: Dephasin
         s = np.sin(np.array(probe.thetas))
         s = np.where(s * s > KERNEL_RTOL, s, 0.0)
         scale = np.outer(s, s)
-        return QfiResult(_limit_rate(a * scale, b * scale), "time", 0.0, probe)
-    rho0 = np.asarray(probe)
-    validate_density_matrix(rho0)
-    if rho0.shape != (2**n, 2**n):
-        raise ValueError(f"density matrix has shape {rho0.shape}, expected ({2**n}, {2**n})")
-    p, psi = np.linalg.eigh(rho0)
-    support = p > KERNEL_RTOL * p[-1]
-    p, psi = p[support], psi[:, support]
-    r = p.size
-    # Column k * N + j is Z_j psi_k, projected off the support and weighted by sqrt(p_k).
-    z_psi = (psi[:, :, None] * _spin_table(n)[:, None, :]).reshape(2**n, r * n)
-    v = (z_psi - psi @ (psi.conj().T @ z_psi)) * np.repeat(np.sqrt(p), n)
-    g, w = np.linalg.eigh(v.conj().T @ v)
-    k = w * np.sqrt(np.where(g > KERNEL_RTOL, g, 0.0))
-    eye = np.eye(r)
-    value = _limit_rate(k.conj().T @ np.kron(eye, a) @ k, k.conj().T @ np.kron(eye, b) @ k)
-    return QfiResult(value, "time", 0.0, state_hash(rho0))
-
-
-def _limit_rate(weight: np.ndarray, weight_prime: np.ndarray) -> float:
-    """``_sld_rate`` of a compressed O(t) weight pair.
-
-    The weights scale with gamma, so from about gamma = 1e154 the squared derivative weight overflows:
-    the value is then inf, which QfiResult rejects with its own error.
-    """
+        weight, weight_prime, descriptor = a * scale, b * scale, probe
+    else:
+        rho0 = np.asarray(probe)
+        validate_density_matrix(rho0)
+        if rho0.shape != (2**n, 2**n):
+            raise ValueError(f"density matrix has shape {rho0.shape}, expected ({2**n}, {2**n})")
+        p, psi = np.linalg.eigh(rho0)
+        support = p > KERNEL_RTOL * p[-1]
+        p, psi = p[support], psi[:, support]
+        r = p.size
+        # Column k * N + j is Z_j psi_k, projected off the support and weighted by sqrt(p_k).
+        z_psi = (psi[:, :, None] * _spin_table(n)[:, None, :]).reshape(2**n, r * n)
+        v = (z_psi - psi @ (psi.conj().T @ z_psi)) * np.repeat(np.sqrt(p), n)
+        g, w = np.linalg.eigh(v.conj().T @ v)
+        k = w * np.sqrt(np.where(g > KERNEL_RTOL, g, 0.0))
+        eye = np.eye(r)
+        weight, weight_prime = k.conj().T @ np.kron(eye, a) @ k, k.conj().T @ np.kron(eye, b) @ k
+        descriptor = state_hash(rho0)
+    # The weights scale with gamma, so from about gamma = 1e154 the squared
+    # derivative weight overflows: the value is then inf, which QfiResult
+    # rejects with its own error.
     with np.errstate(over="ignore"):
-        return _sld_rate(weight, weight_prime)
+        return QfiResult(_sld_rate(weight, weight_prime), "time", 0.0, descriptor)
 
 
-def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str) -> tuple:
-    """(values, times) of the coherence classes ``diffs`` with rates g and derivatives gp, optimised over t.
+def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str) -> np.ndarray:
+    """Values of the coherence classes ``diffs`` with rates g and derivatives gp, optimised over t (``_pair_time``).
 
     "time": G'^2 / (2G) at t -> 0+; "shot": (G'/G)^2 x* e^{-2x*} at t = x*/G; G' = 0 scores 0; a dark class raises.
     """
@@ -418,32 +427,32 @@ def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str)
     if np.any(dark):
         k = int(np.argmax(dark))
         raise DivergentQfiError(f"dark coherence class d = {diffs[k].astype(int)}: rate 0, sensitivity {gp[k]:g}")
-    blind = gp == 0.0
     # In place, in the operation order of the formulas above, so that a call
-    # makes two class-sized arrays (2 MB each at N = 12) and no temporaries.
-    den = np.where(blind, 1.0, g)
+    # makes one class-sized float array (2 MB at N = 12), and one temporary
+    # G'^2 in the time regime.  A blind class divides 0 by 1.
+    values = np.where(gp == 0.0, 1.0, g)
     with np.errstate(over="ignore", invalid="ignore"):  # rates near the float limits: QfiResult rejects inf and nan
         if regime == "time":
-            values = np.multiply(gp, gp)
-            values /= np.multiply(den, 2.0, out=den)
-            np.copyto(values, 0.0, where=blind)
-            den.fill(0.0)
-            return values, den
-        values = np.divide(gp, den)
-        np.copyto(values, 0.0, where=blind)
-        values *= values
-        values *= shot_optimum_value()
-        times = np.divide(shot_optimum_x(), den, out=den)
-    np.copyto(times, 0.0, where=blind)
-    return values, times
+            values *= 2.0
+            np.divide(np.multiply(gp, gp), values, out=values)
+        else:
+            np.divide(gp, values, out=values)
+            values *= values
+            values *= shot_optimum_value()
+    return values
+
+
+def _pair_time(g: float, gp: float, regime: str) -> float:
+    """The optimal t of one class with rate g and derivative gp: 0 (t -> 0+) in "time", x*/G in "shot", 0 if blind."""
+    return shot_optimum_x() / float(g) if regime == "shot" and gp != 0.0 else 0.0
 
 
 def _pair_qfi(family: DephasingFamily, xi: float, pair: CoherencePair, regime: str) -> tuple[QfiResult, float]:
     """One pair's optimum over t in ``regime``, and its rate G at xi: one rate form, G' from ``_pair_line``."""
     d, slope, _ = _pair_line(family, pair)
     rate = _decay_rates(family, xi, d)
-    value, time = _pair_optimum(rate, slope, d, regime)
-    return QfiResult(float(value[0]), regime, float(time[0]), pair), float(rate[0])
+    value = _pair_optimum(rate, slope, d, regime)
+    return QfiResult(float(value[0]), regime, _pair_time(rate[0], slope[0], regime), pair), float(rate[0])
 
 
 def coherence_pair_qfi_timeavg(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:

@@ -293,7 +293,9 @@ class TestAdvantageScenario:
         assert float(row["ratio"]) == pytest.approx(4.0, rel=0.05)
 
     # Data rows of `advantage --regime shot`, recorded with the |+>^N time
-    # refined by the gradient ascent; a speed change keeps them.
+    # refined by the gradient ascent and each row's value the search's own,
+    # which is qfi_exact_value of its probe bit for bit.  A change that keeps
+    # the arithmetic of product_qfi_value_grad and the ascent keeps them.
     GOLDEN_SHOT_ROWS = {
         ("4.7e-3", "3", 2): "2,0.0047000000000000002,shot,7329.2240594375799,3664.612029718789,2.0000000000000004,"
         "01|10,1.5707963267948966;1.5707963267948966",
@@ -305,11 +307,11 @@ class TestAdvantageScenario:
         "00000|11111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966",
         ("0.2", "1", 2): "2,0.20000000000000001,shot,4.0475639868244695,2.0362956477593217,1.9877093934165635,"
         "01|10,1.5707963267948966;1.5707963267948966",
-        ("0.2", "1", 3): "3,0.20000000000000001,shot,4.0475639868244651,1.1622754437088867,3.4824481655643171,"
+        ("0.2", "1", 3): "3,0.20000000000000001,shot,4.0475639868244651,1.1622754437088862,3.4824481655643185,"
         "000|111,1.5707963267948966;1.5707963267948966;1.5707963267948966",
-        ("0.2", "1", 4): "4,0.20000000000000001,shot,4.0475639868244677,0.78141189665558053,5.1798085032335957,"
+        ("0.2", "1", 4): "4,0.20000000000000001,shot,4.0475639868244677,0.78141189665558075,5.1798085032335939,"
         "0000|1111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966",
-        ("4.7e-3", "3", 6): "6,0.0047000000000000002,shot,7329.2240594374325,229.03825185741985,31.999999999999989,"
+        ("4.7e-3", "3", 6): "6,0.0047000000000000002,shot,7329.2240594374325,229.03825185741982,31.999999999999993,"
         "000000|111111,1.5707963267948966;1.5707963267948966;1.5707963267948966;1.5707963267948966;"
         "1.5707963267948966;1.5707963267948966",
     }

@@ -259,7 +259,7 @@ class TestOptimalProductState:
 
     @pytest.mark.parametrize("regime", ["time", "shot"])
     def test_reported_value_is_the_probe_value_bitwise(self, regime):
-        # The report is its probe's exact QFI: the |+>^N scan's value, or a winning challenger's re-score.
+        # The report is its probe's exact QFI: the time limit, or the shot search's own end value.
         fam, xi = build_n_qubit(3, DOMAIN), 0.03
         best = optimal_product_state(fam, xi, regime, seed=2).best
         probe = ProductState(best.probe.thetas)
@@ -450,14 +450,15 @@ class TestShotRegimeProductSearch:
 
     # (N, xi, seed) -> value-and-gradient calls and states scored by one
     # collective-family search, the |+>^N grid and time ascent included (one
-    # grid call, two at N = 5, and five ascent calls of one state); both are
-    # deterministic.
+    # grid call, two at N = 5, then ascent calls of one state, the first of
+    # them a step from the best grid point, which is not scored again); both
+    # are deterministic.
     SEARCH_WORK = {
-        (5, 0.002, 1): (68, 483),
-        (5, 0.01, 2): (91, 517),
-        (4, 0.005, 3): (59, 377),
-        (3, 0.02, 4): (69, 375),
-        (2, 0.01, 5): (45, 244),
+        (5, 0.002, 1): (67, 482),
+        (5, 0.01, 2): (99, 522),
+        (4, 0.005, 3): (58, 376),
+        (3, 0.02, 4): (69, 374),
+        (2, 0.01, 5): (44, 243),
     }
 
     @pytest.mark.parametrize("n, xi, seed", list(SEARCH_WORK))
@@ -474,8 +475,9 @@ class TestShotRegimeProductSearch:
         optimal_product_state(optimize.family_for_ratio(n, xi), xi, "shot", seed=seed)
         assert tuple(work) == self.SEARCH_WORK[n, xi, seed]
 
-    def test_winning_challenger_is_rescored_exactly(self, monkeypatch, random_real_family):
-        # With a margin of -1 any end point wins; it is reported with its exact QFI.
+    def test_winning_challenger_reports_its_end_value(self, monkeypatch, random_real_family):
+        # With a margin of -1 any end point wins; it is reported with its end
+        # value, which is its exact QFI bit for bit.
         fam, xi, margin = random_real_family(3, 4), 0.05, optimize.SHOT_MARGIN
         monkeypatch.setattr(optimize, "SHOT_MARGIN", -1.0)
         report = optimal_product_state(fam, xi, "shot", seed=1)
@@ -484,9 +486,31 @@ class TestShotRegimeProductSearch:
         assert best.value == qfi_exact_value(best.probe.density(), fam, xi, best.time)
         plus = plus_product(3).density()
         _, plus_value = textbook_time_scan(lambda t: qfi_exact_value(plus, fam, xi, t), default_time_bracket(fam, xi))
-        # The gap compares value-and-gradient scores, which equal the exact QFI to roundoff.
+        # The gap compares the ascents' end values, and the golden-section scan's
+        # best point differs from |+>^N's ascent end by roundoff.
         assert report.challenger_gap == pytest.approx((best.value - plus_value) / plus_value, rel=0.0, abs=1e-14)
         assert abs(report.challenger_gap) <= margin
+
+    @pytest.mark.parametrize("fam_seed, xi, seed", [(4, 0.5, 0), (11, 0.05, 2)])
+    def test_challenger_past_the_fold_reports_its_exact_value(self, fam_seed, xi, seed, monkeypatch, random_real_family):
+        # At these inputs the best end point has an angle outside [0, pi].  The
+        # kernel folds angles before it forms a state, so the reported probe,
+        # at the folded angles, has the end value as its exact QFI bit for bit.
+        fam, ends = random_real_family(3, fam_seed), []
+        ascent = optimize._ascent
+
+        def recording(*args):
+            ends.append(ascent(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(optimize, "SHOT_MARGIN", -1.0)
+        monkeypatch.setattr(optimize, "_ascent", recording)
+        best = optimal_product_state(fam, xi, "shot", seed=seed).best
+        found, values, _ = ends[-1]
+        end = found[int(np.argmax(values))]
+        assert np.any((end[:3] < 0.0) | (end[:3] > np.pi))
+        assert best.probe.thetas == tuple(_fold_theta(end[:3]).tolist())
+        assert best.value == values.max() == qfi_exact_value(best.probe.density(), fam, xi, best.time)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_collective_report_is_the_refined_plus_state(self, n):
@@ -509,13 +533,15 @@ class TestShotRegimeProductSearch:
     def test_no_angle_row_is_time_scanned_twice(self, n, fam_seed, xi, seed, random_real_family, monkeypatch):
         # Only |+>^N is scanned over time (a search candidate is its end
         # point): each of its grid points is scored once, and its time ascent
-        # re-scores the best of them as its start.  The reported row is the
-        # one exact QFI call.  Search points clipped to the bracket sit on the
-        # grid's end points, so only the inner ones are watched.
+        # starts from the best of them with the grid call's value and
+        # gradient.  The reported row is the search's own value, so no exact
+        # QFI runs: _sld_rate is the route of qfi_exact_value and of the t -> 0+
+        # limit.  Search points clipped to the bracket sit on the grid's end
+        # points, so only the inner ones are watched.
         fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
         grid = set(np.exp(np.linspace(*np.log(default_time_bracket(fam, xi)), GRID_POINTS))[1:-1].tolist())
         scanned, exact_calls = [], []
-        scorer = optimize.product_qfi_value_grad
+        scorer, exact = optimize.product_qfi_value_grad, qfi._sld_rate
 
         def recording(thetas, family, xi_, t):
             scanned.extend((theta.tobytes(), tk) for theta, tk in zip(thetas, t.tolist()) if tk in grid)
@@ -523,14 +549,14 @@ class TestShotRegimeProductSearch:
 
         def counting(*args):
             exact_calls.append(args)
-            return qfi_exact_value(*args)
+            return exact(*args)
 
         monkeypatch.setattr(optimize, "product_qfi_value_grad", recording)
-        monkeypatch.setattr(optimize, "qfi_exact_value", counting)
+        monkeypatch.setattr(qfi, "_sld_rate", counting)
         optimal_product_state(fam, xi, "shot", seed=seed)
         assert {theta for theta, _ in scanned} == {np.full(n, np.pi / 2.0).tobytes()}
-        assert len(scanned) == len(grid) + 1 and len(set(scanned)) == len(grid)
-        assert len(exact_calls) == 1
+        assert len(scanned) == len(grid) and len(set(scanned)) == len(grid)
+        assert len(exact_calls) == 0
 
     @pytest.mark.parametrize("xi", [0.5, 0.881, 0.95])
     def test_never_below_plus_state(self, xi, random_real_family):
