@@ -309,17 +309,19 @@ def _decay(rho0, family: DephasingFamily, xi: float, t) -> tuple[np.ndarray, np.
     return rho0, t, np.exp(decay, out=decay)
 
 
-def _derivative(rho0: np.ndarray, family: DephasingFamily, t: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """(-t) rate' rho0 exp(-rate t) from ``_decay``'s outputs: the xi-derivative of ``evolve``.
+def _derivative(rho0: np.ndarray, family: DephasingFamily, t: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The xi-derivative (-t) rate' rho0 E of ``evolve`` and its factor (-t) rate' E, E = exp(-rate t) from ``_decay``.
 
-    Where t rate' passes the float range, the decay factor has underflowed to
-    0 and the term is 0, not inf * 0 = nan; every other term keeps its bits.
+    Where t rate' passes the float range, E has underflowed to 0 and the term
+    is 0, not inf * 0 = nan; every other term keeps its bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        deriv = (-t) * rate_derivative_matrix(family) * rho0
-        deriv *= decay
-    np.copyto(deriv, 0.0, where=np.isnan(deriv))
-    return deriv
+        factor = (-t) * rate_derivative_matrix(family)
+        deriv = factor * rho0
+        parts = np.multiply(deriv, decay, out=deriv), np.multiply(factor, decay, out=factor)
+    for part in parts:
+        np.copyto(part, 0.0, where=np.isnan(part))
+    return parts
 
 
 def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
@@ -338,7 +340,7 @@ def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarra
 def drho_dxi(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
     """Exact xi-derivative (-t) rate' rho0 exp(-rate t) of ``evolve``, same shapes and decay; Hermitian, traceless."""
     rho0, t, decay = _decay(rho0, family, xi, t)
-    return _derivative(rho0, family, t, decay)
+    return _derivative(rho0, family, t, decay)[0]
 
 
 @dataclass(frozen=True, eq=False)

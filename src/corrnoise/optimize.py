@@ -22,13 +22,13 @@ Armijo backtracking on the analytic gradient of ``qfi.product_qfi_value_grad``
 (Koczor et al., New J. Phys. 22, 083038 (2020); Meyer et al., npj Quantum Inf.
 7, 89 (2021)); ``_backtrack`` interpolates the values and slopes at both ends
 of a failed trial (Nocedal & Wright, Numerical Optimization, 2nd ed., sec.
-3.5).  Every start climbs at once, and |+>^N's time climbs by the same kernel
-and optimizer from the best point of its 64-point log-t grid.  The kernel's
-values are ``qfi_exact_value``'s bit for bit, so the search reports its
-winner's own end value.  ``maximize_over_time`` and ``nelder_mead_max`` are
-scalar routines that no scenario runs.  Points are scored in stacks of at most
-``_BATCH_ELEMENTS`` matrix elements; stacked values equal single-state values
-bit for bit, so the grouping of evaluations never changes a result.
+3.5).  Every start climbs at once, start 0 from the best point of the |+>^N
+log-t grid, in log t alone.  The kernel's values are ``qfi_exact_value``'s bit
+for bit, so the search reports its winner's own end value.
+``maximize_over_time`` and ``nelder_mead_max`` are scalar routines that no
+scenario runs.  Points are scored in stacks of at most ``_BATCH_ELEMENTS``
+matrix elements; stacked values equal single-state values bit for bit, so the
+grouping of evaluations never changes a result.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .qfi import (
     _pair_optimum,
     _pair_time,
     product_qfi_value_grad,
-    shot_optimum_x,
     time_averaged_qfi_limit,
 )
 
@@ -120,10 +119,10 @@ class OptimizationReport:
     iterations or its line search along the gradient fails far from an
     optimum.  ``unresolved`` counts the search points scored -inf
     because they are past the QFI kernel policy.  ``challenger_gap`` is the
-    relative gap of the best search end point's value to the end value of
-    |+>^N's time ascent in the shot regime (0.0 in the time regime).  Both
-    are ``product_qfi_value_grad`` values, which ``best.value`` is too: the
-    exact QFI of ``best.probe`` at ``best.time`` bit for bit.
+    relative gap of the best random start's end value to the end value of
+    start 0, |+>^N's time ascent, in the shot regime (0.0 in the time regime).
+    Both are ``product_qfi_value_grad`` values, which ``best.value`` is too:
+    the exact QFI of ``best.probe`` at ``best.time`` bit for bit.
     """
 
     best: QfiResult
@@ -372,19 +371,19 @@ def optimal_product_state(
     challenger_gap = 0.0; ``seed`` is not used.
 
     Shot regime: every point is scored by ``product_qfi_value_grad`` and
-    climbed by the projected BFGS ascent ``_ascent``, log t kept in
-    ``default_time_bracket``.  |+>^N is scored on a 64-point log-t grid, and
-    its time climbs from the best grid point, with the grid call's value and
-    gradient, in log t alone.  8 + 2N starts (the all-pi/2 probe at
-    t = x* / slowest rate, plus uniform-random starts) climb jointly in the
-    polar angles and log t.  A start's candidate is its end point.  The best
-    challenger is the report only if its end value beats |+>^N's by more than
-    ``SHOT_MARGIN`` relative; ``challenger_gap`` is its relative gap to |+>^N
-    either way.  The reported value is the winner's end value, which is
-    ``qfi_exact_value`` of the reported probe at its time bit for bit, so
-    nothing is scored twice.  So the report is never below |+>^N by more than
-    roundoff, and a report that |+>^N wins is its ascent's row, whatever the
-    seed.
+    climbed by one projected BFGS ascent ``_ascent``, log t kept in
+    ``default_time_bracket``.  |+>^N is scored on a 64-point log-t grid, in
+    one call with the first points of 7 + 2N uniform-random starts.  8 + 2N
+    starts climb jointly in the polar angles and log t: start 0 is the best
+    grid point, with that call's value and gradient, and climbs in log t
+    alone, as |+>^N's theta-gradient is exactly 0.  A start's candidate is its
+    end point.  The best random start is the report only if its end value
+    beats start 0's by more than ``SHOT_MARGIN`` relative; ``challenger_gap``
+    is its relative gap to start 0 either way.  The reported value is the
+    winner's end value, which is ``qfi_exact_value`` of the reported probe at
+    its time bit for bit, so nothing is scored twice.  So the report is never
+    below |+>^N by more than roundoff, and a report that |+>^N wins is start
+    0's end row, whatever the seed.
 
     Only part of the time-regime argument carries over to finite t.  The
     instrument with Kraus operators (x)_j diag(cos(theta_j/2), sin(theta_j/2))
@@ -402,10 +401,10 @@ def optimal_product_state(
     density.  A point past the kernel policy (``qfi_exact_value`` raises
     DivergentQfiError there) scores -inf, so the search moves away from it,
     and is counted in ``unresolved``.  A |+>^N grid point past it raises
-    DivergentQfiError instead, as no report can then be trusted (below xi of
-    about 1e-12).  Stacked values equal single-state values bit for bit and
-    the merge is a deterministic reduction, so a fixed seed implies a
-    bit-identical report.
+    DivergentQfiError instead, counting the grid points past it, as no report
+    can then be trusted (below xi of about 1e-12).  Stacked values equal
+    single-state values bit for bit and the merge is a deterministic
+    reduction, so a fixed seed implies a bit-identical report.
     """
     _check_regime(regime)
     n = family.n_qubits
@@ -415,12 +414,12 @@ def optimal_product_state(
         raise ResourceLimitError(f"product-state search is guarded at N <= {PRODUCT_MAX_QUBITS}, got {n}")
     rng = np.random.default_rng(seed)
     n_starts = 8 + 2 * n
-    plus = np.full(n, np.pi / 2.0)
-    starts = np.vstack([plus, rng.uniform(0.0, np.pi, size=(n_starts - 1, n))])
     bracket = default_time_bracket(family, xi)
     log_lo, log_hi = np.log(bracket[0]), np.log(bracket[1])
-    start_t = shot_optimum_x() * bracket[0] / TIME_BRACKET_SPAN[0]
-    z0 = np.column_stack([starts, np.append(np.log(start_t), rng.uniform(log_lo, log_hi, size=n_starts - 1))])
+    # |+>^N on the log-t grid, then the random starts, scored in one call.
+    grid = np.column_stack([np.full((GRID_POINTS, n), np.pi / 2.0), np.linspace(log_lo, log_hi, GRID_POINTS)])
+    starts = rng.uniform(0.0, np.pi, size=(n_starts - 1, n))
+    z0 = np.vstack([grid, np.column_stack([starts, rng.uniform(log_lo, log_hi, size=n_starts - 1)])])
 
     chunk = max(1, _BATCH_ELEMENTS // 4**n)
     unresolved = 0
@@ -434,26 +433,20 @@ def optimal_product_state(
         unresolved += int(np.isneginf(values).sum())
         return values, np.concatenate([g for _, g in parts])
 
-    def plus_scores(log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and log-t gradients of |+>^N at the times exp(log_t[:, 0])."""
-        values, grads = gradient_scores(np.column_stack([np.tile(plus, (len(log_t), 1)), log_t]))
-        return values, grads[:, n:]
-
-    grid = np.linspace(log_lo, log_hi, GRID_POINTS)[:, None]
-    grid_values, grid_grads = plus_scores(grid)
-    if unresolved:
+    f0, g0 = gradient_scores(z0)
+    if diverged := int(np.isneginf(f0[:GRID_POINTS]).sum()):
         raise DivergentQfiError(
-            f"the |+>^{n} time scan at xi = {float(xi)} scored {unresolved} point(s) -inf, past the QFI kernel policy"
+            f"the |+>^{n} time scan at xi = {float(xi)} scored {diverged} point(s) -inf, past the QFI kernel policy"
             f" (derivative weight between eigenvalues <= {KERNEL_RTOL:g} of the largest): no product optimum resolved"
         )
-    i = [int(grid_values.argmax())]
-    plus_end, (plus_value,), _ = _ascent(grid[i], grid_values[i], grid_grads[i], plus_scores, grid[0], grid[-1])
+    # Start 0 is the best grid point; its theta-gradient is 0, so it climbs in log t alone.
+    rows = np.append(int(f0[:GRID_POINTS].argmax()), np.arange(GRID_POINTS, len(z0)))
     box_lo, box_hi = np.append(np.full(n, -np.inf), log_lo), np.append(np.full(n, np.inf), log_hi)
-    found, values, converged = _ascent(z0, *gradient_scores(z0), gradient_scores, box_lo, box_hi)
-    k = int(np.argmax(values))
-    gap = (values[k] - plus_value) / plus_value if plus_value > 0.0 else (np.inf if values[k] > 0.0 else 0.0)
-    end, value = (found[k], values[k]) if gap > SHOT_MARGIN else (np.append(plus, plus_end[0]), plus_value)
-    result = QfiResult(float(value), "shot", float(np.exp(end[n])), ProductState(_fold_theta(end[:n])))
+    found, values, converged = _ascent(z0[rows], f0[rows], g0[rows], gradient_scores, box_lo, box_hi)
+    k = 1 + int(np.argmax(values[1:]))
+    gap = (values[k] - values[0]) / values[0] if values[0] > 0.0 else (np.inf if values[k] > 0.0 else 0.0)
+    k = k if gap > SHOT_MARGIN else 0
+    result = QfiResult(float(values[k]), "shot", float(np.exp(found[k, n])), ProductState(_fold_theta(found[k, :n])))
     return OptimizationReport(result, n_starts, int(converged.sum()) / n_starts, unresolved, float(gap))
 
 

@@ -192,7 +192,7 @@ def qfi_exact_value(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> 
     """
     _check_qfi_inputs(family, xi, t)
     rho0, t, decay = _decay(rho0, family, xi, t)
-    deriv = _derivative(rho0, family, t, decay)
+    deriv = _derivative(rho0, family, t, decay)[0]
     # Fresh pages cost more than this arithmetic: the state reuses the decay buffer, inputs go before eigh.
     state = np.multiply(rho0, decay, out=decay if decay.shape == rho0.shape and decay.dtype == rho0.dtype else None)
     del rho0, decay
@@ -223,8 +223,8 @@ def product_qfi_value_grad(
         dF = 2 Tr(L d(d_xi rho)) - Tr(L^2 d rho),
 
     with G = 2 L o M - L^2 o E, gives dF/d theta_j = 2 psi_j'^T G psi, where
-    psi_j' = psi(theta + pi e_j) / 2, and dF/d log t = 2 F - t psi^T (R o G) psi.
-    Each row of a stack equals its single-row call bit for bit.
+    psi_j' = psi(theta + pi e_j) / 2, and dF/d log t = 2 F - t psi^T (R o G) psi;
+    dF/d theta is 0.0 at |+>^N.  Each row of a stack equals its single-row call bit for bit.
     """
     _check_qfi_inputs(family, xi, t)
     # The fold's slope is -1 where it reflects.
@@ -234,16 +234,19 @@ def product_qfi_value_grad(
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (k,))
     psi = _product_vectors(thetas)
     rho0, t, decay = _decay(psi[:, :, None] * psi[:, None, :], family, xi, t)
-    values, sld, u, share = _sld(rho0 * decay, _derivative(rho0, family, t, decay))
-    del rho0
+    deriv, factor = _derivative(rho0, family, t, decay)
+    values, sld, u, share = _sld(np.multiply(rho0, decay, out=rho0), deriv)
+    del rho0, deriv
     sld = u @ sld @ np.swapaxes(u, -1, -2)
     del u
-    g = 2.0 * sld * _derivative(1.0, family, t, decay) - (sld @ sld) * decay
-    del sld, decay
+    g = 2.0 * sld * factor - (sld @ sld) * decay
+    del sld, factor, decay
     g_psi = (g @ psi[:, :, None])[:, :, 0]
     grads = np.empty((k, n + 1))
     dpsi = _product_vectors(thetas[:, None, :] + np.pi * np.eye(n)) / 2.0
     grads[:, :n] = slope * (dpsi @ g_psi[:, :, None])[:, :, 0]
+    # The flip theta -> pi - theta of every qubit is a symmetry (rates are quadratic in d): at |+>^N, dF/d theta = 0.
+    grads[np.all(thetas == np.pi / 2.0, axis=1), :n] = 0.0
     r_g_psi = ((rate_matrix(family, xi) * g) @ psi[:, :, None])[:, :, 0]
     grads[:, n] = 2.0 * values - t[:, 0, 0] * (psi * r_g_psi).sum(axis=1)
     bad = share > 0.0

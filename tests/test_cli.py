@@ -334,6 +334,15 @@ class TestAdvantageScenario:
         assert rows[0] == rows[1]
         assert rows[0][1].endswith(",000|111," + ";".join(["1.5707963267948966"] * 3))
 
+    # The whole error line: its count is of |+>^N grid points only, not of the
+    # random starts scored in the same call.
+    SCAN_ERRORS = {
+        (3, "1e-13"): "error: the |+>^3 time scan at xi = 1e-13 scored 37 point(s) -inf, past the QFI kernel policy"
+        " (derivative weight between eigenvalues <= 1e-13 of the largest): no product optimum resolved\n",
+        (2, "1e-12"): "error: the |+>^2 time scan at xi = 1e-12 scored 29 point(s) -inf, past the QFI kernel policy"
+        " (derivative weight between eigenvalues <= 1e-13 of the largest): no product optimum resolved\n",
+    }
+
     @pytest.mark.parametrize("n, xi, ratio", [(3, "1e-13", None), (2, "1e-12", None), (3, "1e-12", 4.0), (2, "1e-11", 2.0)])
     def test_unresolved_plus_state_scan_exits_config(self, n, xi, ratio, capsys):
         # Below xi of about 1e-12 some |+>^N scan points are past the kernel
@@ -345,6 +354,7 @@ class TestAdvantageScenario:
             assert code == EXIT_CONFIG and captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert "kernel policy" in captured.err and f"xi = {xi}" in captured.err
+            assert captured.err == self.SCAN_ERRORS[n, xi]
         else:
             assert code == EXIT_OK and captured.err == ""
             _, header, body = parse_csv(captured.out)
@@ -352,9 +362,10 @@ class TestAdvantageScenario:
 
     @pytest.mark.parametrize("args", [["advantage", "--n", "3", "--regime", "shot"], ["fig1b", "--n", "3"]])
     def test_points_scored_minus_inf_warn_once(self, args, capsys, monkeypatch):
-        # The first point of every gradient call off |+>^N scores -inf (a |+>^N
-        # grid point scored -inf stops the command instead); |+>^N still wins,
-        # so the CSV and exit code stay, and stderr gets one warning line.
+        # The first point off |+>^N of every gradient call scores -inf (a |+>^N
+        # grid point scored -inf stops the command instead, and |+>^N's rows
+        # share calls with the other starts); |+>^N still wins, so the CSV and
+        # exit code stay, and stderr gets one warning line.
         assert main(args) == EXIT_OK
         clean = capsys.readouterr()
         assert clean.err == ""
@@ -362,8 +373,9 @@ class TestAdvantageScenario:
 
         def first_point_unresolved(thetas, *scorer_args):
             values, grads = scorer(thetas, *scorer_args)
-            if not np.all(thetas == np.pi / 2.0):
-                values[0], grads[0] = -np.inf, 0.0
+            off = np.flatnonzero(~np.all(thetas == np.pi / 2.0, axis=1))
+            if off.size:
+                values[off[0]], grads[off[0]] = -np.inf, 0.0
             return values, grads
 
         monkeypatch.setattr(optimize, "product_qfi_value_grad", first_point_unresolved)

@@ -449,16 +449,16 @@ class TestShotRegimeProductSearch:
         assert report.best.probe == plus_product(3)
 
     # (N, xi, seed) -> value-and-gradient calls and states scored by one
-    # collective-family search, the |+>^N grid and time ascent included (one
-    # grid call, two at N = 5, then ascent calls of one state, the first of
-    # them a step from the best grid point, which is not scored again); both
-    # are deterministic.
+    # collective-family search: one call for the |+>^N grid and the random
+    # starts (three at N = 5), then the joint ascent's calls, whose start 0 is
+    # |+>^N's time ascent from the best grid point, which is not scored again;
+    # both are deterministic.
     SEARCH_WORK = {
-        (5, 0.002, 1): (67, 482),
-        (5, 0.01, 2): (99, 522),
-        (4, 0.005, 3): (58, 376),
-        (3, 0.02, 4): (69, 374),
-        (2, 0.01, 5): (44, 243),
+        (5, 0.002, 1): (64, 481),
+        (5, 0.01, 2): (96, 521),
+        (4, 0.005, 3): (54, 375),
+        (3, 0.02, 4): (59, 366),
+        (2, 0.01, 5): (40, 242),
     }
 
     @pytest.mark.parametrize("n, xi, seed", list(SEARCH_WORK))
@@ -474,6 +474,22 @@ class TestShotRegimeProductSearch:
         monkeypatch.setattr(optimize, "product_qfi_value_grad", counting)
         optimal_product_state(optimize.family_for_ratio(n, xi), xi, "shot", seed=seed)
         assert tuple(work) == self.SEARCH_WORK[n, xi, seed]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_one_ascent_per_search(self, n, monkeypatch, random_real_family):
+        # |+>^N's time refinement is start 0 of the joint ascent, not an ascent
+        # of its own: one call, every start, all N angles and log t.
+        shapes, ascent = [], optimize._ascent
+
+        def counting(*args):
+            shapes.append(np.shape(args[0]))
+            return ascent(*args)
+
+        monkeypatch.setattr(optimize, "_ascent", counting)
+        for fam, xi in ((build_n_qubit(n, DOMAIN), 0.01), (random_real_family(n, 4), 0.5)):
+            shapes.clear()
+            report = optimal_product_state(fam, xi, "shot", seed=1)
+            assert shapes == [(report.starts, n + 1)]
 
     def test_winning_challenger_reports_its_end_value(self, monkeypatch, random_real_family):
         # With a margin of -1 any end point wins; it is reported with its end
@@ -532,12 +548,13 @@ class TestShotRegimeProductSearch:
     @pytest.mark.parametrize("n, fam_seed, xi, seed", [(3, None, 4.7e-3, 0), (4, None, 0.03, 1), (3, 4, 0.01, 1)])
     def test_no_angle_row_is_time_scanned_twice(self, n, fam_seed, xi, seed, random_real_family, monkeypatch):
         # Only |+>^N is scanned over time (a search candidate is its end
-        # point): each of its grid points is scored once, and its time ascent
-        # starts from the best of them with the grid call's value and
-        # gradient.  The reported row is the search's own value, so no exact
-        # QFI runs: _sld_rate is the route of qfi_exact_value and of the t -> 0+
-        # limit.  Search points clipped to the bracket sit on the grid's end
-        # points, so only the inner ones are watched.
+        # point): each of its grid points is scored once, and its time ascent,
+        # start 0 of the joint ascent, starts from the best of them with the
+        # grid call's value and gradient.  The reported row is the search's
+        # own value, so no exact QFI runs: _sld_rate is the route of
+        # qfi_exact_value and of the t -> 0+ limit.  Search points clipped to
+        # the bracket sit on the grid's end points, so only the inner ones are
+        # watched.
         fam = build_n_qubit(n, DOMAIN) if fam_seed is None else random_real_family(n, fam_seed)
         grid = set(np.exp(np.linspace(*np.log(default_time_bracket(fam, xi)), GRID_POINTS))[1:-1].tolist())
         scanned, exact_calls = [], []
@@ -560,7 +577,7 @@ class TestShotRegimeProductSearch:
 
     @pytest.mark.parametrize("xi", [0.5, 0.881, 0.95])
     def test_never_below_plus_state(self, xi, random_real_family):
-        # |+>^N, with its own time ascent, is one more candidate of the merge.
+        # |+>^N, climbing in time as start 0 of the ascent, is one candidate of the merge.
         # The golden-section scan reports the best of about 30 evaluations that
         # differ by roundoff, so the ascent may end up to 1e-14 below it.
         for fam_seed in range(3):

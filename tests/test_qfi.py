@@ -588,6 +588,44 @@ class TestProductValueGrad:
                 assert np.all(np.abs(moved_grads[:, :n] - grads[:, perm]) <= 1e-13 * scale)
                 assert np.all(np.abs(moved_grads[:, n] - grads[:, n]) <= 1e-13 * scale[:, 0])
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_global_flip_negates_the_theta_gradient(self, n, random_real_family):
+        # theta -> pi - theta on every qubit is X on every qubit, which sends a
+        # coherence d to -d and keeps its rate, a quadratic form in d.  So the
+        # QFI and its log-t gradient stay and the theta-gradient changes sign.
+        # Roundoff grows with the condition kappa of the evolved state (values
+        # differ by up to 1e-11, so no fixed bound holds); measured maxima over
+        # these cases: values 3.0 eps kappa relative, gradients 2.7 eps kappa
+        # of max|g|.
+        rng = np.random.default_rng(90 + n)
+        bound = 16.0 * np.finfo(np.float64).eps
+        for fam in [build_n_qubit(n, DOMAIN), *(random_real_family(n, fam_seed) for fam_seed in range(6))]:
+            for xi in (0.05, 0.5):
+                slowest = 1e-3 / default_time_bracket(fam, xi)[0]
+                thetas = rng.uniform(0.0, np.pi, size=(4, n))
+                ts = np.exp(rng.uniform(-1.6, 1.6, size=4)) / slowest
+                values, grads = product_qfi_value_grad(thetas, fam, xi, ts)
+                flipped, flipped_grads = product_qfi_value_grad(np.pi - thetas, fam, xi, ts)
+                for k in range(len(ts)):
+                    lam = np.linalg.eigvalsh(evolve(ProductState(thetas[k]).density(), fam, xi, ts[k]))
+                    lam = lam[lam > KERNEL_RTOL * lam[-1]]
+                    tol = bound * lam[-1] / lam[0]
+                    scale = np.abs(grads[k]).max()
+                    assert abs(flipped[k] - values[k]) <= tol * abs(values[k])
+                    assert np.all(np.abs(flipped_grads[k, :n] + grads[k, :n]) <= tol * scale)
+                    assert abs(flipped_grads[k, n] - grads[k, n]) <= tol * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_plus_state_theta_gradient_is_zero(self, n, random_real_family):
+        # |+>^N is the fixed point of the global flip above, so its theta-gradient
+        # is 0, and the kernel returns exactly 0.0 (roundoff left 9e-16 to 1e-14
+        # of the value at N = 2..5): the search's |+>^N start climbs in log t alone.
+        for fam in [build_n_qubit(n, DOMAIN), *(random_real_family(n, fam_seed) for fam_seed in range(6))]:
+            for xi in (0.05, 0.5):
+                ts = np.geomspace(0.2, 5.0, 5) * default_time_bracket(fam, xi)[0] / 1e-3
+                _, grads = product_qfi_value_grad(np.full((5, n), np.pi / 2.0), fam, xi, ts)
+                assert np.all(grads[:, :n] == 0.0)
+
     def test_row_past_the_kernel_policy_scores_minus_inf(self, random_real_family):
         # Row 0 is the N = 3 probe of TestSldKernel at t = 1e-12, where qfi_exact_value raises.
         fam, xi = random_real_family(3, 8), 1e-3
