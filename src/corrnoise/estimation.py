@@ -34,10 +34,15 @@ order or in parallel.  ``replication_study``, the one replicate loop (the
 CLI's ``estimate`` prints it), gives replicate r the stream base_seed XOR r.
 
 Counts never form the float stream: u_i < p holds exactly when out_i < T,
-with T the smallest integer whose float64 rounding is >= p * 2^64, so
-``count_uniforms_below`` compares the SplitMix64 outputs with T in chunks
-of ``_CHUNK`` = 2^15 draws, through per-thread buffers that it keeps from
-call to call.
+with T the smallest integer whose float64 rounding is >= p * 2^64.  The last
+round, out = z ^ (z >> 31), keeps bits 63..33 of z, so with Lo the threshold
+T with its low 33 bits cleared, z < Lo implies out < T and z >= Lo + 2^33
+implies out >= T.  ``count_uniforms_below`` therefore runs the first two
+rounds only and counts z < Lo; a second count, of z <= Lo + 2^33 - 1 (at most
+2^64 - 1), finds the draws in the band between, which land there with
+probability 2^-31 and alone take the last round and the comparison with T.
+It works in chunks of ``_CHUNK`` = 2^16 draws, through per-thread buffers
+(512 KB each) that it keeps from call to call.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolution import CoherencePair, _pair_line, decay_rate, decay_rate_derivative, ghz_pair
+from .evolution import CoherencePair, _pair_line, decay_rate, ghz_pair
 from .model import DephasingFamily
 from .optimize import dynamical_range_threshold
 from .qfi import DivergentQfiError, QfiResult, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
@@ -58,8 +63,14 @@ from .qfi import DivergentQfiError, QfiResult, coherence_pair_qfi_shot, coherenc
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# The two xor-shift-multiply rounds, then the last round's shift.
+_ROUNDS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2))
+_LAST_SHIFT = np.uint64(31)
 _MASK = (1 << 64) - 1
-_CHUNK = 1 << 15
+_CHUNK = 1 << 16
+# Width of the band of state words whose last round can decide a comparison:
+# the last round leaves bits 63..33 as they are.
+_BAND = 1 << 33
 
 __all__ = [
     "NoInformationError",
@@ -82,12 +93,17 @@ class NoInformationError(ValueError):
     """The channel carries no dependence on xi at the requested probe."""
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The SplitMix64 output rounds, applied in place to the state words z; tmp is scratch of z's shape."""
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+def _rounds(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The two xor-shift-multiply rounds of SplitMix64, in place on the state words z; tmp is scratch of z's shape."""
+    for shift, mix in _ROUNDS:
+        z ^= np.right_shift(z, shift, out=tmp)
         z *= mix
-    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
+
+
+def _last_round(z: np.ndarray) -> np.ndarray:
+    """out = z ^ (z >> 31), in place on the words that ``_rounds`` left."""
+    z ^= z >> _LAST_SHIFT
     return z
 
 
@@ -98,7 +114,7 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     z *= _GOLDEN
     z += np.uint64(seed & _MASK)
-    return _mix(z, np.empty_like(z))
+    return _last_round(_rounds(z, np.empty_like(z)))
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -125,7 +141,7 @@ def _float_threshold(p: float) -> int:
 
 
 # count_uniforms_below's buffers, one set per thread, kept between calls: a
-# fresh 256 KB buffer per call would be mapped and faulted in anew each time.
+# fresh 512 KB buffer per call would be mapped and faulted in anew each time.
 _buffers = threading.local()
 
 
@@ -145,9 +161,11 @@ def _count_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def count_uniforms_below(seed: int, count: int, p: float) -> int:
     """``count_nonzero(uniform_stream(seed, count) < p)``, without the float stream.
 
-    Compares the SplitMix64 outputs, in chunks of ``_CHUNK`` draws, with the
-    integer threshold of ``p``; every chunk writes into the same state,
-    scratch and comparison buffers.
+    Counts, in chunks of ``_CHUNK`` draws, the state words after two rounds
+    that lie below the threshold of ``p`` with its low 33 bits cleared; only
+    the draws in the band above it take the last round (see the module
+    docstring).  Every chunk writes into the same state, scratch and
+    comparison buffers.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -156,13 +174,21 @@ def count_uniforms_below(seed: int, count: int, p: float) -> int:
         return 0
     if p > 1.0:
         return count
-    threshold = np.uint64(_float_threshold(p))
-    scaled, z, tmp, below = _count_buffers()
+    threshold = _float_threshold(p)
+    lo = threshold & -_BAND
+    band_lo, band_top = np.uint64(lo), np.uint64(lo + _BAND - 1)
+    scaled, z, tmp, flags = _count_buffers()
     total = 0
     for start in range(0, count, _CHUNK):
         m = min(_CHUNK, count - start)
-        np.add(scaled[:m], np.uint64((seed + start * int(_GOLDEN)) & _MASK), out=z[:m])
-        total += int(np.count_nonzero(np.less(_mix(z[:m], tmp[:m]), threshold, out=below[:m])))
+        zm = z[:m]
+        np.add(scaled[:m], np.uint64((seed + start * int(_GOLDEN)) & _MASK), out=zm)
+        _rounds(zm, tmp[:m])
+        below = int(np.count_nonzero(np.less(zm, band_lo, out=flags[:m])))
+        total += below
+        if int(np.count_nonzero(np.less_equal(zm, band_top, out=flags[:m]))) != below:
+            band = zm[(zm >= band_lo) & (zm <= band_top)]
+            total += int(np.count_nonzero(_last_round(band) < np.uint64(threshold)))
     return total
 
 
@@ -305,20 +331,29 @@ def _crb_std(family: DephasingFamily, xi: float, pair: CoherencePair, t: float, 
 
 def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateReport:
     """Closed-form maximum-likelihood inversion of the parity counts, with the plug-in CRB at xi_hat."""
-    pair = record.pair
+    return _inversion(family, record.pair, record.t, record.shots, record.plus_count)
+
+
+# The inversion reads (pair, t, shots, plus_count) of a record and never its
+# xi_true or seed.  A study's replicates share all but the count, and their
+# counts repeat (about 280 distinct in 400 replicates of 1e5 shots), so each
+# distinct count is inverted, and its plug-in CRB formed, once.
+@lru_cache(maxsize=1024)
+def _inversion(family: DephasingFamily, pair: CoherencePair, t: float, shots: int, plus_count: int) -> EstimateReport:
     # G(0) and G': intercept and slope of the pair's rate, linear in xi.
-    g0 = _pair_line(family, pair)[2]
-    gp = decay_rate_derivative(family, pair)
+    _, slope, g0 = _pair_line(family, pair)
+    gp = float(slope[0])
     if gp == 0.0:
         raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
-    p_hat = record.plus_count / record.shots
+    p_hat = plus_count / shots
     if p_hat <= 0.5:
         return EstimateReport(None, math.inf)
-    rate_hat = -math.log(2.0 * p_hat - 1.0) / record.t
+    rate_hat = -math.log(2.0 * p_hat - 1.0) / t
     xi_hat = (rate_hat - g0) / gp
     clamped = not family.contains(xi_hat)
-    xi_hat = float(np.clip(xi_hat, *family.xi_domain))
-    return EstimateReport(xi_hat, _crb_std(family, xi_hat, pair, record.t, record.shots), clamped=clamped)
+    lo, hi = family.xi_domain
+    xi_hat = min(max(xi_hat, lo), hi)
+    return EstimateReport(xi_hat, _crb_std(family, xi_hat, pair, t, shots), clamped=clamped)
 
 
 def replication_study(

@@ -201,12 +201,14 @@ _RATE_BLOCK = 4096
 
 def _rate_form(family: DephasingFamily, matrix: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """(gamma/4) d^T Re(matrix) d for every row d of ``diffs``: a real matmul and a row-wise dot per block of rows."""
-    # Families store complex128, so np.real is a strided view and matmul takes
-    # numpy's non-BLAS loop, which computes each row on its own: a one-row
-    # ``decay_rate``, any block of rows and the class table agree bit for bit,
-    # as the spectrum test against the pair-by-pair oracle pins.  BLAS on
-    # float64 would not, so the view must not be copied.  Each block of
-    # differences (int8 in the class table) is cast to float64: equal values, equal bits.
+    # Families store complex128, so np.real is a strided view; matmul still
+    # runs BLAS on it, with the bits of a product on a contiguous copy.  A
+    # one-row ``decay_rate``, any block of rows and the class table agree bit
+    # for bit only where the BLAS kernel computes each row of a product on its
+    # own, as OpenBLAS's AVX-512 kernel does and the spectrum test against the
+    # pair-by-pair oracle pins; its Haswell kernel moves some rates in their
+    # last bits.  Each block of differences (int8 in the class table) is cast
+    # to float64: equal values, equal bits.
     real = np.real(matrix)
     rates = np.empty(len(diffs))
     for lo in range(0, len(diffs), _RATE_BLOCK):

@@ -18,10 +18,11 @@ from corrnoise.estimation import (
     splitmix64,
     uniform_stream,
 )
-from corrnoise.estimation import _CHUNK, _crb_std
-from corrnoise.evolution import CoherencePair, _pair_line, decay_rate, ghz_pair
+from corrnoise.estimation import _CHUNK, _crb_std, _float_threshold, _inversion
+from corrnoise.cli import main
+from corrnoise.evolution import CoherencePair, _pair_line, decay_rate, decay_rate_derivative, ghz_pair
 from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
-from corrnoise.qfi import coherence_pair_qfi_shot
+from corrnoise.qfi import coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
 
 DOMAIN = (1e-6, 1.0)
 
@@ -88,9 +89,10 @@ class TestCountUniformsBelow:
 
     @pytest.mark.parametrize("p", [0.5, 1.0, math.nextafter(1.0, 0.0), 0.0, 0.75, 1e-300])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 - 2, 2**64 - 2**10])
-    @pytest.mark.parametrize("count", [40_000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+    @pytest.mark.parametrize("count", [40_000, 100_000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
     def test_matches_float_stream(self, seed, p, count):
-        # 40_000 draws span a chunk boundary; the others sit at one.
+        # 40_000 draws fill part of one chunk, 100_000 (the estimate workload's
+        # shots) span a chunk boundary; the others sit at one.
         assert count_uniforms_below(seed, count, p) == self.reference(seed, count, p)
 
     def test_back_to_back_calls_share_no_state(self):
@@ -133,6 +135,25 @@ class TestCountUniformsBelow:
             seed = seed_for_first_output(out)
             assert splitmix64(seed, 1).tolist() == [out]
             assert count_uniforms_below(seed, 1, 1.0) == self.reference(seed, 1, 1.0) == counted
+
+    @pytest.mark.parametrize("p", [0.5, 0.7254, 1e-300, 1.0, 1.0 - 2.0**-40])
+    def test_outputs_in_the_band_take_the_last_round(self, p):
+        # Outputs whose top 31 bits are the threshold's come from state words
+        # in the band [Lo, Lo + 2^33) that only the last round decides: low
+        # bits below, at and above the threshold's, one draw at a time and
+        # planted one chunk in.  At p = 1.0 and 1 - 2^-40 the band ends at
+        # the top word, 2^64 - 1.
+        threshold = _float_threshold(p)
+        top = threshold & -(2**33)
+        lows = {0, threshold - top - 1, threshold - top, threshold - top + 1, 2**33 - 1}
+        for out in sorted(top + low for low in lows if 0 <= low < 2**33 and top + low < 2**64):
+            seed = seed_for_first_output(out)
+            assert splitmix64(seed, 1).tolist() == [out]
+            assert count_uniforms_below(seed, 1, p) == self.reference(seed, 1, p) == int(out < threshold)
+            # The same output as draw _CHUNK + 3 of a 2 _CHUNK + 5 draw stream.
+            shifted = (seed - (_CHUNK + 2) * 0x9E3779B97F4A7C15) % 2**64
+            assert splitmix64(shifted, 1, offset=_CHUNK + 2).tolist() == [out]
+            assert count_uniforms_below(shifted, 2 * _CHUNK + 5, p) == self.reference(shifted, 2 * _CHUNK + 5, p)
 
     def test_edges(self):
         assert count_uniforms_below(3, 0, 0.5) == 0
@@ -342,6 +363,20 @@ class TestReplicationStudy:
             plug_in = coherence_pair_qfi_shot(fam, report.xi_hat, pair, t).value
             assert report.std_error_crb == 1.0 / math.sqrt(shots * plug_in)
 
+    def test_one_inversion_per_distinct_count(self):
+        # The inversion is memoized on (family, pair, t, shots, plus_count):
+        # replicates that repeat a count share its report.
+        fam = build_n_qubit(4, DOMAIN)
+        pair = ghz_pair(4)
+        _inversion.cache_clear()
+        study = replication_study(fam, 0.05, pair, 3.0, shots=100, n_seeds=50, base_seed=12)
+        counts = [simulate_parity_counts(fam, 0.05, pair, 3.0, 100, 12 ^ r).plus_count for r in range(50)]
+        info = _inversion.cache_info()
+        assert info.misses == len(set(counts)) < 50
+        assert info.hits == 50 - len(set(counts))
+        by_count = dict(zip(counts, study.reports))
+        assert all(report is by_count[k] for k, report in zip(counts, study.reports))
+
     def test_seed_xor_convention(self):
         fam = build_n_qubit(4, DOMAIN)
         pair = ghz_pair(4)
@@ -359,3 +394,72 @@ class TestReplicationStudy:
         a = replication_study(fam, 0.05, pair, 3.0, shots=200, n_seeds=10, base_seed=2)
         b = replication_study(fam, 0.05, pair, 3.0, shots=200, n_seeds=10, base_seed=2)
         assert a.estimates.tolist() == b.estimates.tolist()
+
+
+def exact_law(family, xi, pair, t, shots):
+    """Exact mean and std of the clamped xi_hat over the invertible counts k > M/2.
+
+    k ~ Binomial(M, p_plus) with the pmf from ``math.lgamma``; the counts
+    k <= M/2 carry no estimate and drop out.  xi_hat is the closed-form
+    inversion of the rate line, clamped to the family's domain.
+    """
+    rate, slope = decay_rate(family, xi, pair), decay_rate_derivative(family, pair)
+    g0 = rate - xi * slope
+    p = 0.5 * (1.0 + math.exp(-rate * t))
+    lo, hi = family.xi_domain
+    log_norm = math.lgamma(shots + 1)
+    weights, values = [], []
+    for k in range(shots // 2 + 1, shots + 1):
+        log_pmf = log_norm - math.lgamma(k + 1) - math.lgamma(shots - k + 1)
+        log_pmf += k * math.log(p) + (shots - k) * math.log1p(-p)
+        weights.append(math.exp(log_pmf))
+        values.append(min(max((-math.log(2.0 * k / shots - 1.0) / t - g0) / slope, lo), hi))
+    w, x = np.array(weights), np.array(values)
+    mean = float(np.sum(w * x) / np.sum(w))
+    return mean, float(np.sqrt(np.sum(w * (x - mean) ** 2) / np.sum(w)))
+
+
+class TestExactSamplingLaw:
+    """Replication studies against the exact law of xi_hat (N = 6, xi = 0.01, M = 1e4, shot-optimal t).
+
+    The sample mean of R estimates lies within 4 std / sqrt(R) of the exact
+    mean, and their sample std within 4 std / sqrt(2 (R - 1)) of the exact
+    std: z <= 4 on both.
+    """
+
+    N, XI, SHOTS, SEEDS = 6, 0.01, 10**4, 200
+
+    def law(self):
+        fam, pair = build_n_qubit(self.N, DOMAIN), ghz_pair(self.N)
+        t = coherence_pair_qfi_shot_peak(fam, self.XI, pair).time
+        return fam, pair, t, exact_law(fam, self.XI, pair, t, self.SHOTS)
+
+    def assert_within_law(self, mean, std, n_estimates, law_mean, law_std):
+        assert abs(mean - law_mean) <= 4.0 * law_std / math.sqrt(n_estimates)
+        assert abs(std - law_std) <= 4.0 * law_std / math.sqrt(2 * (n_estimates - 1))
+
+    def test_exact_std_is_the_cramer_rao_scale(self):
+        fam, pair, _, (mean, std) = self.law()
+        crb = shot_uncertainty(fam, self.XI, pair, self.SHOTS)
+        assert std == pytest.approx(crb, rel=0.01)
+        assert abs(mean - self.XI) <= 0.05 * crb
+
+    # Base seed 0 is the estimate scenario's default, the next test.
+    @pytest.mark.parametrize("base_seed", [107, 1 << 20, (1 << 40) + 3, 2**64 - 256])
+    def test_study_follows_the_exact_law(self, base_seed):
+        fam, pair, t, (mean, std) = self.law()
+        study = replication_study(fam, self.XI, pair, t, self.SHOTS, self.SEEDS, base_seed)
+        estimates = study.estimates
+        assert study.empirical_std == float(np.std(estimates, ddof=1))
+        self.assert_within_law(float(np.mean(estimates)), study.empirical_std, len(estimates), mean, std)
+
+    def test_estimate_scenario_defaults_follow_the_exact_law(self, capsys):
+        # The CLI's defaults are this study: n 6, xi 0.01, 1e4 shots, 200 seeds, base seed 0.
+        assert main(["estimate"]) == 0
+        header = dict(line[2:].split(": ", 1) for line in capsys.readouterr().out.splitlines() if line.startswith("# "))
+        _, _, t, (mean, std) = self.law()
+        assert float(header["t"]) == t
+        n_estimates = self.SEEDS - int(header["failed"])
+        self.assert_within_law(
+            self.XI + float(header["mean_bias"]), float(header["empirical_std"]), n_estimates, mean, std
+        )
