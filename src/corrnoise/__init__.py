@@ -49,7 +49,6 @@ from .optimize import (
     OptimizationReport,
     advantage_ratio,
     dynamical_range_threshold,
-    maximize_over_time,
     optimal_coherence_pair,
     optimal_product_state,
 )

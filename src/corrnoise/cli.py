@@ -13,7 +13,9 @@ Subcommands::
 All scenarios write RFC-4180-style CSV with '#' comment lines; the first
 line is a ``# config:`` record sufficient to re-run the scenario exactly.
 Floats are printed with 17 significant digits so 64-bit values round-trip.
-gamma defaults to 1 and sets the time unit of every output.
+Units: gamma (default 1) is the time unit.  The library computes at gamma = 1
+(``model``); ``_in_units`` multiplies rates and time-regime QFIs by gamma and
+divides times by it, once, at the output, and ``fig1a`` evaluates at tau = gamma t.
 
 Exit codes: 0 success, 1 tolerance breach / failed verification,
 2 invalid configuration, 3 I/O error.
@@ -28,7 +30,7 @@ import json
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -110,34 +112,36 @@ def _write_csv(out: str | None, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
+def _in_units(config: RunConfig, values, power: int, what: str) -> np.ndarray:
+    """gamma^power times the gamma = 1 ``values``; the one edge-of-range guard: ConfigError past the float range."""
+    with np.errstate(over="ignore"):
+        scaled = np.multiply(values, config.gamma) if power == 1 else np.divide(values, config.gamma)
+    if not np.all(np.isfinite(scaled)):
+        raise ConfigError(f"gamma={config.gamma!r} puts {what} past the float range")
+    return scaled
+
+
 def _build_family(config: RunConfig) -> DephasingFamily:
-    kind = config.family
-    domain = (min(1e-6, config.xi / 2.0), 1.0)
-    if kind == "single":
-        return build_single_qubit(domain, gamma=config.gamma)
-    if kind == "two":
-        return build_two_qubit(domain, gamma=config.gamma)
-    if kind == "nqb":
-        return build_n_qubit(config.n, domain, gamma=config.gamma)
-    if kind.startswith("file:"):
-        data = load_spectral_csv(kind[5:], gamma_ref=config.gamma)
-        return from_spectral_density(data)
-    raise ConfigError(f"unknown family {kind!r} (expected single, two, nqb or file:<path>)")
+    if config.family.startswith("file:"):
+        return from_spectral_density(load_spectral_csv(config.family[5:], gamma_ref=config.gamma))
+    builders = {"single": build_single_qubit, "two": build_two_qubit, "nqb": partial(build_n_qubit, config.n)}
+    if config.family not in builders:
+        raise ConfigError(f"unknown family {config.family!r} (expected single, two, nqb or file:<path>)")
+    return builders[config.family]((min(1e-6, config.xi / 2.0), 1.0))
 
 
 def run_fig1a(config: RunConfig) -> tuple[list[str], int]:
     """Per-shot QFI of the GHZ pair and of |+>^N against interrogation time."""
-    family = build_n_qubit(config.n, (min(1e-6, config.xi / 2.0), 1.0), gamma=config.gamma)
+    family = build_n_qubit(config.n, (min(1e-6, config.xi / 2.0), 1.0))
     pair = ghz_pair(config.n)
     rho_prod = plus_product(config.n).density()
-    if config.t_log:
-        ts = np.geomspace(config.t_lo, config.t_hi, config.t_points)
-    else:
-        ts = np.linspace(config.t_lo, config.t_hi, config.t_points)
+    ts = (np.geomspace if config.t_log else np.linspace)(config.t_lo, config.t_hi, config.t_points)
     lines = [config.config_line(), "# time unit: 1/gamma", "t,qfi_product,qfi_ghz"]
     for t in ts.tolist():
-        ghz = coherence_pair_qfi_shot(family, config.xi, pair, t).value
-        prod = qfi_exact_value(rho_prod, family, config.xi, t)
+        # A tau past the float range (--gamma 1e10 --t-hi 1e300) is taken as the largest float: both QFIs are 0 there.
+        tau = min(config.gamma * t, sys.float_info.max)
+        ghz = coherence_pair_qfi_shot(family, config.xi, pair, tau).value
+        prod = qfi_exact_value(rho_prod, family, config.xi, tau)
         lines.append(f"{_fmt(t)},{_fmt(prod)},{_fmt(ghz)}")
     return lines, EXIT_OK
 
@@ -159,7 +163,7 @@ def run_fig1b(config: RunConfig) -> tuple[list[str], int]:
     results = []
     for n in range(2, config.n + 1):
         for regime in ("time", "shot"):
-            results.append(advantage_ratio(n, config.xi, regime, seed=config.seed, gamma=config.gamma))
+            results.append(advantage_ratio(n, config.xi, regime, seed=config.seed))
         time_ratio, shot_ratio = results[-2].ratio, results[-1].ratio
         lines.append(f"{n},{_fmt(time_ratio)},{_fmt(shot_ratio)},{_fmt(n)},{_fmt(2 ** (n - 1))}")
     _warn_unresolved(results)
@@ -167,27 +171,30 @@ def run_fig1b(config: RunConfig) -> tuple[list[str], int]:
 
 
 def run_closed_forms(config: RunConfig) -> tuple[list[str], int]:
-    """Regression of the three analytic time-averaged optima at (xi, gamma)."""
+    """Regression of the three analytic time-averaged optima at xi, in units of gamma."""
     lines = [config.config_line(), "case,computed,expected,rel_err"]
     breach = False
-    for name, computed, expected, rel in closed_form_table(config.xi, config.n, config.gamma):
+    for name, computed, expected, rel in closed_form_table(config.xi, config.n):
+        computed, expected = _in_units(config, (computed, expected), 1, f"the {name} QFI")
         breach = breach or rel > CLOSED_FORM_RTOL
         lines.append(f"{name},{_fmt(computed)},{_fmt(expected)},{_fmt(rel)}")
     return lines, (EXIT_TOLERANCE if breach else EXIT_OK)
 
 
 def run_advantage(config: RunConfig) -> tuple[list[str], int]:
-    result = advantage_ratio(config.n, config.xi, config.regime, seed=config.seed, gamma=config.gamma)
+    result = advantage_ratio(config.n, config.xi, config.regime, seed=config.seed)
+    optima = result.entangled_best.value, result.separable_best.value
+    if result.regime == "time":
+        optima = _in_units(config, optima, 1, "the time-regime QFIs")
     _warn_unresolved([result])
     lines = [
         config.config_line(),
         "n,xi,regime,entangled,separable,ratio,entangled_probe,separable_thetas",
     ]
-    sep_probe = result.separable_best.probe
-    thetas = ";".join(_fmt(t) for t in sep_probe.thetas)
+    thetas = ";".join(_fmt(t) for t in result.separable_best.probe.thetas)
     lines.append(
         f"{result.n_qubits},{_fmt(result.xi)},{result.regime},"
-        f"{_fmt(result.entangled_best.value)},{_fmt(result.separable_best.value)},{_fmt(result.ratio)},"
+        f"{_fmt(optima[0])},{_fmt(optima[1])},{_fmt(result.ratio)},"
         f"{result.entangled_best.probe.label},{thetas}"
     )
     return lines, EXIT_OK
@@ -195,13 +202,13 @@ def run_advantage(config: RunConfig) -> tuple[list[str], int]:
 
 def run_estimate(config: RunConfig) -> tuple[list[str], int]:
     """Replication study for GHZ-pair sensing on the collective family."""
-    family = family_for_ratio(config.n, config.xi, gamma=config.gamma)
+    family = family_for_ratio(config.n, config.xi)
     pair = ghz_pair(config.n)
     peak = coherence_pair_qfi_shot_peak(family, config.xi, pair)
     study = replication_study(family, config.xi, pair, peak.time, config.shots, config.seeds, config.seed)
     lines = [
         config.config_line(),
-        f"# t: {_fmt(peak.time)}",
+        f"# t: {_fmt(_in_units(config, peak.time, -1, 'the probe time t'))}",
         f"# crb_std: {_fmt(_peak_uncertainty(peak, config.shots))}",
         f"# empirical_std: {_fmt(study.empirical_std)}",
         f"# mean_bias: {_fmt(study.mean_bias)}",
@@ -215,14 +222,14 @@ def run_estimate(config: RunConfig) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
-def _spectrum_rows(spectrum: CoherenceSpectrum) -> Iterator[str]:
-    """The spectrum's ``alpha,beta,rate`` rows, in chunks of at most ``SPECTRUM_CHUNK_ROWS``.
+def _spectrum_rows(spectrum: CoherenceSpectrum, config: RunConfig) -> Iterator[str]:
+    """The spectrum's ``alpha,beta,rate`` rows, in chunks of at most ``SPECTRUM_CHUNK_ROWS``, rates times gamma.
 
-    Each run of bit-equal rates is formatted once (comparing bits keeps 0.0
-    and -0.0 apart, which compare equal but print differently).  A row is
-    gathered from a per-N table of "bitstring," labels (qubit 0 = MSB, as in
-    CoherencePair.label) and the run's text, NUL-padded to one width; the
-    padding is deleted from each chunk.
+    Each run of bit-equal rates is converted and formatted once, here
+    (comparing bits keeps 0.0 and -0.0 apart, which compare equal but print
+    differently).  A row is gathered from a per-N table of "bitstring,"
+    labels (qubit 0 = MSB, as in CoherencePair.label) and the run's text,
+    NUL-padded to one width; the padding is deleted from each chunk.
     """
     n = spectrum.n_qubits
     labels = np.full((2**n, n + 1), ord(","), dtype=np.uint8)
@@ -230,31 +237,35 @@ def _spectrum_rows(spectrum: CoherenceSpectrum) -> Iterator[str]:
     labels = labels.view(f"S{n + 1}").ravel()
     bits = spectrum.rate.view(np.uint64)
     run_start = np.concatenate([[True], bits[1:] != bits[:-1]])
-    texts = np.array([f"{_fmt(r)}\n".encode() for r in spectrum.rate[run_start].tolist()])
+    rates = _in_units(config, spectrum.rate[run_start], 1, "a decay rate").tolist()
+    texts = np.array([f"{_fmt(r)}\n".encode() for r in rates])
     row = np.dtype([("alpha", labels.dtype), ("beta", labels.dtype), ("rate", texts.dtype)])
-    runs_begun = 0
-    for lo in range(0, len(bits), SPECTRUM_CHUNK_ROWS):
-        chunk = slice(lo, lo + SPECTRUM_CHUNK_ROWS)
-        run = np.cumsum(run_start[chunk]) + (runs_begun - 1)
-        runs_begun = int(run[-1]) + 1
-        block = np.empty(len(run), dtype=row)
-        block["alpha"] = labels[spectrum.alpha_index[chunk]]
-        block["beta"] = labels[spectrum.beta_index[chunk]]
-        block["rate"] = texts[run]
-        yield block.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+
+    def chunks() -> Iterator[str]:
+        runs_begun = 0
+        for lo in range(0, len(bits), SPECTRUM_CHUNK_ROWS):
+            chunk = slice(lo, lo + SPECTRUM_CHUNK_ROWS)
+            run = np.cumsum(run_start[chunk]) + (runs_begun - 1)
+            runs_begun = int(run[-1]) + 1
+            block = np.empty(len(run), dtype=row)
+            block["alpha"] = labels[spectrum.alpha_index[chunk]]
+            block["beta"] = labels[spectrum.beta_index[chunk]]
+            block["rate"] = texts[run]
+            yield block.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+
+    return chunks()
 
 
 def run_spectrum(config: RunConfig) -> tuple[Iterable[str], int]:
     """Coherence decay-rate spectrum, one ``alpha,beta,rate`` row per canonical pair, ascending by rate.
 
-    The spectrum arrays are built here, so their errors raise before any
-    output; the rows are formatted as the writer consumes them.
+    The spectrum arrays and the rates' texts are built here, so their errors
+    raise before any output; the rows are formatted as the writer consumes them.
     """
     family = _build_family(config)
     xi = config.xi if family.contains(config.xi) else family.xi_domain[0]
-    spectrum = coherence_spectrum(family, xi)
-    header = [config.config_line(), f"# xi: {_fmt(xi)}", "alpha,beta,rate"]
-    return itertools.chain(header, _spectrum_rows(spectrum)), EXIT_OK
+    rows = _spectrum_rows(coherence_spectrum(family, xi), config)
+    return itertools.chain([config.config_line(), f"# xi: {_fmt(xi)}", "alpha,beta,rate"], rows), EXIT_OK
 
 
 def run_verify_scenario(config: RunConfig) -> tuple[list[str], int]:
@@ -264,7 +275,7 @@ def run_verify_scenario(config: RunConfig) -> tuple[list[str], int]:
     if config.family.startswith("file:"):
         # A malformed file family is itself a verification failure, not a crash.
         try:
-            extra = from_spectral_density(load_spectral_csv(config.family[5:], gamma_ref=config.gamma))
+            extra = _build_family(config)
             lines.append("file_family_valid,PASS,constructed")
         except FamilyValidationError as exc:
             lines.append(f"file_family_valid,FAIL,{str(exc).replace(',', ';')}")
@@ -369,8 +380,8 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"xi must lie in (0, 1), got {config.xi}")
     if config.scenario == "spectrum" and config.family in ("single", "two", "nqb") and not 0.0 < config.xi <= 1.0:
         raise ConfigError(f"xi must lie in (0, 1] for the {config.family} family, got {config.xi}")
-    if config.gamma <= 0.0:
-        raise ConfigError(f"gamma must be > 0, got {config.gamma}")
+    if not (config.gamma > 0.0 and np.isfinite(config.gamma)):
+        raise ConfigError(f"gamma must be a positive finite rate, got {config.gamma}")
     if config.scenario in ("fig1a", "fig1b", "closed-forms", "advantage", "estimate") and config.n < 2:
         raise ConfigError(f"n must be >= 2, got {config.n}")
     if config.scenario == "fig1b" and config.n > PRODUCT_MAX_QUBITS:

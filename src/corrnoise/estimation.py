@@ -15,6 +15,8 @@ maximum-likelihood inversion closed form: G is linear in xi, hence
 
     xi_hat = (-ln(2 p_hat - 1)/t - G(0)) / G'        (p_hat > 1/2).
 
+Units (``model``): G t, the counts and the estimates of xi do not depend on gamma.
+
 Reproducible random numbers
 ---------------------------
 Counts are drawn with a counter-based 64-bit generator (SplitMix64): draw i
@@ -281,7 +283,7 @@ def promise_check(
     """Check whether an estimate sits inside the dynamical range N / 2^(N-1).
 
     Also reports the predicted GHZ coherence exp(-G(xi_hat) t) at the probe
-    time t = 1/(n xi_hat gamma), the quantity an experiment would measure to
+    time t = 1/(n xi_hat), the quantity an experiment would measure to
     certify the promise.  With ``shots`` given, the matching Cramer-Rao
     uncertainty is included.
     """
@@ -289,7 +291,7 @@ def promise_check(
         raise ValueError(f"xi_hat must be > 0, got {xi_hat}")
     pair = ghz_pair(family.n_qubits)
     rate = decay_rate(family, xi_hat, pair)
-    t_probe = 1.0 / (family.n_qubits * xi_hat * family.gamma)
+    t_probe = 1.0 / (family.n_qubits * xi_hat)
     coherence = math.exp(-rate * t_probe)
     threshold = dynamical_range_threshold(family.n_qubits)
     delta = shot_uncertainty(family, xi_hat, pair, shots) if shots is not None else None

@@ -4,10 +4,11 @@ The generator is diagonal in the computational product basis: labelling the
 basis states by spin patterns ``alpha`` in {+1, -1}^N (|0> -> +1, |1> -> -1),
 the operator |alpha><beta| is an eigenvector with decay rate
 
-    rate(alpha, beta) = (gamma/4) * (alpha - beta)^dag C(xi) (alpha - beta),
+    rate(alpha, beta) = (1/4) * (alpha - beta)^dag C(xi) (alpha - beta)
 
-so time evolution is an elementwise multiplication of the density matrix by
-exp(-rate * t).  Populations (diagonal entries) are conserved exactly.
+in units of gamma (see ``model``), so time evolution is an elementwise
+multiplication of the density matrix by exp(-rate * t), t in units of 1/gamma.
+Populations (diagonal entries) are conserved exactly.
 
 Per-pair rates use one row-wise form of it over a cached per-N table of
 difference classes d = alpha - beta, so the pairs of a class share one rate.
@@ -199,8 +200,8 @@ def _class_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _RATE_BLOCK = 4096
 
 
-def _rate_form(family: DephasingFamily, matrix: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """(gamma/4) d^T Re(matrix) d for every row d of ``diffs``: a real matmul and a row-wise dot per block of rows."""
+def _rate_form(matrix: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """(1/4) d^T Re(matrix) d for every row d of ``diffs``: a real matmul and a row-wise dot per block of rows."""
     # Families store complex128, so np.real is a strided view; matmul still
     # runs BLAS on it, with the bits of a product on a contiguous copy.  A
     # one-row ``decay_rate``, any block of rows and the class table agree bit
@@ -214,7 +215,7 @@ def _rate_form(family: DephasingFamily, matrix: np.ndarray, diffs: np.ndarray) -
     for lo in range(0, len(diffs), _RATE_BLOCK):
         block = diffs[lo : lo + _RATE_BLOCK].astype(np.float64)
         np.einsum("ij,ij->i", block @ real, block, out=rates[lo : lo + _RATE_BLOCK])
-    rates *= family.gamma / 4.0
+    rates *= 0.25
     return rates
 
 
@@ -222,7 +223,7 @@ def _decay_rates(family: DephasingFamily, xi: float, diffs: np.ndarray) -> np.nd
     """Rate form at C(xi), clipped at 0 like ``rate_matrix``."""
     if not family.contains(xi):
         raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
-    rates = _rate_form(family, family.coefficient_matrix(xi), diffs)
+    rates = _rate_form(family.coefficient_matrix(xi), diffs)
     return np.maximum(rates, 0.0, out=rates)
 
 
@@ -235,7 +236,7 @@ def _decay_rates(family: DephasingFamily, xi: float, diffs: np.ndarray) -> np.nd
 @lru_cache(maxsize=4)
 def _class_rates(family: DephasingFamily, xi: float | None) -> np.ndarray:
     diffs = _class_table(family.n_qubits)[0]
-    rates = _rate_form(family, family.delta_c, diffs) if xi is None else _decay_rates(family, xi, diffs)
+    rates = _rate_form(family.delta_c, diffs) if xi is None else _decay_rates(family, xi, diffs)
     rates.setflags(write=False)
     return rates
 
@@ -255,19 +256,19 @@ def _pair_line(family: DephasingFamily, pair: CoherencePair) -> tuple[np.ndarray
     The rate is the line G(0) + xi G'; G(0), its intercept, may lie outside the admissible domain.
     """
     d = _pair_diff(family, pair)
-    slope = _rate_form(family, family.delta_c, d)
+    slope = _rate_form(family.delta_c, d)
     for arr in (d, slope):
         arr.setflags(write=False)
-    return d, slope, float(_rate_form(family, family.c0, d)[0])
+    return d, slope, float(_rate_form(family.c0, d)[0])
 
 
 def decay_rate(family: DephasingFamily, xi: float, pair: CoherencePair) -> float:
-    """Coherence decay rate (gamma/4)(alpha-beta)^dag C(xi) (alpha-beta)."""
+    """Coherence decay rate (1/4)(alpha-beta)^dag C(xi) (alpha-beta)."""
     return float(_decay_rates(family, xi, _pair_diff(family, pair))[0])
 
 
 def decay_rate_derivative(family: DephasingFamily, pair: CoherencePair) -> float:
-    """d(rate)/d(xi) = (gamma/4)(alpha-beta)^dag dC (alpha-beta); xi-independent."""
+    """d(rate)/d(xi) = (1/4)(alpha-beta)^dag dC (alpha-beta); xi-independent."""
     return float(_pair_line(family, pair)[1][0])
 
 
@@ -305,25 +306,27 @@ def _decay(rho0, family: DephasingFamily, xi: float, t) -> tuple[np.ndarray, np.
     if rho0.shape[-2:] != rates.shape:
         raise ValueError(f"state has shape {rho0.shape}, expected {rates.shape}")
     t = t[..., None, None]
-    # Past the float range rate * t is -inf, and its factor exp(-inf) = 0.
+    # Past the float range (``fig1a`` at times near the float limit) rate * t is -inf, and exp(-inf) = 0.
     with np.errstate(over="ignore"):
         decay = -rates * t
     return rho0, t, np.exp(decay, out=decay)
 
 
 def _derivative(rho0: np.ndarray, family: DephasingFamily, t: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The xi-derivative (-t) rate' rho0 E of ``evolve`` and its factor (-t) rate' E, E = exp(-rate t) from ``_decay``.
-
-    Where t rate' passes the float range, E has underflowed to 0 and the term
-    is 0, not inf * 0 = nan; every other term keeps its bits.
-    """
+    """The xi-derivative (-t) rate' rho0 E of ``evolve``, E = exp(-rate t) from ``_decay``, and its factor (-t) rate'."""
+    # t rate' passes the float range at times near the float limit (``fig1a``); ``_decayed`` zeroes those terms.
     with np.errstate(over="ignore", invalid="ignore"):
         factor = (-t) * rate_derivative_matrix(family)
         deriv = factor * rho0
-        parts = np.multiply(deriv, decay, out=deriv), np.multiply(factor, decay, out=factor)
-    for part in parts:
-        np.copyto(part, 0.0, where=np.isnan(part))
-    return parts
+    return _decayed(deriv, decay), factor
+
+
+def _decayed(product: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """product * E in place; where t rate' passed the float range, E is 0 and so is the term, not inf * 0 = nan."""
+    with np.errstate(invalid="ignore"):
+        np.multiply(product, decay, out=product)
+    np.copyto(product, 0.0, where=np.isnan(product))
+    return product
 
 
 def evolve(rho0: np.ndarray, family: DephasingFamily, xi: float, t) -> np.ndarray:
@@ -463,7 +466,7 @@ def superoperator_matrix(family: DephasingFamily, xi: float) -> np.ndarray:
         for l in range(n):
             zz = zs[j] @ zs[l]
             term = np.kron(zs[j], zs[l]) - 0.5 * (np.kron(eye, zz) + np.kron(zz, eye))
-            sup += (family.gamma / 2.0) * coeff[j, l] * term
+            sup += 0.5 * coeff[j, l] * term
     return sup
 
 

@@ -1,14 +1,13 @@
 """Dephasing coefficient-matrix families C(xi) = C0 + xi*dC.
 
-A family bundles the qubit count N, an overall decay-rate scale gamma,
-a pair of N x N real symmetric matrices (C0, dC) and the admissible
-interval for the correlation parameter xi.  C(xi) must stay positive
-semidefinite on that interval; construction checks the two endpoints,
-which suffices: lambda_min(C0 + xi*dC) is a minimum of functions affine in
-xi, hence concave, so it is no smaller inside the interval than at its
-ends.
+A family bundles the qubit count N, a pair of N x N real symmetric matrices
+(C0, dC) and the admissible interval for the correlation parameter xi.
+C(xi) must stay positive semidefinite on that interval; construction checks
+the two endpoints, which suffices: lambda_min(C0 + xi*dC) is a minimum of
+functions affine in xi, hence concave, so it is no smaller inside the
+interval than at its ends.
 
-A Hermitian C with an imaginary part is rejected: Im C adds i(gamma/2)
+A Hermitian C with an imaginary part is rejected: Im C adds i/2
 alpha^T Im(C) beta to the generator's eigenvalue -rate on |alpha><beta|,
 and corrnoise propagates the decay only.  Storage stays complex128 (see
 ``evolution._rate_form`` for why).
@@ -20,7 +19,12 @@ Built-in families:
 * ``build_n_qubit``        C_jl(xi) = delta_jl - (1 - xi)/N
 
 Zero-frequency noise spectral densities S_jl are ingested through
-``from_spectral_density`` / ``load_spectral_csv`` using C = (2/gamma)*S.
+``from_spectral_density`` / ``load_spectral_csv`` using C = (2/gamma_ref)*S.
+
+Units: gamma, the overall dephasing rate, is the time unit, and no family
+carries it.  Rates (1/4) d^T C d are in units of gamma and times in units of
+1/gamma, so each printed figure is gamma^k times its gamma = 1 value: k = 1
+for rates and time-regime QFIs, 0 for per-shot QFIs and ratios, -1 for times.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ def _as_hermitian(matrix, n: int, name: str, atol: float = HERMITICITY_ATOL) -> 
         raise FamilyValidationError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {atol:g}")
     imag = float(np.max(np.abs(arr.imag))) if n else 0.0
     if imag > atol:
-        term = "it adds i(gamma/2) alpha^T Im(C) beta to the generator, a coherent term corrnoise does not model"
+        term = "it adds (i/2) alpha^T Im(C) beta to the generator, a coherent term corrnoise does not model"
         raise FamilyValidationError(f"{name} has an imaginary part (max |Im| = {imag:.3e} > {atol:g}): {term}")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -84,12 +88,12 @@ class DephasingFamily:
 
     Families compare and hash by content through ``fingerprint``, so equal
     families share the memoized class rates and rate matrices.
-    A rate (gamma/4) d^T C d, |d_j| <= 2, or its xi-derivative is at most gamma N^2 max|C| in size, max|C| over
+    A rate (1/4) d^T C d, |d_j| <= 2, or its xi-derivative is at most N^2 max|C| in size, max|C| over
     C(lo), C(hi) and dC; a family where twice that (2G, in the time-regime pair optimum) overflows is rejected.
+    Only file input (C = 2S / gamma_ref) reaches that bound.
     """
 
     n_qubits: int
-    gamma: float
     c0: np.ndarray = field(compare=False)
     delta_c: np.ndarray = field(compare=False)
     xi_domain: tuple[float, float]
@@ -99,16 +103,12 @@ class DephasingFamily:
         n = int(self.n_qubits)
         if n < 1:
             raise FamilyValidationError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        gamma = float(self.gamma)
-        if not (gamma > 0.0 and np.isfinite(gamma)):
-            raise FamilyValidationError(f"gamma must be a positive finite rate, got {self.gamma}")
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "c0", _as_hermitian(self.c0, n, "c0"))
         object.__setattr__(self, "delta_c", _as_hermitian(self.delta_c, n, "delta_c"))
         lo, hi = _as_interval(self.xi_domain)
         object.__setattr__(self, "xi_domain", (lo, hi))
-        object.__setattr__(self, "fingerprint", (n, gamma, self.c0.tobytes(), self.delta_c.tobytes(), (lo, hi)))
+        object.__setattr__(self, "fingerprint", (n, self.c0.tobytes(), self.delta_c.tobytes(), (lo, hi)))
         for xi in (lo, hi):
             lam = self.min_eigenvalue(xi)
             if lam < PSD_EIG_FLOOR:
@@ -116,8 +116,8 @@ class DephasingFamily:
                     f"C(xi) not positive semidefinite at xi={xi:.6g}: min eigenvalue {lam:.3e} < {PSD_EIG_FLOOR:g}"
                 )
         ends = (self.coefficient_matrix(lo), self.coefficient_matrix(hi), self.delta_c)
-        if not np.isfinite(2.0 * gamma * n * n * max(float(np.abs(m).max()) for m in ends)):
-            raise FamilyValidationError(f"gamma={gamma:g} is too large: 2 gamma N^2 max|C| overflows the float range")
+        if not np.isfinite(2.0 * n * n * max(float(np.abs(m).max()) for m in ends)):
+            raise FamilyValidationError("C is too large: 2 N^2 max|C| overflows the float range")
 
     def coefficient_matrix(self, xi: float) -> np.ndarray:
         """C(xi) = c0 + xi*delta_c as a fresh complex array."""
@@ -161,7 +161,7 @@ class SpectralData:
         object.__setattr__(self, "s_zero", s)
 
 
-def build_single_qubit(xi_domain, gamma: float = 1.0) -> DephasingFamily:
+def build_single_qubit(xi_domain) -> DephasingFamily:
     """Single-qubit rate-estimation family C(xi) = [xi].
 
     The domain must be strictly positive: at xi = 0 the channel carries no
@@ -170,19 +170,19 @@ def build_single_qubit(xi_domain, gamma: float = 1.0) -> DephasingFamily:
     lo, hi = _as_interval(xi_domain)
     if lo <= 0.0:
         raise FamilyValidationError(f"single-qubit family requires 0 < xi_lo, got xi_lo={lo}")
-    return DephasingFamily(1, gamma, np.zeros((1, 1)), np.ones((1, 1)), (lo, hi))
+    return DephasingFamily(1, np.zeros((1, 1)), np.ones((1, 1)), (lo, hi))
 
 
-def build_two_qubit(xi_domain, gamma: float = 1.0) -> DephasingFamily:
+def build_two_qubit(xi_domain) -> DephasingFamily:
     """Two-qubit nearly maximally correlated family C_jl(xi) = 1 - xi*(1 - delta_jl)."""
     lo, hi = _as_interval(xi_domain)
     if not (0.0 < lo and hi <= 1.0):
         raise FamilyValidationError(f"two-qubit family requires xi_domain within (0, 1], got ({lo}, {hi})")
     ones = np.ones((2, 2))
-    return DephasingFamily(2, gamma, ones, -(ones - np.eye(2)), (lo, hi))
+    return DephasingFamily(2, ones, -(ones - np.eye(2)), (lo, hi))
 
 
-def build_n_qubit(n: int, xi_domain, gamma: float = 1.0) -> DephasingFamily:
+def build_n_qubit(n: int, xi_domain) -> DephasingFamily:
     """N-qubit collective family C_jl(xi) = delta_jl - (1 - xi)/N.
 
     All N >= 2 are accepted, even and odd alike.  For xi in (0, 1] the matrix
@@ -195,7 +195,7 @@ def build_n_qubit(n: int, xi_domain, gamma: float = 1.0) -> DephasingFamily:
     if not (0.0 < lo and hi <= 1.0):
         raise FamilyValidationError(f"n-qubit family requires xi_domain within (0, 1], got ({lo}, {hi})")
     ones = np.ones((n, n))
-    return DephasingFamily(n, gamma, np.eye(n) - ones / n, ones / n, (lo, hi))
+    return DephasingFamily(n, np.eye(n) - ones / n, ones / n, (lo, hi))
 
 
 def from_spectral_density(data: SpectralData) -> DephasingFamily:
@@ -206,13 +206,17 @@ def from_spectral_density(data: SpectralData) -> DephasingFamily:
     a sensing problem.
     """
     n = data.n_qubits
-    c0 = (2.0 / data.gamma_ref) * data.s_zero
-    return DephasingFamily(n, data.gamma_ref, c0, np.zeros((n, n)), (0.0, 0.0))
+    # A small gamma_ref (``spectrum --family file:... --gamma 1e-308``) puts C past the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0 = (2.0 / data.gamma_ref) * data.s_zero
+    if not np.all(np.isfinite(c0)):
+        raise FamilyValidationError(f"gamma_ref={data.gamma_ref!r} puts C = (2/gamma_ref) s_zero past the float range")
+    return DephasingFamily(n, c0, np.zeros((n, n)), (0.0, 0.0))
 
 
 def with_perturbation(family: DephasingFamily, delta_c, xi_domain) -> DephasingFamily:
     """Replace the perturbation direction and xi domain of an existing family."""
-    return DephasingFamily(family.n_qubits, family.gamma, family.c0, delta_c, xi_domain)
+    return DephasingFamily(family.n_qubits, family.c0, delta_c, xi_domain)
 
 
 def load_spectral_csv(path, gamma_ref: float, n_qubits: int | None = None) -> SpectralData:

@@ -35,7 +35,7 @@ purely dissipative dynamics.
   KERNEL_RTOL of the largest.  To first order in t the state leaks out of
   the support along the columns V_(k,j) = sqrt(p_k) (1 - P_supp) Z_j psi_k,
   with weight matrix t V (I_r (x) A) V^dag and xi-derivative
-  t V (I_r (x) B) V^dag, where A = (gamma/2) Re C(xi) and B = (gamma/2) Re dC.
+  t V (I_r (x) B) V^dag, where A = Re C(xi) / 2 and B = Re dC / 2.
   Support-block and support-kernel terms are O(t^2), so they vanish in the
   limit; rank changes make the QFI discontinuous (Safranek, PRA 95, 052320
   (2017)), which is why the kernel is handled explicitly.  Writing V = Q K^dag
@@ -71,6 +71,7 @@ from .evolution import (
     ProductState,
     _decay,
     _decay_rates,
+    _decayed,
     _derivative,
     _pair_line,
     _product_vectors,
@@ -235,6 +236,7 @@ def product_qfi_value_grad(
     psi = _product_vectors(thetas)
     rho0, t, decay = _decay(psi[:, :, None] * psi[:, None, :], family, xi, t)
     deriv, factor = _derivative(rho0, family, t, decay)
+    factor = _decayed(factor, decay)
     values, sld, u, share = _sld(np.multiply(rho0, decay, out=rho0), deriv)
     del rho0, deriv
     sld = u @ sld @ np.swapaxes(u, -1, -2)
@@ -387,9 +389,8 @@ def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: Dephasin
     if not family.contains(xi):
         raise ValueError(f"xi={xi} outside family domain {family.xi_domain}")
     n = family.n_qubits
-    half = 0.5 * family.gamma
-    a = half * np.real(family.coefficient_matrix(xi))
-    b = half * np.real(family.delta_c)
+    a = 0.5 * np.real(family.coefficient_matrix(xi))
+    b = 0.5 * np.real(family.delta_c)
     if isinstance(probe, ProductState):
         if probe.n_qubits != n:
             raise ValueError(f"probe is for {probe.n_qubits} qubits, family has {n}")
@@ -414,11 +415,7 @@ def time_averaged_qfi_limit(probe: "ProductState | np.ndarray", family: Dephasin
         eye = np.eye(r)
         weight, weight_prime = k.conj().T @ np.kron(eye, a) @ k, k.conj().T @ np.kron(eye, b) @ k
         descriptor = state_hash(rho0)
-    # The weights scale with gamma, so from about gamma = 1e154 the squared
-    # derivative weight overflows: the value is then inf, which QfiResult
-    # rejects with its own error.
-    with np.errstate(over="ignore"):
-        return QfiResult(_sld_rate(weight, weight_prime), "time", 0.0, descriptor)
+    return QfiResult(_sld_rate(weight, weight_prime), "time", 0.0, descriptor)
 
 
 def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str) -> np.ndarray:
@@ -434,14 +431,13 @@ def _pair_optimum(g: np.ndarray, gp: np.ndarray, diffs: np.ndarray, regime: str)
     # makes one class-sized float array (2 MB at N = 12), and one temporary
     # G'^2 in the time regime.  A blind class divides 0 by 1.
     values = np.where(gp == 0.0, 1.0, g)
-    with np.errstate(over="ignore", invalid="ignore"):  # rates near the float limits: QfiResult rejects inf and nan
-        if regime == "time":
-            values *= 2.0
-            np.divide(np.multiply(gp, gp), values, out=values)
-        else:
-            np.divide(gp, values, out=values)
-            values *= values
-            values *= shot_optimum_value()
+    if regime == "time":
+        values *= 2.0
+        np.divide(np.multiply(gp, gp), values, out=values)
+    else:
+        np.divide(gp, values, out=values)
+        values *= values
+        values *= shot_optimum_value()
     return values
 
 
@@ -474,6 +470,8 @@ def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherenceP
     decay = math.exp(-x2)
     if per_time == 0.0 or decay == 0.0:  # blind, or decayed where t * per_time * x2 may overflow to inf
         return QfiResult(0.0, "shot", t, pair)
+    if x2 == 0.0:  # G t below the float range (fig1a at xi 1e-300, t 1e-310): the t -> 0+ form, not 0 / 0
+        return QfiResult(t * per_time, "shot", t, pair)
     return QfiResult(t * per_time * x2 * decay / -math.expm1(-x2), "shot", t, pair)
 
 

@@ -85,13 +85,13 @@ def check_hermiticity(families) -> PropertyResult:
 
 
 def check_rates_nonnegative(families) -> PropertyResult:
-    """Unclipped class rates against gamma N PSD_EIG_FLOOR, the least an admitted C(xi) allows, up to roundoff."""
-    least = []  # (least rate, its floor less a roundoff allowance on the gamma N^2 max|C| scale)
+    """Unclipped class rates against N PSD_EIG_FLOOR, the least an admitted C(xi) allows, up to roundoff."""
+    least = []  # (least rate, its floor less a roundoff allowance on the N^2 max|C| scale)
     for fam in families.values():
         for xi in [x for x in (1e-3, 1e-2, 1e-1, 0.5) if fam.contains(x)] + [_xi_for(fam, 1e-2)]:
             c, n = fam.coefficient_matrix(xi), fam.n_qubits
-            floor = fam.gamma * n * (PSD_EIG_FLOOR - 1e-12 * n * float(np.abs(c).max()))
-            least.append((float(_rate_form(fam, c, _class_table(n)[0]).min()), floor))
+            floor = n * (PSD_EIG_FLOOR - 1e-12 * n * float(np.abs(c).max()))
+            least.append((float(_rate_form(c, _class_table(n)[0]).min()), floor))
     return _result("rates_nonnegative", all(r >= f for r, f in least), f"min rate {min(r for r, _ in least):.3e}")
 
 
@@ -154,7 +154,7 @@ def check_bures_convexity(families, seed: int) -> PropertyResult:
     for k in range(100):
         fam = fams[k % len(fams)]
         xi, dxi = 0.05, 5e-4
-        tau = float(rng.uniform(0.05, 1.0)) / fam.gamma
+        tau = float(rng.uniform(0.05, 1.0))
         rho = random_pure_density(fam.n_qubits, rng)
         base = bures_distance_sq(evolve(rho, fam, xi, tau), evolve(rho, fam, xi + dxi, tau))
         for m in (2, 4, 8):
@@ -191,19 +191,19 @@ def check_qfi_crosscheck(families, seed: int) -> PropertyResult:
     return _result("qfi_fidelity_crosscheck", ok, f"max relative deviation {worst:.3e} over {accepted} points")
 
 
-def closed_form_table(xi: float, n: int = 4, gamma: float = 1.0) -> list[tuple[str, float, float, float]]:
-    """(case, computed, expected, rel_err) for the three analytic time-averaged optima at (xi, gamma).
+def closed_form_table(xi: float, n: int = 4) -> list[tuple[str, float, float, float]]:
+    """(case, computed, expected, rel_err) for the three analytic time-averaged optima at xi, in units of gamma.
 
     The exact t -> 0+ limit ``time_averaged_qfi_limit`` of each probe's density against
-    the closed forms: single-qubit |+> at gamma/(2 xi), two-qubit Bell at gamma/xi and
-    N-qubit GHZ at N gamma/(2 xi).
+    the closed forms: single-qubit |+> at 1/(2 xi), two-qubit Bell at 1/xi and
+    N-qubit GHZ at N/(2 xi).
     """
     domain = (min(1e-6, xi / 2.0), 1.0)
     bell = pair_density(CoherencePair.from_indices(1, 2, 2))
     cases = [
-        ("single_plus", plus_product(1).density(), build_single_qubit(domain, gamma=gamma), gamma / (2.0 * xi)),
-        ("two_bell", bell, build_two_qubit(domain, gamma=gamma), gamma / xi),
-        (f"nqb{n}_ghz", ghz_density(n), build_n_qubit(n, domain, gamma=gamma), n * gamma / (2.0 * xi)),
+        ("single_plus", plus_product(1).density(), build_single_qubit(domain), 1.0 / (2.0 * xi)),
+        ("two_bell", bell, build_two_qubit(domain), 1.0 / xi),
+        (f"nqb{n}_ghz", ghz_density(n), build_n_qubit(n, domain), n / (2.0 * xi)),
     ]
     rows = []
     for name, rho, fam, expected in cases:

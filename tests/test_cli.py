@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,14 +98,14 @@ class TestFig1a:
         assert [float(r[0]) for r in rows] == pytest.approx([1, 2, 3, 4, 5])
 
 
-def spectrum_oracle_csv(family, xi, config_line):
-    """The expected ``spectrum`` CSV, built one pair at a time with the scalar decay_rate."""
+def spectrum_oracle_csv(family, xi, config_line, gamma=1.0):
+    """The expected ``spectrum`` CSV, built one pair at a time with the scalar decay_rate, in units of gamma."""
     n = family.n_qubits
     rows = []
     for ia in range(2**n):
         for ib in range(ia + 1, 2**n):
             pair = CoherencePair.from_indices(ia, ib, n)
-            rows.append((decay_rate(family, xi, pair), ia, ib, pair.label.replace("|", ",")))
+            rows.append((decay_rate(family, xi, pair) * gamma, ia, ib, pair.label.replace("|", ",")))
     lines = [config_line, f"# xi: {xi:.17g}", "alpha,beta,rate"]
     lines.extend(f"{label},{rate:.17g}" for rate, _, _, label in sorted(rows))
     return "\n".join(lines) + "\n"
@@ -150,7 +151,7 @@ class TestSpectrum:
         _, out = run_cli(["spectrum", "--family", f"file:{path}", "--gamma", "0.7"], capsys)
         fam = from_spectral_density(load_spectral_csv(path, gamma_ref=0.7))
         config = RunConfig(scenario="spectrum", family=f"file:{path}", gamma=0.7)
-        assert out == spectrum_oracle_csv(fam, 0.0, config.config_line())
+        assert out == spectrum_oracle_csv(fam, 0.0, config.config_line(), gamma=0.7)
 
     def test_complex_file_family_rejected(self, tmp_path, capsys):
         # Hermitian but complex: spectrum refuses it, verify reports it.
@@ -396,51 +397,132 @@ class TestAdvantageScenario:
         assert float(doubled["separable"]) == 2.0 * float(base["separable"])
         assert doubled["ratio"] == base["ratio"]
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["fig1b", "--n", "2", "--gamma", "1e300"],  # G'^2 overflows
-            ["advantage", "--n", "2", "--regime", "time", "--gamma", "1e160"],
-            ["advantage", "--n", "3", "--regime", "shot", "--gamma", "1e-310"],  # t = x*/G overflows
-            ["estimate", "--gamma", "1e-310", "--seeds", "3", "--shots", "100"],  # used to print "# t: inf"
-            ["closed-forms", "--gamma", "1e300"],  # the squared derivative weight of the t -> 0+ limit overflows
-        ],
-        ids=["fig1b-gamma-1e300", "time-gamma-1e160", "shot-gamma-1e-310", "estimate-gamma-1e-310", "closed-forms-gamma-1e300"],
-    )
-    def test_qfi_overflow_exits_config(self, args, tmp_path, capsys):
-        # The pair optimum overflows to inf; no row may carry it, and under the
-        # error::RuntimeWarning filter a numpy overflow warning fails the test.
-        out_path = tmp_path / "out.csv"
-        code = main([*args, "--out", str(out_path)])
-        captured = capsys.readouterr()
-        assert code == EXIT_CONFIG
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "finite" in captured.err
-        assert not out_path.exists()
 
 
-class TestRatesPastTheFloatRange:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["fig1b", "--n", "3"],
-            ["advantage", "--n", "3", "--regime", "time"],
-            ["advantage", "--n", "3", "--regime", "shot"],
-            ["estimate", "--n", "3"],
-            ["fig1a", "--n", "3"],
-            ["spectrum", "--family", "two"],
-        ],
-        ids=["fig1b", "advantage-time", "advantage-shot", "estimate", "fig1a", "spectrum"],
-    )
-    def test_gamma_1e308_exits_config(self, args, tmp_path, capsys):
-        # The family is rejected before any rate is formed: one error line,
-        # no output, and no numpy warning (an error under the test filter).
-        out_path = tmp_path / "out.csv"
-        code = main([*args, "--gamma", "1e308", "--out", str(out_path)])
-        captured = capsys.readouterr()
+# The edge-of-range contract: every scenario at every gamma and xi of the grid
+# either exits 0 with only finite numbers in its output or exits 2 with one
+# error line and no output file.  n <= 3 and small arguments keep it fast.
+CONTRACT_SCENARIOS = {
+    "fig1a": ["fig1a", "--n", "3", "--t-points", "4"],
+    "fig1b": ["fig1b", "--n", "3"],
+    "closed-forms": ["closed-forms", "--n", "3"],
+    "advantage-time": ["advantage", "--n", "3", "--regime", "time"],
+    "advantage-shot": ["advantage", "--n", "3", "--regime", "shot"],
+    "estimate": ["estimate", "--n", "3", "--shots", "100", "--seeds", "4"],
+    "spectrum-nqb": ["spectrum", "--n", "3"],
+    "spectrum-two": ["spectrum", "--family", "two"],
+    "spectrum-file": ["spectrum", "--family", "file:{path}"],
+}
+CONTRACT_GAMMAS = ["1e-308", "1e-200", "1e-13", "1e13", "1e200", "1e306"]
+CONTRACT_XIS = ["1e-300", "1e-12", repr(1.0 - 1e-10), "0.5"]
+
+
+def run_contract(args, tmp_path, capsys):
+    """``main`` on args with --out; returns (code, stderr, the output file's text or None)."""
+    spectral = tmp_path / "s.csv"
+    spectral.write_text("j,l,re,im\n0,0,1.0,0\n0,1,0.3,0\n0,2,0.1,0\n1,1,0.9,0\n1,2,0.05,0\n2,2,1.2,0\n")
+    out_path = tmp_path / "out.csv"
+    code = main([a.format(path=spectral) for a in args] + ["--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err, out_path.read_text() if out_path.exists() else None
+
+
+def csv_numbers(text):
+    """Every number of a CSV after its config line: data fields, ';'-joined lists and '# name: value' comments."""
+    numbers = []
+    for line in text.splitlines()[1:]:
+        fields = line[2:].split(": ", 1)[1:] if line.startswith("# ") else re.split("[,;]", line)
+        for field in fields:
+            try:
+                numbers.append(float(field))
+            except ValueError:
+                pass
+    return numbers
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestEdgeOfRangeContract:
+    @pytest.mark.parametrize("xi", CONTRACT_XIS)
+    @pytest.mark.parametrize("gamma", CONTRACT_GAMMAS)
+    @pytest.mark.parametrize("scenario", list(CONTRACT_SCENARIOS))
+    def test_exits_0_with_finite_numbers_or_2_with_one_error_line(self, scenario, gamma, xi, tmp_path, capsys):
+        args = CONTRACT_SCENARIOS[scenario] + ["--gamma", gamma, "--xi", xi]
+        code, err, out = run_contract(args, tmp_path, capsys)
+        if code == EXIT_OK:
+            numbers = csv_numbers(out)
+            assert numbers and all(math.isfinite(x) for x in numbers)
+        else:
+            assert code == EXIT_CONFIG, err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert out is None
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("scenario", list(CONTRACT_SCENARIOS))
+    def test_gamma_must_be_a_positive_finite_rate(self, scenario, gamma, tmp_path, capsys):
+        code, err, out = run_contract(CONTRACT_SCENARIOS[scenario] + ["--gamma", gamma], tmp_path, capsys)
         assert code == EXIT_CONFIG
-        assert captured.err.startswith("error: gamma=1e+308 ") and captured.err.count("\n") == 1
-        assert not out_path.exists()
+        assert err == f"error: gamma must be a positive finite rate, got {float(gamma)}\n"
+        assert out is None
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            (["closed-forms", "--gamma", "1e306", "--xi", "1e-3"], "the single_plus QFI"),
+            (["advantage", "--n", "3", "--regime", "time", "--gamma", "1e306", "--xi", "1e-3"], "the time-regime QFIs"),
+            (["estimate", "--n", "3", "--gamma", "1e-308", "--xi", "1e-12"], "the probe time t"),
+            (["spectrum", "--family", "two", "--gamma", "1e308"], "a decay rate"),
+        ],
+    )
+    def test_a_converted_value_past_the_float_range_names_gamma(self, args, what, tmp_path, capsys):
+        code, err, out = run_contract(args, tmp_path, capsys)
+        gamma = float(args[args.index("--gamma") + 1])
+        assert (code, err, out) == (EXIT_CONFIG, f"error: gamma={gamma!r} puts {what} past the float range\n", None)
+
+    @pytest.mark.parametrize("gamma", ["1e-308", "1e-200", "1e300"])
+    def test_closed_forms_hold_at_every_gamma(self, gamma, capsys):
+        code, out = run_cli(["closed-forms", "--gamma", gamma], capsys)
+        assert code == EXIT_OK
+        _, _, base = parse_csv(run_cli(["closed-forms"], capsys)[1])
+        for row, base_row in zip(parse_csv(out)[2], base):
+            assert float(row[1]) == float(base_row[1]) * float(gamma)
+            assert row[3] == base_row[3]
+
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e200"])
+    def test_time_ratio_is_n_at_every_gamma(self, gamma, capsys):
+        code, out = run_cli(["advantage", "--n", "3", "--regime", "time", "--gamma", gamma], capsys)
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(out)
+        assert float(dict(zip(header, rows[0]))["ratio"]) == pytest.approx(3.0, rel=0.02)
+        code, out = run_cli(["fig1b", "--n", "3", "--gamma", gamma], capsys)
+        assert code == EXIT_OK
+        assert float(parse_csv(out)[2][-1][1]) == pytest.approx(3.0, rel=0.02)
+
+    @pytest.mark.parametrize("gamma", ["1e-160", "1e200"])
+    def test_time_regime_optima_are_gamma_times_their_unit_values(self, gamma, capsys):
+        rows = []
+        for g in ("1", gamma):
+            _, out = run_cli(["advantage", "--n", "3", "--regime", "time", "--gamma", g], capsys)
+            _, header, body = parse_csv(out)
+            rows.append(dict(zip(header, body[0])))
+        base, scaled = rows
+        for column in ("entangled", "separable"):
+            assert float(scaled[column]) == float(base[column]) * float(gamma)
+
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e200"])
+    def test_ratios_do_not_depend_on_gamma(self, gamma, capsys):
+        def ratio_columns(args, columns):
+            code, out = run_cli(args, capsys)
+            assert code == EXIT_OK
+            _, header, rows = parse_csv(out)
+            return [[row[header.index(c)] for c in columns] for row in rows]
+
+        for args, columns in (
+            (["advantage", "--n", "3", "--regime", "time"], ["ratio"]),
+            (["advantage", "--n", "3", "--regime", "shot"], ["ratio"]),
+            (["fig1b", "--n", "3"], ["ratio_time", "ratio_shot"]),
+        ):
+            assert ratio_columns(args + ["--gamma", gamma], columns) == ratio_columns(args, columns)
 
 
 class TestVerifyScenario:
@@ -450,7 +532,7 @@ class TestVerifyScenario:
         assert result.passed and result.detail == "min rate 1.000e-03"
 
     def test_rates_nonnegative_catches_a_broken_rate_form(self, monkeypatch):
-        monkeypatch.setattr(verify, "_rate_form", lambda fam, m, d: -evolution._rate_form(fam, m, d))
+        monkeypatch.setattr(verify, "_rate_form", lambda m, d: -evolution._rate_form(m, d))
         assert not verify.check_rates_nonnegative(verify.default_families()).passed
 
     def test_all_pass(self, capsys):

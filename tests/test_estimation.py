@@ -247,7 +247,7 @@ class TestSimulateParityCounts:
     def test_counts_match_float_stream(self):
         fam = build_n_qubit(4, DOMAIN)
         # The last point is dark (p_plus exactly 1.0): C = I on [0, 1] at xi = 0.
-        dark = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        dark = DephasingFamily(2, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
         for family, xi, t, seed in ((fam, 0.02, 5.0, 77), (fam, 0.3, 0.7, 2**64 - 3), (dark, 0.0, 1.0, 5)):
             pair = ghz_pair(family.n_qubits)
             record = simulate_parity_counts(family, xi, pair, t, 30_000, seed)
@@ -304,7 +304,7 @@ class TestEstimateXi:
     def test_crb_vanishes_at_a_dark_estimate(self):
         # C(xi) = xi * I on [0, 1]: all-plus counts put xi_hat on the dark
         # point xi = 0, where the information diverges.
-        fam = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        fam = DephasingFamily(2, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
         report = estimate_xi(ExperimentRecord(ghz_pair(2), 0.5, 1.0, 100, 100, 0), fam)
         assert report.xi_hat == 0.0
         assert report.std_error_crb == 0.0

@@ -280,14 +280,16 @@ class TestDrhoDxi:
             assert np.max(np.abs(exact - fd)) < 1e-8
 
     def test_decayed_terms_past_the_float_range_are_zero(self):
-        # t rate' overflows where exp(-rate t) is 0: the term is 0, not inf * 0 = nan,
-        # and no numpy warning fires (an error under the test filter).
-        fam = build_n_qubit(3, DOMAIN, gamma=1e10)
+        # t rate' overflows where exp(-rate t) is 0 (the GHZ class, rate' = 3 at
+        # t = 1e308): the term is 0, not inf * 0 = nan, and no numpy warning
+        # fires (an error under the test filter).
+        fam = build_n_qubit(3, DOMAIN)
         rho = plus_product(3).density()
-        out = drho_dxi(rho, fam, 0.01, 1e300)
+        assert 1e308 * float(rate_derivative_matrix(fam).max()) == math.inf
+        out = drho_dxi(rho, fam, 0.01, 1e308)
         assert np.all(out == 0.0)
         # A stack keeps the bits of a state whose terms stay finite.
-        stacked = drho_dxi(np.stack([rho, rho]), fam, 0.01, np.array([1e300, 1e-10]))
+        stacked = drho_dxi(np.stack([rho, rho]), fam, 0.01, np.array([1e308, 1e-10]))
         assert np.all(stacked[0] == 0.0)
         assert np.any(stacked[1] != 0.0)
         assert stacked[1].tobytes() == drho_dxi(rho, fam, 0.01, 1e-10).tobytes()
@@ -424,7 +426,7 @@ class TestCoherenceSpectrum:
         self.assert_matches_argsort_oracle(random_real_family(11, 11), 0.31)
 
     def test_dense_rates_agree_with_class_rates(self, random_real_family):
-        # Per-pair loop oracle (gamma/4) sum_jl d_j d_l C_jl, summed exactly by
+        # Per-pair loop oracle (1/4) sum_jl d_j d_l C_jl, summed exactly by
         # fsum: every pair for N <= 5, seeded pairs above.  The dense matrices
         # gather the class rates, so they equal the spectrum's rates bitwise.
         rng = np.random.default_rng(29)
@@ -442,7 +444,7 @@ class TestCoherenceSpectrum:
                 for a, b in zip(ia, ib):
                     d = patterns[a] - patterns[b]
                     terms = (matrix[j, l].real * d[j] * d[l] for j in range(n) for l in range(n))
-                    out.append(fam.gamma / 4.0 * math.fsum(terms))
+                    out.append(0.25 * math.fsum(terms))
                 return np.array(out)
 
             for xi in (1e-3, 0.01, 0.3, 0.9):

@@ -95,7 +95,6 @@ class TestSpectralDensity:
         data = SpectralData(2, (gamma / 2.0) * np.eye(2), gamma)
         fam = from_spectral_density(data)
         assert fam.coefficient_matrix(0.0) == pytest.approx(np.eye(2))
-        assert fam.gamma == gamma
 
     def test_all_ones_matches_two_qubit_at_zero(self):
         # Substitution oracle: S = (gamma/2) * J gives C = J, the two-qubit
@@ -171,23 +170,18 @@ class TestFamilyInvariants:
         assert nqb == pytest.approx(np.eye(2) - (1.0 - xi) / 2.0)
         assert np.max(np.abs(two - nqb)) > 0.1
 
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(FamilyValidationError):
-            DephasingFamily(1, 0.0, np.zeros((1, 1)), np.ones((1, 1)), (0.1, 1.0))
-
-    def test_rates_past_the_float_range_rejected(self):
-        # 2 gamma N^2 max|C| must be finite: 2 * 1e307 * 4 is, 2 * 1e308 * 4 is not.
-        assert build_two_qubit(DOMAIN, gamma=1e307).gamma == 1e307
-        for build in (lambda: build_two_qubit(DOMAIN, gamma=1e308), lambda: build_n_qubit(3, DOMAIN, gamma=1e308)):
-            with pytest.raises(FamilyValidationError, match="gamma=1e\\+308"):
-                build()
-        with pytest.raises(FamilyValidationError, match="gamma=1 "):
-            DephasingFamily(1, 1.0, np.zeros((1, 1)), np.full((1, 1), 1e308), (0.1, 1.0))
+    def test_coefficients_past_the_float_range_rejected(self):
+        # 2 N^2 max|C| must be finite: 2 * 1 * 1e307 is, 2 * 1 * 1e308 is not, nor is file input reaching it.
+        assert DephasingFamily(1, np.zeros((1, 1)), np.full((1, 1), 1e307), (0.1, 1.0)).delta_c[0, 0] == 1e307
+        with pytest.raises(FamilyValidationError, match="2 N\\^2 max\\|C\\| overflows"):
+            DephasingFamily(1, np.zeros((1, 1)), np.full((1, 1), 1e308), (0.1, 1.0))
+        with pytest.raises(FamilyValidationError, match="2 N\\^2 max\\|C\\| overflows"):
+            from_spectral_density(SpectralData(2, 5e307 * np.eye(2), 1.0))
 
     def test_hermiticity_tolerance(self):
         skew = np.array([[1.0, 1e-11], [0.0, 1.0]])
         with pytest.raises(FamilyValidationError):
-            DephasingFamily(2, 1.0, skew, np.zeros((2, 2)), (0.1, 1.0))
+            DephasingFamily(2, skew, np.zeros((2, 2)), (0.1, 1.0))
 
 
 class TestFamilyIdentity:
@@ -201,7 +195,7 @@ class TestFamilyIdentity:
     def test_different_content_compares_unequal(self):
         base = build_n_qubit(3, DOMAIN)
         assert base != build_n_qubit(3, (0.2, 1.0))
-        assert base != build_n_qubit(3, DOMAIN, gamma=2.0)
+        assert base != DephasingFamily(3, 2.0 * base.c0, 2.0 * base.delta_c, DOMAIN)
         assert base != with_perturbation(base, 2.0 * base.delta_c, DOMAIN)
         assert base != build_n_qubit(4, DOMAIN)
         assert base != "nqb3"

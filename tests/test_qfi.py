@@ -314,7 +314,7 @@ class TestPureProbeLimit:
             fam = random_real_family(n, fam_seed)
             perm = rng.permutation(n)
             relabelled = DephasingFamily(
-                n, fam.gamma, fam.c0[np.ix_(perm, perm)], fam.delta_c[np.ix_(perm, perm)], fam.xi_domain
+                n, fam.c0[np.ix_(perm, perm)], fam.delta_c[np.ix_(perm, perm)], fam.xi_domain
             )
             for xi in (0.05, 0.5):
                 for thetas in np.vstack([np.full(n, np.pi / 2.0), rng.uniform(0.0, np.pi, size=(3, n))]):
@@ -351,7 +351,7 @@ class TestPureProbeLimit:
 
     def test_dark_coherence_reported_divergent(self):
         # C(xi) = xi * I on [0, 1]: nothing decays at xi = 0, yet dC = I
-        fam = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        fam = DephasingFamily(2, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
         with pytest.raises(DivergentQfiError):
             time_averaged_qfi_limit(ProductState((1.0, 2.0)), fam, 0.0)
         with pytest.raises(DivergentQfiError):
@@ -594,7 +594,7 @@ class TestProductValueGrad:
             fam = random_real_family(n, fam_seed)
             perm = rng.permutation(n)
             relabelled = DephasingFamily(
-                n, fam.gamma, fam.c0[np.ix_(perm, perm)], fam.delta_c[np.ix_(perm, perm)], fam.xi_domain
+                n, fam.c0[np.ix_(perm, perm)], fam.delta_c[np.ix_(perm, perm)], fam.xi_domain
             )
             for xi in (0.05, 0.5):
                 slowest = 1e-3 / default_time_bracket(fam, xi)[0]
@@ -692,7 +692,7 @@ class TestCoherencePairQfi:
         # but still carries sensitivity through dC = I
         from corrnoise.model import DephasingFamily
 
-        fam = DephasingFamily(2, 1.0, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
+        fam = DephasingFamily(2, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
         pair = CoherencePair((1, 1), (1, -1))
         with pytest.raises(DivergentQfiError):
             coherence_pair_qfi_timeavg(fam, 0.0, pair)
@@ -715,6 +715,13 @@ class TestCoherencePairQfi:
     def test_shot_formula_at_huge_t_is_zero(self, t):
         # t * per_time * x2 overflows from about t = 1e154, where exp(-x2) is 0.
         assert coherence_pair_qfi_shot(build_n_qubit(3, DOMAIN), 0.1, ghz_pair(3), t).value == 0.0
+
+    def test_shot_formula_where_g_t_underflows(self):
+        # 2 G t underflows to 0 (G about 1e-16 at xi = 1e-300, t = 1e-310): the
+        # value is the t -> 0+ form t G'^2 / (2 G), not 0 / 0.
+        fam, pair = build_n_qubit(3, (1e-300, 1.0)), ghz_pair(3)
+        per_time = coherence_pair_qfi_timeavg(fam, 1e-300, pair).value
+        assert coherence_pair_qfi_shot(fam, 1e-300, pair, 1e-310).value == 1e-310 * per_time > 0.0
 
     def test_shot_optimum_constants(self, x_star, shot_peak_constant):
         assert shot_optimum_x() == pytest.approx(x_star, abs=1e-12)
