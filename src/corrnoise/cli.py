@@ -52,7 +52,6 @@ from .qfi import (
     coherence_pair_qfi_shot_peak,
     qfi_exact_value,
 )
-from .verify import CLOSED_FORM_RTOL, closed_form_table, run_verify
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -172,6 +171,9 @@ def run_fig1b(config: RunConfig) -> tuple[list[str], int]:
 
 def run_closed_forms(config: RunConfig) -> tuple[list[str], int]:
     """Regression of the three analytic time-averaged optima at xi, in units of gamma."""
+    # verify is imported where it is used: importing cli does not compile it.
+    from .verify import CLOSED_FORM_RTOL, closed_form_table
+
     lines = [config.config_line(), "case,computed,expected,rel_err"]
     breach = False
     for name, computed, expected, rel in closed_form_table(config.xi, config.n):
@@ -269,6 +271,8 @@ def run_spectrum(config: RunConfig) -> tuple[Iterable[str], int]:
 
 
 def run_verify_scenario(config: RunConfig) -> tuple[list[str], int]:
+    from .verify import run_verify
+
     lines = [config.config_line(), "property,status,detail"]
     all_pass = True
     extra = None
@@ -352,7 +356,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # A JSONDecodeError, or an integer past the interpreter's digit limit.
             raise ConfigError(f"config file {args.config}: invalid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
@@ -363,6 +368,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         for name, value in loaded.items():
             if type(value) not in _CONFIG_TYPES[known[name]]:
                 raise ConfigError(f"config file {args.config}: field {name!r} must be {known[name]}, got {value!r}")
+            # An integer for a float field is kept as given, so the # config: line
+            # prints it as given, but it must convert to a float.
+            if known[name] == "float":
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ConfigError(f"config file {args.config}: field {name!r} is past the float range") from None
         values.update(loaded)
     for field in fields(RunConfig):
         val = getattr(args, field.name, None)

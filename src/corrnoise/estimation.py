@@ -15,6 +15,11 @@ maximum-likelihood inversion closed form: G is linear in xi, hence
 
     xi_hat = (-ln(2 p_hat - 1)/t - G(0)) / G'        (p_hat > 1/2).
 
+The report (``EstimateReport``) keeps the run's (family, pair, t, shots) and
+forms its plug-in Cramer-Rao scale at xi_hat only when ``std_error_crb`` is
+first read, then keeps it: a replication study that prints no replicate's
+scale forms none of them.
+
 Units (``model``): G t, the counts and the estimates of xi do not depend on gamma.
 
 Reproducible random numbers
@@ -53,7 +58,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -212,17 +217,45 @@ class ExperimentRecord:
             raise ValueError(f"plus_count {self.plus_count} outside [0, {self.shots}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Maximum-likelihood estimate of one run, with its plug-in Cramer-Rao scale.
 
     xi_hat is None when the plus fraction is <= 1/2 (not invertible);
     clamped marks an estimate moved onto the nearer end of the xi domain.
+    ``probe`` is the run's (family, pair, t, shots), which an estimate needs:
+    the plug-in scale ``std_error_crb`` is formed from it at xi_hat when first
+    read, and kept.  Equality, hash and repr go by (xi_hat, std_error_crb,
+    clamped), so they form it too.
     """
 
     xi_hat: float | None
-    std_error_crb: float
     clamped: bool = False
+    probe: tuple[DephasingFamily, CoherencePair, float, int] | None = None
+
+    def __post_init__(self):
+        if self.xi_hat is not None and self.probe is None:
+            raise ValueError("an estimate needs the (family, pair, t, shots) of its run")
+
+    @cached_property
+    def std_error_crb(self) -> float:
+        """Cramer-Rao std [M F_Q(t)]^{-1/2} at xi_hat: inf with no estimate, 0 on a dark coherence."""
+        if self.xi_hat is None:
+            return math.inf
+        family, pair, t, shots = self.probe
+        return _crb_std(family, self.xi_hat, pair, t, shots)
+
+    def _values(self) -> tuple[float | None, float, bool]:
+        return self.xi_hat, self.std_error_crb, self.clamped
+
+    def __eq__(self, other):
+        return self._values() == other._values() if isinstance(other, EstimateReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"EstimateReport(xi_hat={self.xi_hat!r}, std_error_crb={self.std_error_crb!r}, clamped={self.clamped!r})"
 
 
 @dataclass(frozen=True)
@@ -332,14 +365,15 @@ def _crb_std(family: DephasingFamily, xi: float, pair: CoherencePair, t: float, 
 
 
 def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateReport:
-    """Closed-form maximum-likelihood inversion of the parity counts, with the plug-in CRB at xi_hat."""
+    """Closed-form maximum-likelihood inversion of the parity counts; the report forms its plug-in CRB at xi_hat when read."""
     return _inversion(family, record.pair, record.t, record.shots, record.plus_count)
 
 
 # The inversion reads (pair, t, shots, plus_count) of a record and never its
 # xi_true or seed.  A study's replicates share all but the count, and their
 # counts repeat (about 280 distinct in 400 replicates of 1e5 shots), so each
-# distinct count is inverted, and its plug-in CRB formed, once.
+# distinct count is inverted once, and its report, shared by those
+# replicates, forms its plug-in CRB at most once, when first read.
 @lru_cache(maxsize=1024)
 def _inversion(family: DephasingFamily, pair: CoherencePair, t: float, shots: int, plus_count: int) -> EstimateReport:
     # G(0) and G': intercept and slope of the pair's rate, linear in xi.
@@ -349,13 +383,13 @@ def _inversion(family: DephasingFamily, pair: CoherencePair, t: float, shots: in
         raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
     p_hat = plus_count / shots
     if p_hat <= 0.5:
-        return EstimateReport(None, math.inf)
+        return EstimateReport(None)
     rate_hat = -math.log(2.0 * p_hat - 1.0) / t
     xi_hat = (rate_hat - g0) / gp
     clamped = not family.contains(xi_hat)
     lo, hi = family.xi_domain
     xi_hat = min(max(xi_hat, lo), hi)
-    return EstimateReport(xi_hat, _crb_std(family, xi_hat, pair, t, shots), clamped=clamped)
+    return EstimateReport(xi_hat, clamped, (family, pair, t, shots))
 
 
 def replication_study(

@@ -166,30 +166,33 @@ def _class_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bits, ib the +2 entries.  ``diffs`` is int8 (3.2 MB at N = 12), ``first``
     and ``ternary`` are int64.
 
-    Built a leading entry at a time, place 2^m, in lexicographic order:
-    all(m + 1) = [-2 | all(m)] ++ [0 | all(m)] ++ [+2 | all(m)] holds every d,
-    and classes(m + 1) = [0 | classes(m)] ++ [+2 | all(m)] its canonical half.
+    Built in place, a level at a time, in lexicographic order.  With all(j)
+    every d of j entries, all(j) = [-2 | all(j - 1)] ++ [0 | all(j - 1)] ++
+    [+2 | all(j - 1)], the classes form blocks j = 0 .. N - 1 of 3^j rows, from
+    row (3^j - 1)/2: block j is [0 ... 0 | +2 | all(j)], its +2 at place 2^j.
+    So block j is block j - 1, whose +2 is at place 2^(j - 1), three times,
+    that entry set to each digit, with a +2 at place 2^j; and
+    ternary(m + 1) = ternary(m) ++ (ternary(m) + 3^m).
     """
-    digits = np.array([-2, 0, 2], dtype=np.int8)
-    # (d, ia, ib) of all(m) and of classes(m), and ternary for m bits.
-    every = (np.zeros((1, 0), np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64))
-    classes = (np.zeros((0, 0), np.int8), np.zeros(0, np.int64), np.zeros(0, np.int64))
-    ternary = np.zeros(1, np.int64)
-    for m in range(n_qubits):
-        (d, ia, ib), (cd, cia, cib), bit = every, classes, 1 << m
-        classes = (
-            np.column_stack((np.repeat(digits[1:], (len(cd), len(d))), np.concatenate((cd, d)))),
-            np.concatenate((cia, ia)),
-            np.concatenate((cib, ib + bit)),
-        )
-        if m + 1 < n_qubits:
-            every = (
-                np.column_stack((np.repeat(digits, len(d)), np.tile(d, (3, 1)))),
-                np.tile(ia, 3) + np.repeat([bit, 0, 0], len(d)),
-                np.tile(ib, 3) + np.repeat([0, 0, bit], len(d)),
-            )
-        ternary = np.concatenate((ternary, ternary + 3**m))
-    diffs, first = classes[0], np.column_stack(classes[1:])
+    n = n_qubits
+    diffs = np.zeros(((3**n - 1) // 2, n), np.int8)
+    first = np.zeros((len(diffs), 2), np.int64)
+    ternary = np.zeros(2**n, np.int64)
+    diffs[0, n - 1], first[0, 1] = 2, 1
+    for j in range(1, n):
+        q = 3 ** (j - 1)
+        lo, bit = (3 * q - 1) // 2, 1 << (j - 1)
+        prev = slice(lo - q, lo)
+        # (ia, ib) offsets from block j - 1: its +2 becomes the digit, and
+        # place 2^j gains the +2.
+        for k, (digit, offset) in enumerate(((-2, (bit, bit)), (0, (0, bit)), (2, (0, 2 * bit)))):
+            rows = slice(lo + k * q, lo + (k + 1) * q)
+            diffs[rows] = diffs[prev]
+            diffs[rows, n - j] = digit
+            np.add(first[prev], offset, out=first[rows])
+        diffs[lo : lo + 3 * q, n - 1 - j] = 2
+    for m in range(n):
+        np.add(ternary[: 1 << m], 3**m, out=ternary[1 << m : 2 << m])
     for arr in (diffs, first, ternary):
         arr.setflags(write=False)
     return diffs, first, ternary

@@ -588,6 +588,37 @@ class TestConfigHandling:
         assert captured.err.startswith("error:")
         assert repr(name) in captured.err
 
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [("closed-forms", "gamma"), ("advantage", "xi"), ("fig1a", "t_lo"), ("fig1a", "t_hi")],
+    )
+    def test_float_field_past_the_float_range_exits_config(self, tmp_path, capsys, scenario, name):
+        # JSON reads 10**400 as an int: admitted for a float field, but no float holds it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: 10**400}))
+        code = main([scenario, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: config file {cfg}: field {name!r} is past the float range\n"
+
+    def test_integer_past_the_digit_limit_exits_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 1' + "0" * 5000 + "}")
+        code = main(["closed-forms", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config file {cfg}: invalid JSON")
+        assert captured.err.count("\n") == 1
+
+    def test_integer_float_field_keeps_its_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 2}))
+        code, out = run_cli(["closed-forms", "--config", str(cfg)], capsys)
+        assert code == EXIT_OK
+        assert '"gamma":2,' in out.splitlines()[0]
+
     def test_memory_error_exits_config(self, monkeypatch, capsys):
         # Exit code 1 is a tolerance breach; running out of memory is a configuration error.
         message = "Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576)"
@@ -664,6 +695,20 @@ for argv in json.loads(sys.argv[1]):
 assert sys.modules["scipy"] is None
 print(json.dumps(results))
 """
+
+
+def test_importing_cli_leaves_verify_unloaded():
+    # closed-forms and verify import corrnoise.verify when they run; every
+    # other scenario runs without compiling it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, corrnoise.cli; print('corrnoise.verify' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestNumpyOnlyRuntime:

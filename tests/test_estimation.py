@@ -19,6 +19,7 @@ from corrnoise.estimation import (
     uniform_stream,
 )
 from corrnoise.estimation import _CHUNK, _crb_std, _float_threshold, _inversion
+from corrnoise import estimation
 from corrnoise.cli import main
 from corrnoise.evolution import CoherencePair, _pair_line, decay_rate, decay_rate_derivative, ghz_pair
 from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
@@ -376,6 +377,51 @@ class TestReplicationStudy:
         assert info.hits == 50 - len(set(counts))
         by_count = dict(zip(counts, study.reports))
         assert all(report is by_count[k] for k, report in zip(counts, study.reports))
+
+    def test_estimate_forms_only_the_study_crb(self, monkeypatch, capsys):
+        # The scenario prints no replicate's plug-in scale: the one Cramer-Rao
+        # std it forms is the study's own, at the true xi.
+        calls = []
+
+        def counting(family, xi, pair, t, shots):
+            calls.append(xi)
+            return _crb_std(family, xi, pair, t, shots)
+
+        monkeypatch.setattr(estimation, "_crb_std", counting)
+        _inversion.cache_clear()
+        assert main(["estimate"]) == 0
+        capsys.readouterr()
+        assert calls == [0.01]
+
+    def test_report_forms_its_crb_once(self, monkeypatch):
+        fam = build_n_qubit(4, DOMAIN)
+        pair, t, shots = ghz_pair(4), 5.0, 1000
+        calls = []
+        monkeypatch.setattr(estimation, "_crb_std", lambda *args: calls.append(args) or _crb_std(*args))
+        report = EstimateReport(0.01, False, (fam, pair, t, shots))
+        assert calls == []
+        first, second = report.std_error_crb, report.std_error_crb
+        assert first == second == _crb_std(fam, 0.01, pair, t, shots)
+        assert calls == [(fam, 0.01, pair, t, shots)]
+
+    def test_report_without_estimate_reads_inf_without_a_crb(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_crb_std", lambda *args: pytest.fail("formed a CRB with no estimate"))
+        _inversion.cache_clear()
+        report = estimate_xi(ExperimentRecord(ghz_pair(4), 0.01, 1.0, 1000, 500, 0), build_n_qubit(4, DOMAIN))
+        assert report.xi_hat is None
+        assert report.std_error_crb == math.inf
+        assert EstimateReport(None).std_error_crb == math.inf
+
+    def test_report_compares_and_prints_its_three_values(self):
+        fam = build_n_qubit(4, DOMAIN)
+        pair = ghz_pair(4)
+        a = EstimateReport(0.01, False, (fam, pair, 5.0, 1000))
+        b = EstimateReport(0.01, False, (fam, pair, 5.0, 4000))
+        assert a != b and a == EstimateReport(0.01, False, (fam, pair, 5.0, 1000))
+        assert hash(a) == hash(EstimateReport(0.01, False, (fam, pair, 5.0, 1000)))
+        assert repr(a) == f"EstimateReport(xi_hat=0.01, std_error_crb={a.std_error_crb!r}, clamped=False)"
+        with pytest.raises(ValueError):
+            EstimateReport(0.01)
 
     def test_seed_xor_convention(self):
         fam = build_n_qubit(4, DOMAIN)

@@ -108,6 +108,39 @@ class TestClassTable:
         ternary = ((np.arange(2**n)[:, None] >> place) & 1) @ 3**place
         return diffs, first, ternary
 
+    @staticmethod
+    def concatenating_oracle(n):
+        """The same lexicographic recursion, one np.column_stack/np.tile per level:
+        all(m + 1) = [-2 | all(m)] ++ [0 | all(m)] ++ [+2 | all(m)] and
+        classes(m + 1) = [0 | classes(m)] ++ [+2 | all(m)]."""
+        digits = np.array([-2, 0, 2], dtype=np.int8)
+        every = (np.zeros((1, 0), np.int8), np.zeros(1, np.int64), np.zeros(1, np.int64))
+        classes = (np.zeros((0, 0), np.int8), np.zeros(0, np.int64), np.zeros(0, np.int64))
+        ternary = np.zeros(1, np.int64)
+        for m in range(n):
+            (d, ia, ib), (cd, cia, cib), bit = every, classes, 1 << m
+            classes = (
+                np.column_stack((np.repeat(digits[1:], (len(cd), len(d))), np.concatenate((cd, d)))),
+                np.concatenate((cia, ia)),
+                np.concatenate((cib, ib + bit)),
+            )
+            if m + 1 < n:
+                every = (
+                    np.column_stack((np.repeat(digits, len(d)), np.tile(d, (3, 1)))),
+                    np.tile(ia, 3) + np.repeat([bit, 0, 0], len(d)),
+                    np.tile(ib, 3) + np.repeat([0, 0, bit], len(d)),
+                )
+            ternary = np.concatenate((ternary, ternary + 3**m))
+        return classes[0], np.column_stack(classes[1:]), ternary
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_in_place_build_matches_concatenating_oracle(self, n):
+        table = _class_table(n)
+        assert not any(arr.flags.writeable for arr in table)
+        for got, want in zip(table, self.concatenating_oracle(n)):
+            assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, want.flags.c_contiguous)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_digit_oracle(self, n):
         table = _class_table(n)
