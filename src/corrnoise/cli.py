@@ -28,9 +28,10 @@ import contextlib
 import itertools
 import json
 import sys
-from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class RunConfig:
     out: str | None = None
 
     def config_line(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if k != "out"}
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
         return "# config: " + json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -292,62 +293,91 @@ def run_verify_scenario(config: RunConfig) -> tuple[list[str], int]:
     return lines, (EXIT_OK if all_pass else EXIT_TOLERANCE)
 
 
-_RUNNERS = {
-    "fig1a": run_fig1a,
-    "fig1b": run_fig1b,
-    "closed-forms": run_closed_forms,
-    "advantage": run_advantage,
-    "estimate": run_estimate,
-    "spectrum": run_spectrum,
-    "verify": run_verify_scenario,
+class Scenario(NamedTuple):
+    """A subcommand: the runner ``main`` calls, its help line and the flags it adds to ``_COMMON_FLAGS``."""
+
+    run: Callable[[RunConfig], tuple[Iterable[str], int]]
+    help: str
+    flags: tuple[tuple[str, dict], ...] = ()
+
+
+# Each flag as (name, add_argument keywords).
+_COMMON_FLAGS = (
+    ("--config", {"help": "JSON file with RunConfig fields; flags override"}),
+    ("--out", {"help": "output CSV path (default: stdout)"}),
+    ("--threads", {"type": int, "help": "ignored; corrnoise runs in one thread"}),
+    ("--gamma", {"type": float, "help": "decay-rate scale; sets the time unit (default 1.0)"}),
+    ("--seed", {"type": int, "help": "base seed for all randomized pieces (default 0)"}),
+    ("--n", {"type": int, "help": "qubit number (fig1b: largest n of the sweep)"}),
+    ("--xi", {"type": float, "help": "correlation parameter"}),
+)
+
+# The scenarios, in the order the help lists them.
+SCENARIOS = {
+    "fig1a": Scenario(
+        run_fig1a,
+        "per-shot QFI vs time for GHZ and product probes",
+        (
+            ("--t-lo", {"type": float, "help": "grid start (default 1e-2)"}),
+            ("--t-hi", {"type": float, "help": "grid end (default 1e3)"}),
+            ("--t-points", {"type": int, "help": "grid size (default 200)"}),
+            ("--t-linear", {"action": "store_true", "help": "linear instead of log spacing"}),
+        ),
+    ),
+    "fig1b": Scenario(run_fig1b, "advantage ratios vs qubit number"),
+    "closed-forms": Scenario(run_closed_forms, "closed-form regression table"),
+    "advantage": Scenario(
+        run_advantage,
+        "single advantage ratio",
+        (("--regime", {"choices": REGIMES, "help": "resource regime (default shot)"}),),
+    ),
+    "estimate": Scenario(
+        run_estimate,
+        "Monte Carlo estimation replication study",
+        (
+            ("--shots", {"type": int, "help": "shots per replicate (default 10000)"}),
+            ("--seeds", {"type": int, "help": "number of replicates (default 200)"}),
+        ),
+    ),
+    "spectrum": Scenario(
+        run_spectrum,
+        "coherence decay-rate spectrum",
+        (("--family", {"help": "single | two | nqb | file:<path> (default nqb)"}),),
+    ),
+    "verify": Scenario(
+        run_verify_scenario,
+        "run the property battery",
+        (("--family", {"help": "optional extra family to include, e.g. file:<path>"}),),
+    ),
 }
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with RunConfig fields; flags override")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--threads", type=int, help="ignored; corrnoise runs in one thread")
-    parser.add_argument("--gamma", type=float, help="decay-rate scale; sets the time unit (default 1.0)")
-    parser.add_argument("--seed", type=int, help="base seed for all randomized pieces (default 0)")
-    parser.add_argument("--n", type=int, help="qubit number (fig1b: largest n of the sweep)")
-    parser.add_argument("--xi", type=float, help="correlation parameter")
+# ``main`` dispatches through this view of the table, so one runner can be replaced in place.
+_RUNNERS = {name: scenario.run for name, scenario in SCENARIOS.items()}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="corrnoise", description=__doc__.split("\n\n")[0])
+def build_parser(
+    names: Iterable[str] = SCENARIOS, parser_class: type[argparse.ArgumentParser] = argparse.ArgumentParser
+) -> argparse.ArgumentParser:
+    """The ``corrnoise`` parser, with a subcommand for each scenario in ``names`` (default: all of them)."""
+    parser = parser_class(prog="corrnoise", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="scenario", required=True)
-
-    p = sub.add_parser("fig1a", help="per-shot QFI vs time for GHZ and product probes")
-    _add_common(p)
-    p.add_argument("--t-lo", type=float, help="grid start (default 1e-2)")
-    p.add_argument("--t-hi", type=float, help="grid end (default 1e3)")
-    p.add_argument("--t-points", type=int, help="grid size (default 200)")
-    p.add_argument("--t-linear", action="store_true", help="linear instead of log spacing")
-
-    p = sub.add_parser("fig1b", help="advantage ratios vs qubit number")
-    _add_common(p)
-
-    p = sub.add_parser("closed-forms", help="closed-form regression table")
-    _add_common(p)
-
-    p = sub.add_parser("advantage", help="single advantage ratio")
-    _add_common(p)
-    p.add_argument("--regime", choices=REGIMES, help="resource regime (default shot)")
-
-    p = sub.add_parser("estimate", help="Monte Carlo estimation replication study")
-    _add_common(p)
-    p.add_argument("--shots", type=int, help="shots per replicate (default 10000)")
-    p.add_argument("--seeds", type=int, help="number of replicates (default 200)")
-
-    p = sub.add_parser("spectrum", help="coherence decay-rate spectrum")
-    _add_common(p)
-    p.add_argument("--family", help="single | two | nqb | file:<path> (default nqb)")
-
-    p = sub.add_parser("verify", help="run the property battery")
-    _add_common(p)
-    p.add_argument("--family", help="optional extra family to include, e.g. file:<path>")
-
+    for name in names:
+        scenario = SCENARIOS[name]
+        p = sub.add_parser(name, help=scenario.help)
+        for flag, kwargs in _COMMON_FLAGS + scenario.flags:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+class _Reparse(Exception):
+    """A parse error in a one-scenario parser: the full parser parses the arguments again to report it."""
+
+
+class _OneScenarioParser(argparse.ArgumentParser):
+    """Raises ``_Reparse`` where argparse would print a usage line and an error and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _Reparse(message)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -413,14 +443,34 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"regime must be one of {REGIMES}, got {config.regime!r}")
 
 
-# The parser ``main`` reads, built once per process: in-process callers of
-# ``main`` (tests, the benchmark) would otherwise rebuild some 60 arguments,
-# about 2.5 ms, per call.  parse_args leaves a parser as it was.
-_main_parser = lru_cache(maxsize=1)(build_parser)
+# The parsers ``main`` reads, each built on first use and kept: the parser of
+# the scenario that argv names, or the full one for anything else.  The full
+# parser (8 parsers, 66 arguments) takes about five times as long to build
+# as one scenario's.  parse_args leaves a parser as it was.
+_full_parser = lru_cache(maxsize=1)(build_parser)
+
+
+@lru_cache(maxsize=None)
+def _scenario_parser(name: str) -> argparse.ArgumentParser:
+    return build_parser((name,), _OneScenarioParser)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """argv parsed by the parser of the scenario it names; top-level help, no scenario and every error by the full one.
+
+    A one-scenario parser's usage line lists only its scenario, so an argv it
+    rejects is parsed again by the full parser, which prints the error as it
+    always has.  A scenario's own help is the same in both parsers.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in SCENARIOS:
+        with contextlib.suppress(_Reparse):
+            return _scenario_parser(argv[0]).parse_args(argv)
+    return _full_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _main_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         config = _merge_config(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -142,8 +141,9 @@ def _float_threshold(p: float) -> int:
     down; the midpoint itself rounds up only when ties-to-even says so.
     """
     target = p * 2.0**64
-    mid = (Fraction(math.nextafter(target, -math.inf)) + Fraction(target)) / 2
-    t = math.floor(mid)
+    a, b = math.nextafter(target, -math.inf).as_integer_ratio()
+    c, d = target.as_integer_ratio()
+    t = (a * d + c * b) // (2 * b * d)  # floor of the midpoint (a/b + c/d) / 2, in exact integers
     return t if float(t) >= target else t + 1
 
 

@@ -29,7 +29,6 @@ for rates and time-regime QFIs, 0 for per-shot QFIs and ratios, -1 for times.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -227,6 +226,8 @@ def load_spectral_csv(path, gamma_ref: float, n_qubits: int | None = None) -> Sp
     default to zero.  Rows with j > l and duplicate (j, l) keys are rejected.
     When n_qubits is omitted it is inferred as max index + 1.
     """
+    import csv  # here, not at module level: importing corrnoise does not load it
+
     path = Path(path)
     entries: dict[tuple[int, int], complex] = {}
     with path.open(newline="") as fh:

@@ -59,7 +59,6 @@ and the per-shot optimum sits at x = G*t solving 1 - exp(-2x) = x.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -132,11 +131,14 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, in [0, 1]."""
+    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 of two density matrices, in [0, 1]."""
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    if np.array_equal(rho, sigma):
+        # F(rho, rho) = (Tr rho)^2 = 1 exactly; the route below can land some ulps off it.
+        return 1.0
     sq = _psd_sqrt(rho)
     inner = sq @ sigma @ sq
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
@@ -151,6 +153,8 @@ def bures_distance_sq(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def state_hash(rho: np.ndarray) -> str:
     """Short content hash used as a probe descriptor for dense states."""
+    import hashlib  # here, not at module level: importing corrnoise does not load it
+
     rho = np.ascontiguousarray(rho)
     return "state:" + hashlib.sha1(rho.tobytes()).hexdigest()[:16]
 

@@ -535,6 +535,52 @@ class TestVerifyScenario:
         monkeypatch.setattr(verify, "_rate_form", lambda m, d: -evolution._rate_form(m, d))
         assert not verify.check_rates_nonnegative(verify.default_families()).passed
 
+    # Each check below against an evolve broken by a seeded error that sits
+    # between the check's bound and a bound loosened by several decades: the
+    # check must fail, and the loosened bound would have passed it.  The
+    # margins are the measured worst values against both bounds.
+    @staticmethod
+    def broken_check(monkeypatch, check, error):
+        rng = np.random.default_rng(2024)
+
+        def evolve(rho, family, xi, t):
+            return error(rng, rho, family, xi, t)
+
+        monkeypatch.setattr(verify, "evolve", evolve)
+        result = check(verify.default_families(), 7)
+        return result.passed, float(result.detail.rsplit(" ", 1)[1])
+
+    def test_diagonal_preservation_catches_a_drifting_diagonal(self, monkeypatch):
+        # A 1e-10 diagonal drift: the worst is 2.9e-10, 4.5 decades above the
+        # bound 1e-14 and 3.5 below 1e-6.
+        def error(rng, rho, family, xi, t):
+            return evolution.evolve(rho, family, xi, t) + np.diag(1e-10 * rng.standard_normal(2**family.n_qubits))
+
+        passed, worst = self.broken_check(monkeypatch, verify.check_diag_preservation, error)
+        assert not passed and 1e-14 < worst <= 1e-6
+
+    def test_semigroup_catches_a_jittered_time(self, monkeypatch):
+        # Each call evolves for t (1 + u), u uniform in [0, 1e-6): the worst is
+        # 4.8e-8, 4.7 decades above the bound 1e-12 and 4.3 below 1e-3.
+        def error(rng, rho, family, xi, t):
+            return evolution.evolve(rho, family, xi, t * (1.0 + 1e-6 * rng.random()))
+
+        passed, worst = self.broken_check(monkeypatch, verify.check_semigroup, error)
+        assert not passed and 1e-12 < worst <= 1e-3
+
+    def test_complete_positivity_catches_a_negative_eigenvalue(self, monkeypatch):
+        # Adds 1e-4 times a random Hermitian matrix of spectral norm 1: the
+        # least eigenvalue is -4.1e-5, 3.6 decades below the floor -1e-8 and
+        # 2.4 above -1e-2.
+        def error(rng, rho, family, xi, t):
+            dim = 2**family.n_qubits
+            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h += h.conj().T
+            return evolution.evolve(rho, family, xi, t) + 1e-4 * h / np.linalg.norm(h, 2)
+
+        passed, least = self.broken_check(monkeypatch, verify.check_complete_positivity, error)
+        assert not passed and -1e-2 <= least < -1e-8
+
     def test_all_pass(self, capsys):
         code, out = run_cli(["verify"], capsys)
         assert code == EXIT_OK
@@ -697,18 +743,82 @@ print(json.dumps(results))
 """
 
 
+_IMPORT_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+import corrnoise, corrnoise.cli
+print(sorted(set(sys.argv[1:]) & (set(sys.modules) - before)))
+"""
+
+
 def test_importing_cli_leaves_verify_unloaded():
     # closed-forms and verify import corrnoise.verify when they run; every
-    # other scenario runs without compiling it.
+    # other scenario runs without compiling it.  The stdlib modules that only
+    # rare paths use (the state hash, the file family's CSV reader) are
+    # imported there, so a scenario's process does not load them either.
     src = str(Path(__file__).resolve().parents[1] / "src")
+    rare = ["corrnoise.verify", "hashlib", "csv", "fractions", "decimal"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, corrnoise.cli; print('corrnoise.verify' in sys.modules)"],
+        [sys.executable, "-c", _IMPORT_SCRIPT, *rare],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+class TestParserParity:
+    """``main`` parses with its scenario's parser alone; help, errors and exit codes stay the full parser's."""
+
+    CASES = [["--help"], ["--bogus"], ["--n", "x"], ["--regime", "foo"], ["--t-linear"]]
+    TOP_LEVEL = [["-h"], [], ["bogus"], ["--xi", "0.1", "advantage"]]
+    # The argv shapes perfbench/workloads.py passes to main.
+    PERFBENCH_ARGVS = [
+        ["advantage", "--n", "5", "--xi", "0.0123", "--regime", "time", "--threads", "1", "--seed", "17"],
+        ["advantage", "--n", "2", "--xi", "0.002", "--regime", "shot", "--threads", "2", "--seed", "4"],
+        ["spectrum", "--n", "9", "--xi", "0.0371"],
+        ["estimate", "--n", "8", "--shots", "100000", "--seeds", "400", "--threads", "2", "--xi", "4e-3", "--seed", "3"],
+    ]
+
+    @staticmethod
+    def outcome(call, argv, capsys):
+        """(exit code or None, what the call returned, stdout, stderr)."""
+        code = result = None
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, result, captured.out, captured.err
+
+    @pytest.mark.parametrize("case", CASES, ids=" ".join)
+    @pytest.mark.parametrize("scenario", list(cli.SCENARIOS))
+    def test_scenario_argv_matches_the_full_parser(self, scenario, case, capsys):
+        argv = [scenario, *case]
+        expected = self.outcome(cli.build_parser().parse_args, argv, capsys)
+        if expected[0] is not None:
+            assert self.outcome(main, argv, capsys) == expected
+        else:
+            # fig1a --t-linear parses: the same namespace, and nothing printed.
+            assert self.outcome(cli._parse_args, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", TOP_LEVEL, ids=" ".join)
+    def test_top_level_argv_matches_the_full_parser(self, argv, capsys):
+        expected = self.outcome(cli.build_parser().parse_args, argv, capsys)
+        assert expected[0] is not None
+        assert self.outcome(main, argv, capsys) == expected
+
+    def test_benchmark_argvs_parse_to_the_same_config_without_the_full_parser(self, monkeypatch):
+        full = cli.build_parser()
+
+        def unused():
+            raise AssertionError("a valid scenario argv built the full parser")
+
+        monkeypatch.setattr(cli, "_full_parser", unused)
+        for argv in self.PERFBENCH_ARGVS:
+            assert cli._merge_config(cli._parse_args(argv)) == cli._merge_config(full.parse_args(argv)), argv
 
 
 class TestNumpyOnlyRuntime:

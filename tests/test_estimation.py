@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ class TestCountUniformsBelow:
         assert count_uniforms_below(3, 100, -0.5) == 0
         with pytest.raises(ValueError):
             count_uniforms_below(3, -1, 0.5)
+
+    @staticmethod
+    def fraction_threshold(p):
+        """The threshold by exact rational arithmetic on the midpoint of p 2^64 and its float predecessor."""
+        target = p * 2.0**64
+        t = math.floor((Fraction(math.nextafter(target, -math.inf)) + Fraction(target)) / 2)
+        return t if float(t) >= target else t + 1
+
+    def test_threshold_matches_the_rational_midpoint(self):
+        edges = [0.0, 5e-324, 1e-320, 2.0**-1022 - 2.0**-1074, 2.0**-1022, 1e-300, 2.0**-64, 0.5, 1.0 - 2.0**-53, 1.0]
+        neighbours = [math.nextafter(p, d) for p in edges for d in (-math.inf, math.inf) if p > 0.0 or d > 0.0]
+        randoms = np.random.default_rng(31).uniform(0.0, 1.0, 3000).tolist()
+        logs = (10.0 ** np.random.default_rng(32).uniform(-320.0, 0.0, 1000)).tolist()
+        for p in edges + neighbours + randoms + logs:
+            assert _float_threshold(p) == self.fraction_threshold(p), p
 
 
 class TestShotUncertainty:

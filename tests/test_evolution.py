@@ -26,8 +26,16 @@ from corrnoise.evolution import (
     superoperator_spectrum,
     validate_density_matrix,
 )
-from corrnoise.evolution import _RATE_BLOCK, _class_rates, _class_table, _decay_rates, _dense_rates
-from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
+from corrnoise.evolution import (
+    _RATE_BLOCK,
+    _class_rates,
+    _class_table,
+    _decay_rates,
+    _dense_rates,
+    _pair_diff,
+    _rate_form,
+)
+from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
 from corrnoise.optimize import optimal_product_state
 
 DOMAIN = (1e-6, 1.0)
@@ -215,6 +223,18 @@ class TestDecayRate:
         for fam in (single(), two(), nqb(3)):
             for xi in (1e-4, 0.1, 0.9):
                 assert rate_matrix(fam, xi).min() >= 0.0
+
+    def test_slightly_negative_rate_is_clipped_to_zero(self):
+        # C's least eigenvalue is -5e-11, above PSD_EIG_FLOOR = -1e-10, so the
+        # family is admitted, and its raw GHZ-class rate (1/4) d^T C d with
+        # d = (2, 2) is -1.0e-10.  Every reader of the rate reads exactly +0.0.
+        c = [[1, -1 - 5e-11], [-1 - 5e-11, 1]]
+        fam, pair = DephasingFamily(2, c, np.zeros((2, 2)), (0, 1)), ghz_pair(2)
+        assert _rate_form(fam.coefficient_matrix(0.5), _pair_diff(fam, pair))[0] == pytest.approx(-1e-10, rel=1e-6)
+        spectrum, dense = coherence_spectrum(fam, 0.5), rate_matrix(fam, 0.5)
+        assert spectrum[0][0] == pair
+        for rate in (decay_rate(fam, 0.5, pair), dense[0, 3], dense[3, 0], spectrum.rate[0]):
+            assert math.copysign(1.0, rate) == 1.0 and rate == 0.0
 
 
 class TestDecayRateDerivative:

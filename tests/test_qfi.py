@@ -82,6 +82,16 @@ class TestFidelity:
         rho = random_pure_density(2, rng)
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
+    def test_bit_identical_states_give_exactly_one(self):
+        # The square-root route lands some ulps off 1 on about half of these
+        # states; equal inputs skip it.
+        rng = np.random.default_rng(31)
+        for dim in (2, 4, 8, 16) * 10:
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            assert fidelity(rho, rho.copy()) == 1.0
+
     def test_orthogonal_pure_states(self):
         a = np.diag([1.0, 0.0])
         b = np.diag([0.0, 1.0])
