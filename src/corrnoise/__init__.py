@@ -48,7 +48,6 @@ from .optimize import (
     AdvantageRatio,
     OptimizationReport,
     advantage_ratio,
-    dynamical_range_threshold,
     optimal_coherence_pair,
     optimal_product_state,
 )
@@ -56,10 +55,8 @@ from .estimation import (
     EstimateReport,
     ExperimentRecord,
     NoInformationError,
-    PromiseReport,
     ReplicationStudy,
     estimate_xi,
-    promise_check,
     replication_study,
     shot_uncertainty,
     simulate_parity_counts,

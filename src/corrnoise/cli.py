@@ -35,7 +35,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .estimation import _peak_uncertainty, replication_study
+from .estimation import replication_study, shot_uncertainty
 from .evolution import CoherenceSpectrum, ResourceLimitError, coherence_spectrum, ghz_pair, plus_product
 from .model import (
     DephasingFamily,
@@ -212,7 +212,7 @@ def run_estimate(config: RunConfig) -> tuple[list[str], int]:
     lines = [
         config.config_line(),
         f"# t: {_fmt(_in_units(config, peak.time, -1, 'the probe time t'))}",
-        f"# crb_std: {_fmt(_peak_uncertainty(peak, config.shots))}",
+        f"# crb_std: {_fmt(shot_uncertainty(family, config.xi, pair, config.shots))}",
         f"# empirical_std: {_fmt(study.empirical_std)}",
         f"# mean_bias: {_fmt(study.mean_bias)}",
         f"# failed: {study.n_failed}",
@@ -351,9 +351,6 @@ SCENARIOS = {
     ),
 }
 
-# ``main`` dispatches through this view of the table, so one runner can be replaced in place.
-_RUNNERS = {name: scenario.run for name, scenario in SCENARIOS.items()}
-
 
 def build_parser(
     names: Iterable[str] = SCENARIOS, parser_class: type[argparse.ArgumentParser] = argparse.ArgumentParser
@@ -477,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_IO
     try:
-        lines, code = _RUNNERS[config.scenario](config)
+        lines, code = SCENARIOS[config.scenario].run(config)
     except (ConfigError, FamilyValidationError, ResourceLimitError, DivergentQfiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,10 +15,8 @@ maximum-likelihood inversion closed form: G is linear in xi, hence
 
     xi_hat = (-ln(2 p_hat - 1)/t - G(0)) / G'        (p_hat > 1/2).
 
-The report (``EstimateReport``) keeps the run's (family, pair, t, shots) and
-forms its plug-in Cramer-Rao scale at xi_hat only when ``std_error_crb`` is
-first read, then keeps it: a replication study that prints no replicate's
-scale forms none of them.
+The Cramer-Rao scale is ``shot_uncertainty``, [M max_t F_Q]^{-1/2} at the
+shot-optimal t, which the CLI's ``estimate`` prints next to the study.
 
 Units (``model``): G t, the counts and the estimates of xi do not depend on gamma.
 
@@ -57,14 +55,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .evolution import CoherencePair, _pair_line, decay_rate, ghz_pair
+from .evolution import CoherencePair, _pair_line, decay_rate
 from .model import DephasingFamily
-from .optimize import dynamical_range_threshold
-from .qfi import DivergentQfiError, QfiResult, coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
+from .qfi import coherence_pair_qfi_shot_peak
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -82,13 +79,11 @@ __all__ = [
     "NoInformationError",
     "ExperimentRecord",
     "EstimateReport",
-    "PromiseReport",
     "ReplicationStudy",
     "splitmix64",
     "uniform_stream",
     "count_uniforms_below",
     "shot_uncertainty",
-    "promise_check",
     "simulate_parity_counts",
     "estimate_xi",
     "replication_study",
@@ -217,68 +212,26 @@ class ExperimentRecord:
             raise ValueError(f"plus_count {self.plus_count} outside [0, {self.shots}]")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EstimateReport:
-    """Maximum-likelihood estimate of one run, with its plug-in Cramer-Rao scale.
+    """Maximum-likelihood estimate of one run.
 
     xi_hat is None when the plus fraction is <= 1/2 (not invertible);
     clamped marks an estimate moved onto the nearer end of the xi domain.
-    ``probe`` is the run's (family, pair, t, shots), which an estimate needs:
-    the plug-in scale ``std_error_crb`` is formed from it at xi_hat when first
-    read, and kept.  Equality, hash and repr go by (xi_hat, std_error_crb,
-    clamped), so they form it too.
     """
 
     xi_hat: float | None
     clamped: bool = False
-    probe: tuple[DephasingFamily, CoherencePair, float, int] | None = None
-
-    def __post_init__(self):
-        if self.xi_hat is not None and self.probe is None:
-            raise ValueError("an estimate needs the (family, pair, t, shots) of its run")
-
-    @cached_property
-    def std_error_crb(self) -> float:
-        """Cramer-Rao std [M F_Q(t)]^{-1/2} at xi_hat: inf with no estimate, 0 on a dark coherence."""
-        if self.xi_hat is None:
-            return math.inf
-        family, pair, t, shots = self.probe
-        return _crb_std(family, self.xi_hat, pair, t, shots)
-
-    def _values(self) -> tuple[float | None, float, bool]:
-        return self.xi_hat, self.std_error_crb, self.clamped
-
-    def __eq__(self, other):
-        return self._values() == other._values() if isinstance(other, EstimateReport) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"EstimateReport(xi_hat={self.xi_hat!r}, std_error_crb={self.std_error_crb!r}, clamped={self.clamped!r})"
-
-
-@dataclass(frozen=True)
-class PromiseReport:
-    """Dynamical-range promise check for GHZ-pair sensing."""
-
-    xi_hat: float
-    xi_threshold: float
-    holds: bool
-    coherence_time: float
-    predicted_coherence: float
-    shot_uncertainty: float | None = None
 
 
 @dataclass(frozen=True)
 class ReplicationStudy:
-    """Every replicate's report, in replicate order, and the spread of the
-    invertible estimates (at least two) against the Cramer-Rao std at the true xi."""
+    """Every replicate's report, in replicate order, and the spread and bias of the
+    invertible estimates (at least two)."""
 
     reports: tuple[EstimateReport, ...]
     empirical_std: float
     mean_bias: float
-    crb_std: float
 
     @property
     def estimates(self) -> np.ndarray:
@@ -298,37 +251,10 @@ def shot_uncertainty(family: DephasingFamily, xi: float, pair: CoherencePair, sh
     """Cramer-Rao uncertainty [M * max_t F_Q]^{-1/2} for one coherence pair."""
     if shots <= 0:
         raise ValueError(f"shots must be > 0, got {shots}")
-    return _peak_uncertainty(coherence_pair_qfi_shot_peak(family, xi, pair), shots)
-
-
-def _peak_uncertainty(peak: QfiResult, shots: int) -> float:
-    """[M * F_peak]^{-1/2} from a pair's ``coherence_pair_qfi_shot_peak`` result, for M = shots > 0."""
+    peak = coherence_pair_qfi_shot_peak(family, xi, pair)
     if peak.value == 0.0:
-        raise NoInformationError(f"pair {peak.probe.label} carries no information about xi (G' = 0)")
+        raise NoInformationError(f"pair {pair.label} carries no information about xi (G' = 0)")
     return 1.0 / math.sqrt(shots * peak.value)
-
-
-def promise_check(
-    family: DephasingFamily,
-    xi_hat: float,
-    shots: int | None = None,
-) -> PromiseReport:
-    """Check whether an estimate sits inside the dynamical range N / 2^(N-1).
-
-    Also reports the predicted GHZ coherence exp(-G(xi_hat) t) at the probe
-    time t = 1/(n xi_hat), the quantity an experiment would measure to
-    certify the promise.  With ``shots`` given, the matching Cramer-Rao
-    uncertainty is included.
-    """
-    if xi_hat <= 0.0:
-        raise ValueError(f"xi_hat must be > 0, got {xi_hat}")
-    pair = ghz_pair(family.n_qubits)
-    rate = decay_rate(family, xi_hat, pair)
-    t_probe = 1.0 / (family.n_qubits * xi_hat)
-    coherence = math.exp(-rate * t_probe)
-    threshold = dynamical_range_threshold(family.n_qubits)
-    delta = shot_uncertainty(family, xi_hat, pair, shots) if shots is not None else None
-    return PromiseReport(float(xi_hat), threshold, xi_hat < threshold, t_probe, coherence, delta)
 
 
 # The replicates of a study share (family, xi_true, pair): the rate behind
@@ -355,25 +281,15 @@ def simulate_parity_counts(
     return ExperimentRecord(pair, float(xi_true), t, int(shots), plus, int(seed))
 
 
-def _crb_std(family: DephasingFamily, xi: float, pair: CoherencePair, t: float, shots: int) -> float:
-    """Cramer-Rao std [M F_Q(t)]^{-1/2} of M shots of one pair probed for time t; 0 on a dark coherence."""
-    try:
-        qfi = coherence_pair_qfi_shot(family, xi, pair, t).value
-    except DivergentQfiError:
-        return 0.0
-    return 1.0 / math.sqrt(shots * qfi) if qfi > 0.0 else math.inf
-
-
 def estimate_xi(record: ExperimentRecord, family: DephasingFamily) -> EstimateReport:
-    """Closed-form maximum-likelihood inversion of the parity counts; the report forms its plug-in CRB at xi_hat when read."""
+    """Closed-form maximum-likelihood inversion of the parity counts."""
     return _inversion(family, record.pair, record.t, record.shots, record.plus_count)
 
 
 # The inversion reads (pair, t, shots, plus_count) of a record and never its
 # xi_true or seed.  A study's replicates share all but the count, and their
 # counts repeat (about 280 distinct in 400 replicates of 1e5 shots), so each
-# distinct count is inverted once, and its report, shared by those
-# replicates, forms its plug-in CRB at most once, when first read.
+# distinct count is inverted once, and those replicates share its report.
 @lru_cache(maxsize=1024)
 def _inversion(family: DephasingFamily, pair: CoherencePair, t: float, shots: int, plus_count: int) -> EstimateReport:
     # G(0) and G': intercept and slope of the pair's rate, linear in xi.
@@ -389,7 +305,7 @@ def _inversion(family: DephasingFamily, pair: CoherencePair, t: float, shots: in
     clamped = not family.contains(xi_hat)
     lo, hi = family.xi_domain
     xi_hat = min(max(xi_hat, lo), hi)
-    return EstimateReport(xi_hat, clamped, (family, pair, t, shots))
+    return EstimateReport(xi_hat, clamped)
 
 
 def replication_study(
@@ -411,5 +327,4 @@ def replication_study(
     arr = np.array([r.xi_hat for r in reports if r.xi_hat is not None])
     if arr.size < 2:
         raise NoInformationError("fewer than two replicates produced an invertible signal")
-    std_crb = _crb_std(family, xi_true, pair, t, shots)
-    return ReplicationStudy(reports, float(np.std(arr, ddof=1)), float(np.mean(arr) - xi_true), std_crb)
+    return ReplicationStudy(reports, float(np.std(arr, ddof=1)), float(np.mean(arr) - xi_true))

@@ -102,7 +102,6 @@ __all__ = [
     "optimal_coherence_pair",
     "optimal_product_state",
     "advantage_ratio",
-    "dynamical_range_threshold",
     "default_time_bracket",
     "family_for_ratio",
     "nelder_mead_max",
@@ -448,14 +447,6 @@ def optimal_product_state(
     k = k if gap > SHOT_MARGIN else 0
     result = QfiResult(float(values[k]), "shot", float(np.exp(found[k, n])), ProductState(_fold_theta(found[k, :n])))
     return OptimizationReport(result, n_starts, int(converged.sum()) / n_starts, unresolved, float(gap))
-
-
-def dynamical_range_threshold(n: int) -> float:
-    """Largest xi for which the exponential shot-regime advantage applies: N / 2^(N-1)."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"threshold is defined for n >= 2, got {n}")
-    return n / 2.0 ** (n - 1)
 
 
 def family_for_ratio(n: int, xi: float) -> DephasingFamily:

@@ -474,7 +474,7 @@ def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherenceP
     decay = math.exp(-x2)
     if per_time == 0.0 or decay == 0.0:  # blind, or decayed where t * per_time * x2 may overflow to inf
         return QfiResult(0.0, "shot", t, pair)
-    if x2 == 0.0:  # G t below the float range (fig1a at xi 1e-300, t 1e-310): the t -> 0+ form, not 0 / 0
+    if decay == 1.0:  # the t -> 0+ form t * per_time is exact to rounding here; t * per_time * x2 may underflow
         return QfiResult(t * per_time, "shot", t, pair)
     return QfiResult(t * per_time * x2 * decay / -math.expm1(-x2), "shot", t, pair)
 

@@ -13,7 +13,8 @@ import pytest
 
 from corrnoise import cli, evolution, optimize, verify
 from corrnoise.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, RunConfig, main
-from corrnoise.evolution import CoherencePair, decay_rate
+from corrnoise.estimation import shot_uncertainty
+from corrnoise.evolution import CoherencePair, decay_rate, ghz_pair
 from corrnoise.model import build_n_qubit, build_single_qubit, build_two_qubit, from_spectral_density, load_spectral_csv
 
 
@@ -89,6 +90,18 @@ class TestFig1a:
         assert code == EXIT_CONFIG
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} must be finite")
+
+    def test_ghz_column_where_the_decay_rounds_to_one(self, capsys):
+        # At gamma = 1e-200, exp(-2 G t) rounds to 1 on the whole grid: the GHZ
+        # QFI is the t -> 0+ form t G'^2 / (2 G), positive and linear in t.
+        args = ["fig1a", "--n", "3", "--xi", "0.5", "--gamma", "1e-200", "--t-points", "4"]
+        code, out = run_cli(args, capsys)
+        assert code == EXIT_OK
+        _, _, rows = parse_csv(out)
+        ts = np.array([float(r[0]) for r in rows])
+        ghz = np.array([float(r[2]) for r in rows])
+        assert np.all(ghz > 0.0)
+        assert ghz / ts == pytest.approx(np.full(4, ghz[0] / ts[0]), rel=1e-15)
 
     def test_linear_spacing_flag(self, capsys):
         code, out = run_cli(
@@ -261,6 +274,21 @@ class TestEstimateScenario:
         assert any(c.startswith("# empirical_std:") for c in comments)
         assert header == ["replicate", "seed", "xi_hat", "clamped"]
         assert len(rows) == 8
+
+    @pytest.mark.parametrize(
+        "args, n, xi, shots",
+        [
+            ([], 6, 0.01, 10_000),
+            (["--n", "8", "--shots", "100000", "--seeds", "400", "--xi", "0.003", "--gamma", "3"], 8, 0.003, 100_000),
+            (["--n", "4", "--xi", "0.2", "--gamma", "3"], 4, 0.2, 10_000),
+        ],
+    )
+    def test_crb_std_is_the_shot_uncertainty(self, capsys, args, n, xi, shots):
+        # The one Cramer-Rao scale the scenario prints: the GHZ pair's at the shot-optimal t, for any gamma.
+        code, out = run_cli(["estimate"] + args, capsys)
+        assert code == EXIT_OK
+        expected = cli._fmt(shot_uncertainty(optimize.family_for_ratio(n, xi), xi, ghz_pair(n), shots))
+        assert f"# crb_std: {expected}" in parse_csv(out)[0]
 
     def test_clamped_count_in_header(self, capsys):
         # Few shots at xi = 0.9 push many estimates outside the domain.
@@ -672,12 +700,27 @@ class TestConfigHandling:
         def out_of_memory(config):
             raise MemoryError(message)
 
-        monkeypatch.setitem(cli._RUNNERS, "fig1a", out_of_memory)
+        monkeypatch.setitem(cli.SCENARIOS, "fig1a", cli.SCENARIOS["fig1a"]._replace(run=out_of_memory))
         code = main(["fig1a", "--n", "20"])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.out == ""
         assert captured.err == f"error: out of memory: {message}\n"
+
+    @pytest.mark.parametrize("name", list(cli.SCENARIOS))
+    def test_main_runs_the_scenario_it_names(self, name, monkeypatch, capsys):
+        # main dispatches through SCENARIOS: replacing an entry's runner replaces what runs.
+        seen = []
+
+        def stub(config):
+            seen.append(config.scenario)
+            return ["# stub", "a,b", "1,2"], EXIT_TOLERANCE
+
+        monkeypatch.setitem(cli.SCENARIOS, name, cli.SCENARIOS[name]._replace(run=stub))
+        code, out = run_cli([name], capsys)
+        assert code == EXIT_TOLERANCE
+        assert seen == [name]
+        assert out == "# stub\na,b\n1,2\n"
 
     def test_fig1b_beyond_search_guard_rejected_before_work(self, monkeypatch, capsys):
         calls = []

@@ -12,19 +12,18 @@ from corrnoise.estimation import (
     NoInformationError,
     count_uniforms_below,
     estimate_xi,
-    promise_check,
     replication_study,
     shot_uncertainty,
     simulate_parity_counts,
     splitmix64,
     uniform_stream,
 )
-from corrnoise.estimation import _CHUNK, _crb_std, _float_threshold, _inversion
-from corrnoise import estimation
+from corrnoise.estimation import _CHUNK, _float_threshold, _inversion
+from corrnoise import cli
 from corrnoise.cli import main
 from corrnoise.evolution import CoherencePair, _pair_line, decay_rate, decay_rate_derivative, ghz_pair
 from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
-from corrnoise.qfi import coherence_pair_qfi_shot, coherence_pair_qfi_shot_peak
+from corrnoise.qfi import coherence_pair_qfi_shot_peak
 
 DOMAIN = (1e-6, 1.0)
 
@@ -208,35 +207,6 @@ class TestShotUncertainty:
         assert max(ratios) - min(ratios) <= 1e-9 * ratios[0]
 
 
-class TestPromiseCheck:
-    def test_holds_inside_range(self):
-        fam = build_n_qubit(6, DOMAIN)
-        report = promise_check(fam, 0.01)
-        assert report.xi_threshold == pytest.approx(0.1875)
-        assert report.holds
-
-    def test_broken_outside_range(self):
-        fam = build_n_qubit(6, DOMAIN)
-        report = promise_check(fam, 0.5)
-        assert not report.holds
-
-    def test_coherence_prediction_is_inverse_e(self):
-        # G = N xi gamma and t = 1/(N xi gamma) imply exp(-1)
-        fam = build_n_qubit(6, DOMAIN)
-        report = promise_check(fam, 0.01)
-        assert report.predicted_coherence == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert report.predicted_coherence == pytest.approx(0.3679, abs=1e-4)
-
-    def test_invalid_estimate_rejected(self):
-        with pytest.raises(ValueError):
-            promise_check(build_n_qubit(4, DOMAIN), 0.0)
-
-    def test_optional_shot_uncertainty(self):
-        fam = build_n_qubit(6, DOMAIN)
-        report = promise_check(fam, 0.01, shots=10**4)
-        assert report.shot_uncertainty == pytest.approx(2.485e-4, abs=2e-7)
-
-
 class TestSimulateParityCounts:
     def test_tiny_time_gives_all_plus(self):
         fam = build_n_qubit(4, DOMAIN)
@@ -304,27 +274,19 @@ class TestEstimateXi:
         record = ExperimentRecord(ghz_pair(4), 0.01, 1.0, 1000, 500, 0)
         report = estimate_xi(record, fam)
         assert report.xi_hat is None
-        assert report.std_error_crb == math.inf
 
     def test_report_never_reads_xi_true(self):
         fam = build_n_qubit(4, DOMAIN)
         reports = [estimate_xi(ExperimentRecord(ghz_pair(4), xi, 5.0, 1000, 700, 3), fam) for xi in (0.01, 0.3)]
         assert reports[0] == reports[1]
 
-    def test_crb_is_plug_in_at_estimate(self):
-        fam = build_n_qubit(4, DOMAIN)
-        pair, t, shots = ghz_pair(4), 5.0, 1000
-        report = estimate_xi(ExperimentRecord(pair, 0.01, t, shots, 700, 3), fam)
-        plug_in = coherence_pair_qfi_shot(fam, report.xi_hat, pair, t).value
-        assert report.std_error_crb == pytest.approx(1.0 / math.sqrt(shots * plug_in), rel=1e-14)
-
-    def test_crb_vanishes_at_a_dark_estimate(self):
+    def test_all_plus_counts_estimate_the_dark_point(self):
         # C(xi) = xi * I on [0, 1]: all-plus counts put xi_hat on the dark
-        # point xi = 0, where the information diverges.
+        # point xi = 0, inside the domain.
         fam = DephasingFamily(2, np.zeros((2, 2)), np.eye(2), (0.0, 1.0))
         report = estimate_xi(ExperimentRecord(ghz_pair(2), 0.5, 1.0, 100, 100, 0), fam)
         assert report.xi_hat == 0.0
-        assert report.std_error_crb == 0.0
+        assert not report.clamped
 
     def test_clamping_flag(self):
         fam = build_n_qubit(4, (1e-4, 0.02))
@@ -351,9 +313,6 @@ class TestReplicationStudy:
         crb = shot_uncertainty(fam, xi, pair, 2500)
         assert study.empirical_std == pytest.approx(crb, rel=0.25)
         assert study.n_failed == 0
-        # crb_std is the true-xi reference at the study's own time.
-        true_crb = 1.0 / math.sqrt(2500 * coherence_pair_qfi_shot(fam, xi, pair, t).value)
-        assert study.crb_std == pytest.approx(true_crb, rel=1e-14)
 
     def test_counts_clamped_replicates(self):
         # xi_true near the top of a narrow domain: many estimates clamp to it.
@@ -366,19 +325,14 @@ class TestReplicationStudy:
         assert 0 < study.n_clamped == sum(clamped) < 40
         assert study.n_failed == 0
 
-    def test_plug_in_crb_equals_the_one_pair_formula_bitwise(self):
-        # Each replicate reuses its pair's G(0), G' and d and forms one rate at
-        # xi_hat; its plug-in scale keeps the bits of the standalone formula.
+    def test_study_reads_the_pair_line_once(self):
+        # Every replicate reuses its pair's G(0), G' and d.
         fam = build_n_qubit(4, (1e-4, 0.02))
         pair, t, shots = ghz_pair(4), 3.0, 200
         _pair_line.cache_clear()
         study = replication_study(fam, 0.019, pair, t, shots=shots, n_seeds=60, base_seed=3)
         assert _pair_line.cache_info().misses == 1
         assert 0 < study.n_clamped < 60
-        for report in study.reports:
-            assert report.std_error_crb == _crb_std(fam, report.xi_hat, pair, t, shots)
-            plug_in = coherence_pair_qfi_shot(fam, report.xi_hat, pair, t).value
-            assert report.std_error_crb == 1.0 / math.sqrt(shots * plug_in)
 
     def test_one_inversion_per_distinct_count(self):
         # The inversion is memoized on (family, pair, t, shots, plus_count):
@@ -395,49 +349,27 @@ class TestReplicationStudy:
         assert all(report is by_count[k] for k, report in zip(counts, study.reports))
 
     def test_estimate_forms_only_the_study_crb(self, monkeypatch, capsys):
-        # The scenario prints no replicate's plug-in scale: the one Cramer-Rao
-        # std it forms is the study's own, at the true xi.
+        # The scenario prints no replicate's scale: the one Cramer-Rao std it
+        # forms is the study's own, shot_uncertainty at the true xi.
         calls = []
 
-        def counting(family, xi, pair, t, shots):
-            calls.append(xi)
-            return _crb_std(family, xi, pair, t, shots)
+        def counting(family, xi, pair, shots):
+            calls.append((xi, pair, shots))
+            return shot_uncertainty(family, xi, pair, shots)
 
-        monkeypatch.setattr(estimation, "_crb_std", counting)
+        monkeypatch.setattr(cli, "shot_uncertainty", counting)
         _inversion.cache_clear()
         assert main(["estimate"]) == 0
         capsys.readouterr()
-        assert calls == [0.01]
+        assert calls == [(0.01, ghz_pair(6), 10_000)]
 
-    def test_report_forms_its_crb_once(self, monkeypatch):
-        fam = build_n_qubit(4, DOMAIN)
-        pair, t, shots = ghz_pair(4), 5.0, 1000
-        calls = []
-        monkeypatch.setattr(estimation, "_crb_std", lambda *args: calls.append(args) or _crb_std(*args))
-        report = EstimateReport(0.01, False, (fam, pair, t, shots))
-        assert calls == []
-        first, second = report.std_error_crb, report.std_error_crb
-        assert first == second == _crb_std(fam, 0.01, pair, t, shots)
-        assert calls == [(fam, 0.01, pair, t, shots)]
-
-    def test_report_without_estimate_reads_inf_without_a_crb(self, monkeypatch):
-        monkeypatch.setattr(estimation, "_crb_std", lambda *args: pytest.fail("formed a CRB with no estimate"))
-        _inversion.cache_clear()
-        report = estimate_xi(ExperimentRecord(ghz_pair(4), 0.01, 1.0, 1000, 500, 0), build_n_qubit(4, DOMAIN))
-        assert report.xi_hat is None
-        assert report.std_error_crb == math.inf
-        assert EstimateReport(None).std_error_crb == math.inf
-
-    def test_report_compares_and_prints_its_three_values(self):
-        fam = build_n_qubit(4, DOMAIN)
-        pair = ghz_pair(4)
-        a = EstimateReport(0.01, False, (fam, pair, 5.0, 1000))
-        b = EstimateReport(0.01, False, (fam, pair, 5.0, 4000))
-        assert a != b and a == EstimateReport(0.01, False, (fam, pair, 5.0, 1000))
-        assert hash(a) == hash(EstimateReport(0.01, False, (fam, pair, 5.0, 1000)))
-        assert repr(a) == f"EstimateReport(xi_hat=0.01, std_error_crb={a.std_error_crb!r}, clamped=False)"
-        with pytest.raises(ValueError):
-            EstimateReport(0.01)
+    def test_report_compares_and_prints_its_two_values(self):
+        a = EstimateReport(0.01)
+        assert a == EstimateReport(0.01, False)
+        assert a != EstimateReport(0.01, True) and a != EstimateReport(0.02)
+        assert hash(a) == hash(EstimateReport(0.01, False))
+        assert repr(a) == "EstimateReport(xi_hat=0.01, clamped=False)"
+        assert repr(EstimateReport(None)) == "EstimateReport(xi_hat=None, clamped=False)"
 
     def test_seed_xor_convention(self):
         fam = build_n_qubit(4, DOMAIN)

@@ -14,7 +14,6 @@ from corrnoise.optimize import (
     _fold_theta,
     advantage_ratio,
     default_time_bracket,
-    dynamical_range_threshold,
     maximize_over_time,
     nelder_mead_max,
     optimal_coherence_pair,
@@ -717,20 +716,6 @@ class TestAdvantageRatio:
             advantage_ratio(1, 0.1, "time")
         with pytest.raises(ValueError):
             advantage_ratio(11, 0.1, "time")
-
-
-class TestDynamicalRange:
-    def test_values(self):
-        assert dynamical_range_threshold(6) == pytest.approx(0.1875)
-        assert dynamical_range_threshold(2) == pytest.approx(1.0)
-
-    def test_monotone_decreasing_from_three(self):
-        vals = [dynamical_range_threshold(n) for n in range(3, 11)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            dynamical_range_threshold(1)
 
 
 class TestTimeBracket:

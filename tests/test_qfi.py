@@ -7,6 +7,8 @@ import pytest
 from corrnoise.evolution import (
     CoherencePair,
     ProductState,
+    decay_rate,
+    decay_rate_derivative,
     drho_dxi,
     evolve,
     ghz_density,
@@ -732,6 +734,18 @@ class TestCoherencePairQfi:
         fam, pair = build_n_qubit(3, (1e-300, 1.0)), ghz_pair(3)
         per_time = coherence_pair_qfi_timeavg(fam, 1e-300, pair).value
         assert coherence_pair_qfi_shot(fam, 1e-300, pair, 1e-310).value == 1e-310 * per_time > 0.0
+
+    @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-154, 1e-20])
+    def test_shot_formula_where_the_decay_rounds_to_one(self, tau):
+        # exp(-2 G tau) rounds to 1 while 2 G tau does not underflow: the value
+        # is the t -> 0+ form tau G'^2 / (2 G) (fig1a at gamma 1e-200), where
+        # forming tau * per_time * 2 G tau first underflows to 0.
+        fam, pair = build_n_qubit(3, DOMAIN), ghz_pair(3)
+        g, gp = decay_rate(fam, 0.5, pair), decay_rate_derivative(fam, pair)
+        expected = tau * gp**2 / (2.0 * g)
+        value = coherence_pair_qfi_shot(fam, 0.5, pair, tau).value
+        assert value > 0.0
+        assert abs(value - expected) <= 2.0 * math.ulp(expected)
 
     def test_shot_optimum_constants(self, x_star, shot_peak_constant):
         assert shot_optimum_x() == pytest.approx(x_star, abs=1e-12)
