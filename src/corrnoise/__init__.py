@@ -12,7 +12,6 @@ from .model import (
     build_two_qubit,
     from_spectral_density,
     load_spectral_csv,
-    with_perturbation,
 )
 from .evolution import (
     CoherencePair,
@@ -20,7 +19,6 @@ from .evolution import (
     ResourceLimitError,
     coherence_spectrum,
     decay_rate,
-    decay_rate_derivative,
     drho_dxi,
     evolve,
     ghz_density,
@@ -38,7 +36,6 @@ from .qfi import (
     bures_distance_sq,
     coherence_pair_qfi_shot,
     coherence_pair_qfi_shot_peak,
-    coherence_pair_qfi_timeavg,
     fidelity,
     qfi_exact_value,
     qfi_fidelity_check,
@@ -60,8 +57,6 @@ from .estimation import (
     replication_study,
     shot_uncertainty,
     simulate_parity_counts,
-    splitmix64,
-    uniform_stream,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -321,7 +321,7 @@ SCENARIOS = {
             ("--t-lo", {"type": float, "help": "grid start (default 1e-2)"}),
             ("--t-hi", {"type": float, "help": "grid end (default 1e3)"}),
             ("--t-points", {"type": int, "help": "grid size (default 200)"}),
-            ("--t-linear", {"action": "store_true", "help": "linear instead of log spacing"}),
+            ("--t-linear", {"dest": "t_log", "action": "store_false", "default": None, "help": "linear instead of log spacing"}),
         ),
     ),
     "fig1b": Scenario(run_fig1b, "advantage ratios vs qubit number"),
@@ -352,29 +352,23 @@ SCENARIOS = {
 }
 
 
-def build_parser(
-    names: Iterable[str] = SCENARIOS, parser_class: type[argparse.ArgumentParser] = argparse.ArgumentParser
-) -> argparse.ArgumentParser:
-    """The ``corrnoise`` parser, with a subcommand for each scenario in ``names`` (default: all of them)."""
-    parser = parser_class(prog="corrnoise", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="scenario", required=True)
+def build_parser(names: Iterable[str] = SCENARIOS) -> argparse.ArgumentParser:
+    """The ``corrnoise`` parser, with a subcommand for each scenario in ``names`` (default: all of them).
+
+    A parser of fewer scenarios names all of them in its usage line, as the
+    full parser does, so both print the same usage and errors.  The full
+    parser sets no metavar: its errors name the argument ``scenario``.
+    """
+    names = tuple(names)
+    metavar = None if names == tuple(SCENARIOS) else "{" + ",".join(SCENARIOS) + "}"
+    parser = argparse.ArgumentParser(prog="corrnoise", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="scenario", required=True, metavar=metavar)
     for name in names:
         scenario = SCENARIOS[name]
         p = sub.add_parser(name, help=scenario.help)
         for flag, kwargs in _COMMON_FLAGS + scenario.flags:
             p.add_argument(flag, **kwargs)
     return parser
-
-
-class _Reparse(Exception):
-    """A parse error in a one-scenario parser: the full parser parses the arguments again to report it."""
-
-
-class _OneScenarioParser(argparse.ArgumentParser):
-    """Raises ``_Reparse`` where argparse would print a usage line and an error and exit 2."""
-
-    def error(self, message: str) -> NoReturn:
-        raise _Reparse(message)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -407,8 +401,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, field.name, None)
         if val is not None:
             values[field.name] = val
-    if getattr(args, "t_linear", False):
-        values["t_log"] = False
     config = RunConfig(**values)
     _validate_config(config)
     return config
@@ -449,21 +441,14 @@ _full_parser = lru_cache(maxsize=1)(build_parser)
 
 @lru_cache(maxsize=None)
 def _scenario_parser(name: str) -> argparse.ArgumentParser:
-    return build_parser((name,), _OneScenarioParser)
+    return build_parser((name,))
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """argv parsed by the parser of the scenario it names; top-level help, no scenario and every error by the full one.
-
-    A one-scenario parser's usage line lists only its scenario, so an argv it
-    rejects is parsed again by the full parser, which prints the error as it
-    always has.  A scenario's own help is the same in both parsers.
-    """
+    """argv parsed by the parser of the scenario it names; top-level help and no scenario by the full one."""
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in SCENARIOS:
-        with contextlib.suppress(_Reparse):
-            return _scenario_parser(argv[0]).parse_args(argv)
-    return _full_parser().parse_args(argv)
+    parser = _scenario_parser(argv[0]) if argv and argv[0] in SCENARIOS else _full_parser()
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,10 +33,12 @@ of stream ``seed`` is
 and uniform deviates are out / 2^64, with out rounded to float64 first.  The
 stream for seed 0 starts 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
 0x06C45D188009454F; these vectors are pinned in the test suite so
-independent implementations can reproduce identical experiments.  The i-th
-draw is a pure function of (seed, i), so shots can be generated in any
-order or in parallel.  ``replication_study``, the one replicate loop (the
-CLI's ``estimate`` prints it), gives replicate r the stream base_seed XOR r.
+independent implementations can reproduce identical experiments, and the
+suite holds the stream's two reference implementations, in pure Python and
+in numpy.  The i-th draw is a pure function of (seed, i), so shots can be
+generated in any order or in parallel.  ``replication_study``, the one
+replicate loop (the CLI's ``estimate`` prints it), gives replicate r the
+stream base_seed XOR r.
 
 Counts never form the float stream: u_i < p holds exactly when out_i < T,
 with T the smallest integer whose float64 rounding is >= p * 2^64.  The last
@@ -80,8 +82,6 @@ __all__ = [
     "ExperimentRecord",
     "EstimateReport",
     "ReplicationStudy",
-    "splitmix64",
-    "uniform_stream",
     "count_uniforms_below",
     "shot_uncertainty",
     "simulate_parity_counts",
@@ -106,25 +106,6 @@ def _last_round(z: np.ndarray) -> np.ndarray:
     """out = z ^ (z >> 31), in place on the words that ``_rounds`` left."""
     z ^= z >> _LAST_SHIFT
     return z
-
-
-def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Outputs offset+1 .. offset+count of the SplitMix64 stream for ``seed``, mixed in place."""
-    if count < 0 or offset < 0:
-        raise ValueError("count and offset must be >= 0")
-    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z *= _GOLDEN
-    z += np.uint64(seed & _MASK)
-    return _last_round(_rounds(z, np.empty_like(z)))
-
-
-def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Deterministic uniforms in [0, 1]: splitmix64 outputs scaled by 2^-64.
-
-    The interval is closed: a float64 holds 53 significant bits, so every
-    output >= 2^64 - 2^10 rounds to 2^64 and scales to exactly 1.0.
-    """
-    return splitmix64(seed, count, offset) * 2.0**-64
 
 
 @lru_cache(maxsize=16)
@@ -161,7 +142,7 @@ def _count_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def count_uniforms_below(seed: int, count: int, p: float) -> int:
-    """``count_nonzero(uniform_stream(seed, count) < p)``, without the float stream.
+    """How many of the first ``count`` uniform deviates of stream ``seed`` lie below ``p``, without the float stream.
 
     Counts, in chunks of ``_CHUNK`` draws, the state words after two rounds
     that lie below the threshold of ``p`` with its low 33 bits cleared; only

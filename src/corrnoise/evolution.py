@@ -44,7 +44,6 @@ __all__ = [
     "pattern_from_index",
     "index_from_pattern",
     "decay_rate",
-    "decay_rate_derivative",
     "rate_matrix",
     "rate_derivative_matrix",
     "evolve",
@@ -127,14 +126,6 @@ class CoherencePair:
         return f"{bits(self.alpha)}|{bits(self.beta)}"
 
     @classmethod
-    def canonical(cls, alpha, beta) -> "CoherencePair":
-        alpha = _validate_pattern(alpha, "alpha")
-        beta = _validate_pattern(beta, "beta")
-        if index_from_pattern(alpha) > index_from_pattern(beta):
-            alpha, beta = beta, alpha
-        return cls(alpha, beta)
-
-    @classmethod
     def from_indices(cls, ia: int, ib: int, n_qubits: int) -> "CoherencePair":
         return cls(pattern_from_index(ia, n_qubits), pattern_from_index(ib, n_qubits))
 
@@ -205,13 +196,21 @@ _RATE_BLOCK = 4096
 
 def _rate_form(matrix: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """(1/4) d^T Re(matrix) d for every row d of ``diffs``: a real matmul and a row-wise dot per block of rows."""
-    # Families store complex128, so np.real is a strided view; matmul still
-    # runs BLAS on it, with the bits of a product on a contiguous copy.  A
-    # one-row ``decay_rate``, any block of rows and the class table agree bit
-    # for bit only where the BLAS kernel computes each row of a product on its
-    # own, as OpenBLAS's AVX-512 kernel does and the spectrum test against the
-    # pair-by-pair oracle pins; its Haswell kernel moves some rates in their
-    # last bits.  Each block of differences (int8 in the class table) is cast
+    # Families store complex128, so np.real is a strided view.  A one-row
+    # product on it does not go through BLAS: the 364 one-row rates at N = 6
+    # have the same bits under OpenBLAS's AVX-512 and Haswell kernels, and on
+    # a contiguous float64 copy they differ.  A block of class-table rows does
+    # go through BLAS: under Haswell the N = 9 GHZ class at xi = 0.047 reads
+    # 0.42300000000000004, against 0.4230000000000002 one-row.  So a one-row
+    # ``decay_rate`` and the class table agree bit for bit only on a kernel
+    # that computes each row of a product on its own, as the AVX-512 kernel
+    # does and the spectrum test against the pair-by-pair oracle pins.
+    # float64 storage is no cleanup: it changes the ``estimate`` bytes (its
+    # ``# t:`` and ``# crb_std:`` lines and every replicate row); with a
+    # two-step einsum it keeps them on the AVX-512 kernel but fails both fold
+    # tests, and pair_sweep's task_s.p50 rose from 0.023 to 0.032 s, past its
+    # bound (wall_s 0.59 -> 0.66-0.75 s).  Rates that do not depend on the
+    # host need an exactly rounded rate form.  Each block of differences (int8 in the class table) is cast
     # to float64: equal values, equal bits.
     real = np.real(matrix)
     rates = np.empty(len(diffs))
@@ -268,11 +267,6 @@ def _pair_line(family: DephasingFamily, pair: CoherencePair) -> tuple[np.ndarray
 def decay_rate(family: DephasingFamily, xi: float, pair: CoherencePair) -> float:
     """Coherence decay rate (1/4)(alpha-beta)^dag C(xi) (alpha-beta)."""
     return float(_decay_rates(family, xi, _pair_diff(family, pair))[0])
-
-
-def decay_rate_derivative(family: DephasingFamily, pair: CoherencePair) -> float:
-    """d(rate)/d(xi) = (1/4)(alpha-beta)^dag dC (alpha-beta); xi-independent."""
-    return float(_pair_line(family, pair)[1][0])
 
 
 # Rate matrices are the hot loop of propagation and the QFI; memoize per

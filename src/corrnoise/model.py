@@ -9,8 +9,10 @@ interval than at its ends.
 
 A Hermitian C with an imaginary part is rejected: Im C adds i/2
 alpha^T Im(C) beta to the generator's eigenvalue -rate on |alpha><beta|,
-and corrnoise propagates the decay only.  Storage stays complex128 (see
-``evolution._rate_form`` for why).
+and corrnoise propagates the decay only.  Storage stays complex128: one-row
+rates on its strided real view do not go through BLAS, so their bits do not
+depend on the BLAS kernel, and float64 storage changes the ``estimate``
+bytes (``evolution._rate_form`` has the measurements).
 
 Built-in families:
 
@@ -46,7 +48,6 @@ __all__ = [
     "build_two_qubit",
     "build_n_qubit",
     "from_spectral_density",
-    "with_perturbation",
     "load_spectral_csv",
 ]
 
@@ -200,9 +201,7 @@ def build_n_qubit(n: int, xi_domain) -> DephasingFamily:
 def from_spectral_density(data: SpectralData) -> DephasingFamily:
     """Fixed channel with C = (2/gamma_ref) * s_zero and no xi dependence.
 
-    The returned family has delta_c = 0 and the degenerate domain [0, 0];
-    attach a perturbation direction with :func:`with_perturbation` to obtain
-    a sensing problem.
+    The returned family has delta_c = 0 and the degenerate domain [0, 0].
     """
     n = data.n_qubits
     # A small gamma_ref (``spectrum --family file:... --gamma 1e-308``) puts C past the float range.
@@ -213,18 +212,13 @@ def from_spectral_density(data: SpectralData) -> DephasingFamily:
     return DephasingFamily(n, c0, np.zeros((n, n)), (0.0, 0.0))
 
 
-def with_perturbation(family: DephasingFamily, delta_c, xi_domain) -> DephasingFamily:
-    """Replace the perturbation direction and xi domain of an existing family."""
-    return DephasingFamily(family.n_qubits, family.c0, delta_c, xi_domain)
-
-
-def load_spectral_csv(path, gamma_ref: float, n_qubits: int | None = None) -> SpectralData:
+def load_spectral_csv(path, gamma_ref: float) -> SpectralData:
     """Read zero-frequency spectral densities from a ``j,l,re,im`` CSV file.
 
     Indices are 0-based; only upper-triangle entries (j <= l) are allowed and
     the lower triangle is filled by symmetry; im must be 0.  Unlisted entries
     default to zero.  Rows with j > l and duplicate (j, l) keys are rejected.
-    When n_qubits is omitted it is inferred as max index + 1.
+    The qubit count is the largest index + 1.
     """
     import csv  # here, not at module level: importing corrnoise does not load it
 
@@ -250,12 +244,9 @@ def load_spectral_csv(path, gamma_ref: float, n_qubits: int | None = None) -> Sp
             if (j, l) in entries:
                 raise FamilyValidationError(f"{path}:{lineno}: duplicate key (j={j}, l={l})")
             entries[(j, l)] = complex(re, im)
-    max_idx = max((max(j, l) for j, l in entries), default=-1)
-    n = int(n_qubits) if n_qubits is not None else max_idx + 1
+    n = max((max(j, l) + 1 for j, l in entries), default=0)
     if n < 1:
         raise FamilyValidationError(f"{path}: no entries and no n_qubits given")
-    if max_idx >= n:
-        raise FamilyValidationError(f"{path}: index {max_idx} out of range for n_qubits={n}")
     s = np.zeros((n, n), dtype=np.complex128)
     for (j, l), val in entries.items():
         s[j, l] = val

@@ -101,7 +101,6 @@ __all__ = [
     "qfi_fidelity_check",
     "time_averaged_qfi_limit",
     "richardson_limit",
-    "coherence_pair_qfi_timeavg",
     "coherence_pair_qfi_shot",
     "coherence_pair_qfi_shot_peak",
     "shot_optimum_x",
@@ -456,11 +455,6 @@ def _pair_qfi(family: DephasingFamily, xi: float, pair: CoherencePair, regime: s
     rate = _decay_rates(family, xi, d)
     value = _pair_optimum(rate, slope, d, regime)
     return QfiResult(float(value[0]), regime, _pair_time(rate[0], slope[0], regime), pair), float(rate[0])
-
-
-def coherence_pair_qfi_timeavg(family: DephasingFamily, xi: float, pair: CoherencePair) -> QfiResult:
-    """Closed-form optimal time-averaged QFI G'^2 / (2 G) for one coherence pair."""
-    return _pair_qfi(family, xi, pair, "time")[0]
 
 
 def coherence_pair_qfi_shot(family: DephasingFamily, xi: float, pair: CoherencePair, t: float) -> QfiResult:

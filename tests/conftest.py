@@ -3,7 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from corrnoise.model import SpectralData, from_spectral_density, with_perturbation
+from corrnoise.evolution import _pair_line
+from corrnoise.model import DephasingFamily, SpectralData, from_spectral_density
+from corrnoise.qfi import _pair_qfi
+
+
+def with_perturbation(family, delta_c, xi_domain):
+    """The family with its perturbation direction and xi domain replaced."""
+    return DephasingFamily(family.n_qubits, family.c0, delta_c, xi_domain)
+
+
+def decay_rate_derivative(family, pair):
+    """d(rate)/d(xi) = (1/4)(alpha-beta)^dag dC (alpha-beta) of one pair; xi-independent."""
+    return float(_pair_line(family, pair)[1][0])
+
+
+def coherence_pair_qfi_timeavg(family, xi, pair):
+    """The pair's closed-form t -> 0+ QFI G'^2 / (2 G), as the pair optimum of the "time" regime."""
+    return _pair_qfi(family, xi, pair, "time")[0]
 
 
 def bisect_shot_optimum(tol: float = 1e-12) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -825,6 +826,15 @@ class TestParserParity:
         ["estimate", "--n", "8", "--shots", "100000", "--seeds", "400", "--threads", "2", "--xi", "4e-3", "--seed", "3"],
     ]
 
+    @pytest.fixture
+    def without_full_parser(self, monkeypatch):
+        """``main``'s cached full parser fails when built; ``cli.build_parser`` still builds one."""
+
+        def unused():
+            raise AssertionError("a scenario argv built the full parser")
+
+        monkeypatch.setattr(cli, "_full_parser", unused)
+
     @staticmethod
     def outcome(call, argv, capsys):
         """(exit code or None, what the call returned, stdout, stderr)."""
@@ -847,19 +857,23 @@ class TestParserParity:
             # fig1a --t-linear parses: the same namespace, and nothing printed.
             assert self.outcome(cli._parse_args, argv, capsys) == expected
 
+    # Each scenario argv above that exits: all but fig1a --t-linear.
+    EXITING = [[s, *c] for s, c in itertools.product(cli.SCENARIOS, CASES) if [s, *c] != ["fig1a", "--t-linear"]]
+
+    @pytest.mark.parametrize("argv", EXITING, ids=" ".join)
+    def test_scenario_parser_exits_as_the_full_parser_alone(self, argv, capsys, without_full_parser):
+        # Help and every error: the scenario's parser prints what the full parser would, with no second parse.
+        expected = self.outcome(cli.build_parser().parse_args, argv, capsys)
+        assert self.outcome(main, argv, capsys) == expected
+
     @pytest.mark.parametrize("argv", TOP_LEVEL, ids=" ".join)
     def test_top_level_argv_matches_the_full_parser(self, argv, capsys):
         expected = self.outcome(cli.build_parser().parse_args, argv, capsys)
         assert expected[0] is not None
         assert self.outcome(main, argv, capsys) == expected
 
-    def test_benchmark_argvs_parse_to_the_same_config_without_the_full_parser(self, monkeypatch):
+    def test_benchmark_argvs_parse_to_the_same_config_without_the_full_parser(self, without_full_parser):
         full = cli.build_parser()
-
-        def unused():
-            raise AssertionError("a valid scenario argv built the full parser")
-
-        monkeypatch.setattr(cli, "_full_parser", unused)
         for argv in self.PERFBENCH_ARGVS:
             assert cli._merge_config(cli._parse_args(argv)) == cli._merge_config(full.parse_args(argv)), argv
 

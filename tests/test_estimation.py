@@ -15,15 +15,14 @@ from corrnoise.estimation import (
     replication_study,
     shot_uncertainty,
     simulate_parity_counts,
-    splitmix64,
-    uniform_stream,
 )
-from corrnoise.estimation import _CHUNK, _float_threshold, _inversion
+from corrnoise.estimation import _CHUNK, _GOLDEN, _MASK, _float_threshold, _inversion, _last_round, _rounds
 from corrnoise import cli
 from corrnoise.cli import main
-from corrnoise.evolution import CoherencePair, _pair_line, decay_rate, decay_rate_derivative, ghz_pair
-from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit, with_perturbation
+from corrnoise.evolution import _pair_line, decay_rate, ghz_pair
+from corrnoise.model import DephasingFamily, build_n_qubit, build_two_qubit
 from corrnoise.qfi import coherence_pair_qfi_shot_peak
+from conftest import decay_rate_derivative, with_perturbation
 
 DOMAIN = (1e-6, 1.0)
 
@@ -40,6 +39,23 @@ def reference_splitmix64(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def splitmix64(seed, count, offset=0):
+    """Outputs offset+1 .. offset+count of the SplitMix64 stream for ``seed``, through the package's mixing rounds."""
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(seed & _MASK)
+    return _last_round(_rounds(z, np.empty_like(z)))
+
+
+def uniform_stream(seed, count):
+    """The float stream the counts stand for: splitmix64 outputs scaled by 2^-64.
+
+    The interval is closed: a float64 holds 53 significant bits, so every
+    output >= 2^64 - 2^10 rounds to 2^64 and scales to exactly 1.0.
+    """
+    return splitmix64(seed, count) * 2.0**-64
 
 
 class TestPrng:

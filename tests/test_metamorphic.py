@@ -7,10 +7,11 @@ the physics guarantees costs two evaluations at any N.
 import numpy as np
 import pytest
 
-from corrnoise.evolution import ProductState, plus_product, random_pure_density
-from corrnoise.model import with_perturbation
+from corrnoise.evolution import CoherencePair, ProductState, plus_product, random_pure_density
+from corrnoise.model import DephasingFamily
 from corrnoise.optimize import optimal_coherence_pair, optimal_product_state
 from corrnoise.qfi import qfi_exact_value, time_averaged_qfi_limit
+from conftest import with_perturbation
 
 # Scale s -> relative bound on the scaled results.  A power of two scales
 # every float exactly, so those are bit for bit; at s = 3, xi / s and s dC
@@ -82,3 +83,75 @@ class TestPerturbationScale:
                 assert_close(result.time, base.time, SCALES[s])
                 for theta, base_theta in zip(result.probe.thetas, base.probe.thetas):
                     assert_close(theta, base_theta, SCALES[s])
+
+
+def decoupled_draws(n, random_real_family):
+    """(block-1 family, decoupled family, rng) for six seeds at N = n.
+
+    Block 1, the first 1..n-1 qubits, is a seeded random family; the decoupled
+    family has C = C1 (+) C2 and dC = dC1 (+) 0, with C2 random positive definite.
+    """
+    for seed in range(6):
+        rng = np.random.default_rng(1000 * n + seed)
+        block1 = random_real_family(1 + seed % (n - 1), seed)
+        n1, n2 = block1.n_qubits, n - block1.n_qubits
+        a = rng.normal(size=(n2, n2))
+        c0, dc = np.zeros((n, n)), np.zeros((n, n))
+        c0[:n1, :n1], c0[n1:, n1:] = block1.c0.real, a @ a.T / n2 + 0.2 * np.eye(n2)
+        dc[:n1, :n1] = block1.delta_c.real
+        yield block1, DephasingFamily(n, c0, dc, block1.xi_domain), rng
+
+
+def at_pole(probe, n2):
+    """A ProductState or density with n2 more qubits at the pole theta = 0, in |0...0>."""
+    if isinstance(probe, ProductState):
+        return ProductState(probe.thetas + (0.0,) * n2)
+    pole = np.zeros((2**n2, 2**n2))
+    pole[0, 0] = 1.0
+    return np.kron(probe, pole)
+
+
+def assert_rel(value, expected, rtol):
+    assert abs(value - expected) <= rtol * abs(expected), (value, expected)
+
+
+class TestDecoupledBlock:
+    """A block that dC does not reach, with its qubits at the pole theta = 0, adds nothing to any QFI.
+
+    Block 2's qubits stay in |0...0>, which dephasing leaves as it is, so the
+    state at every t is block 1's state times that pole, and d_xi rho is block
+    1's derivative times it.  Every QFI is then the block-1 family's, and the
+    best coherence pair is block 1's with block 2's spins equal (any other
+    spins there add d2^T C2 d2 / 4 > 0 to its rate and nothing to G').  Six
+    draws at each N = 3..8, 36 in all.  Largest relative deviation measured
+    under the default, Haswell and Zen OpenBLAS kernels and numpy without
+    AVX-512: 0 for pair optima, 7.1e-15 for the t -> 0+ limit and 3.7e-13
+    per shot.  Pair rates go through BLAS, so the pair bound is not 0.
+    """
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_pair_optima_equal_block_1(self, n, random_real_family):
+        for block1, family, _ in decoupled_draws(n, random_real_family):
+            n2 = n - block1.n_qubits
+            for xi in XIS:
+                for regime in ("time", "shot"):
+                    base = optimal_coherence_pair(block1, xi, regime)
+                    result = optimal_coherence_pair(family, xi, regime)
+                    assert result.probe == CoherencePair(base.probe.alpha + (1,) * n2, base.probe.beta + (1,) * n2)
+                    assert_rel(result.value, base.value, 1e-15)
+                    assert_rel(result.time, base.time, 1e-15)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_limit_and_per_shot_equal_block_1(self, n, random_real_family):
+        for block1, family, rng in decoupled_draws(n, random_real_family):
+            n1, n2 = block1.n_qubits, n - block1.n_qubits
+            rho, product = random_pure_density(n1, rng), ProductState(tuple(rng.uniform(0.0, np.pi, n1)))
+            for xi in XIS:
+                for probe in (rho, product, plus_product(n1)):
+                    base = time_averaged_qfi_limit(probe, block1, xi).value
+                    assert base > 0.0
+                    assert_rel(time_averaged_qfi_limit(at_pole(probe, n2), family, xi).value, base, 1e-13)
+                for probe in (rho, product.density()):
+                    base = qfi_exact_value(probe, block1, xi, 0.7)
+                    assert base > 0.0
+                    assert_rel(qfi_exact_value(at_pole(probe, n2), family, xi, 0.7), base, 1e-10)

@@ -10,8 +10,8 @@ from corrnoise.model import (
     build_two_qubit,
     from_spectral_density,
     load_spectral_csv,
-    with_perturbation,
 )
+from conftest import with_perturbation
 
 DOMAIN = (0.1, 1.0)
 

@@ -6,9 +6,17 @@ import pytest
 from corrnoise import optimize
 from corrnoise import qfi
 from corrnoise.cli import main
-from corrnoise.evolution import CoherencePair, ProductState, ghz_pair, pair_density, plus_product, random_pure_density
+from corrnoise.evolution import (
+    CoherencePair,
+    ProductState,
+    ghz_pair,
+    index_from_pattern,
+    pair_density,
+    plus_product,
+    random_pure_density,
+)
 from corrnoise.evolution import _class_rates
-from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit, with_perturbation
+from corrnoise.model import DephasingFamily, build_n_qubit, build_single_qubit, build_two_qubit
 from corrnoise.optimize import (
     GRID_POINTS,
     _fold_theta,
@@ -24,11 +32,11 @@ from corrnoise.qfi import (
     DivergentQfiError,
     coherence_pair_qfi_shot,
     coherence_pair_qfi_shot_peak,
-    coherence_pair_qfi_timeavg,
     qfi_exact_value,
     richardson_limit,
     time_averaged_qfi_limit,
 )
+from conftest import coherence_pair_qfi_timeavg, with_perturbation
 
 DOMAIN = (1e-6, 1.0)
 
@@ -175,7 +183,8 @@ class TestOptimalCoherencePair:
                     best = optimal_coherence_pair(fam, xi, regime)
                     moved = optimal_coherence_pair(relabelled, xi, regime)
                     pair = moved.probe
-                    assert CoherencePair.canonical(np.array(pair.alpha)[back], np.array(pair.beta)[back]) == best.probe
+                    indices = sorted(index_from_pattern(np.array(p)[back]) for p in (pair.alpha, pair.beta))
+                    assert CoherencePair.from_indices(*indices, n) == best.probe
                     assert abs(moved.value - best.value) <= 1e-14 * best.value
                     assert abs(moved.time - best.time) <= 1e-14 * best.time
 

@@ -8,7 +8,6 @@ from corrnoise.evolution import (
     CoherencePair,
     ProductState,
     decay_rate,
-    decay_rate_derivative,
     drho_dxi,
     evolve,
     ghz_density,
@@ -24,7 +23,6 @@ from corrnoise.model import (
     build_n_qubit,
     build_single_qubit,
     build_two_qubit,
-    with_perturbation,
 )
 from corrnoise.optimize import _fold_theta, default_time_bracket
 from corrnoise.qfi import (
@@ -35,7 +33,6 @@ from corrnoise.qfi import (
     bures_distance_sq,
     coherence_pair_qfi_shot,
     coherence_pair_qfi_shot_peak,
-    coherence_pair_qfi_timeavg,
     fidelity,
     product_qfi_value_grad,
     qfi_exact_value,
@@ -47,6 +44,7 @@ from corrnoise.qfi import (
     time_averaged_qfi_limit,
     _sld_rate,
 )
+from conftest import coherence_pair_qfi_timeavg, decay_rate_derivative, with_perturbation
 
 DOMAIN = (1e-6, 1.0)
 
